@@ -30,8 +30,7 @@ func (s *Scheme) Encrypt(pk *PublicKey, msg []byte) (*Ciphertext, error) {
 // Decrypt opens ct with sk under the scheme's profile (the ConstantTime
 // profile decodes branchlessly). Note the scheme's intrinsic failure rate;
 // use the KEM interface when transporting keys. Decryption consumes no
-// randomness, so unlike the other one-shot methods this is safe to call
-// concurrently.
+// randomness, so unlike the other one-shot methods it takes no lock.
 func (s *Scheme) Decrypt(sk *PrivateKey, ct *Ciphertext) ([]byte, error) {
 	if sk.params.inner != s.params.inner {
 		return nil, paramsMismatch("private key")

@@ -35,8 +35,9 @@ var ErrNoiseBudget = core.ErrNoiseBudget
 // Evaluator is the additively homomorphic capability: in-place ciphertext
 // addition, subtraction, public-scalar multiplication and multi-ciphertext
 // aggregation, all without the private key. *Scheme and *Workspace
-// implement it; the ops touch only immutable shared state, so unlike
-// Encrypt/Decrypt they are concurrency-safe on either.
+// implement it; the ops touch only immutable shared state, so they are
+// concurrency-safe on either — even on a Workspace, unlike its
+// Encrypt/Decrypt.
 type Evaluator interface {
 	EvalAddInto(dst, a, b *Ciphertext) error
 	EvalSubInto(dst, a, b *Ciphertext) error

@@ -65,11 +65,10 @@ func (c *Client) CreateStream(token [TokenSize]byte) (uint64, error) {
 // past the parameter set's MaxAddends is refused with
 // ringlwe.ErrNoiseBudget and leaves the accumulator untouched.
 func (c *Client) Submit(id uint64, blob []byte) (uint64, error) {
-	req := make([]byte, 0, 1+streamIDSize+len(blob))
-	req = append(req, opSubmit)
-	req = binary.BigEndian.AppendUint64(req, id)
-	req = append(req, blob...)
-	body, err := c.roundTrip(req)
+	c.buf = append(c.buf[:0], opSubmit)
+	c.buf = binary.BigEndian.AppendUint64(c.buf, id)
+	c.buf = append(c.buf, blob...)
+	body, err := c.roundTrip(c.buf)
 	if err != nil {
 		return 0, err
 	}

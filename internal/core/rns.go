@@ -309,7 +309,7 @@ func (s *Scheme) rnsEvalScalarMulInto(dst, a *Ciphertext, k uint32) error {
 
 func appendPolysRNS(dst []byte, p *Params, polys ...ntt.Poly) []byte {
 	pb := p.PolyBytes()
-	dst, tail := growZero(dst, len(polys)*pb)
+	dst, tail := grow(dst, len(polys)*pb)
 	for pi, poly := range polys {
 		packPolyRNS(tail[pi*pb:(pi+1)*pb], p, poly)
 	}
@@ -349,9 +349,6 @@ func writePolysToRNS(w io.Writer, p *Params, polys ...ntt.Poly) (int64, error) {
 				end := min(off+streamChunkCoeffs, len(row))
 				nb := (end - off) / 8 * int(width)
 				chunk := buf[:nb]
-				for j := range chunk {
-					chunk[j] = 0
-				}
 				packPoly(chunk, row[off:end], width)
 				n, err := w.Write(chunk)
 				written += int64(n)

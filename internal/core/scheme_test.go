@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -382,4 +383,63 @@ func benchDecrypt(b *testing.B, p *Params) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestOneShotConcurrent calls every one-shot Scheme method from 8
+// goroutines on one scheme: the mutex around the default workspace must
+// keep its sampler and bit pools coherent (run under -race), and every
+// ciphertext must still decrypt. A1 and B1 keep the intrinsic decryption
+// failure rate negligible, so any mismatch is corruption.
+func TestOneShotConcurrent(t *testing.T) {
+	for _, p := range []*Params{A1(), B1()} {
+		s := newScheme(t, p, 41)
+		a := s.UniformPoly()
+		const workers, rounds = 8, 3
+		errs := make(chan error, workers)
+		for w := range workers {
+			go func() { errs <- oneShotRounds(s, a, rounds, uint64(w)) }()
+		}
+		for range workers {
+			if err := <-errs; err != nil {
+				t.Errorf("%s: %v", p.Name, err)
+			}
+		}
+	}
+}
+
+func oneShotRounds(s *Scheme, a ntt.Poly, rounds int, seed uint64) error {
+	msgSrc := rng.NewXorshift128(seed + 100)
+	for r := 0; r < rounds; r++ {
+		if len(s.UniformPoly()) != s.Params.polyLen() {
+			return errors.New("UniformPoly: wrong length")
+		}
+		_ = s.UniformRandom16()
+		s.FillRandom(make([]byte, 33))
+		pk, sk, err := s.GenerateKeys()
+		if err != nil {
+			return err
+		}
+		spk, ssk, err := s.GenerateKeysShared(a)
+		if err != nil {
+			return err
+		}
+		for _, kp := range []struct {
+			pk *PublicKey
+			sk *PrivateKey
+		}{{pk, sk}, {spk, ssk}} {
+			msg := randMessage(msgSrc, s.Params.MessageBytes())
+			ct, err := s.Encrypt(kp.pk, msg)
+			if err != nil {
+				return err
+			}
+			got, err := kp.sk.Decrypt(ct)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, msg) {
+				return errors.New("concurrent one-shot encryption does not decrypt")
+			}
+		}
+	}
+	return nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"ringlwe/internal/ntt"
@@ -12,6 +14,14 @@ import (
 // for P2), little-endian within the bit stream, matching the paper's
 // observation that coefficients fit in half words. A one-byte header tags
 // the parameter set so mismatches fail loudly instead of decrypting noise.
+//
+// The wire layout is fixed; only the loops that move it are tuned. Like
+// the paper's half-word stores, packPoly and unpackPolyInto move a machine
+// word per coefficient rather than a bit: a 64-bit accumulator flushed as
+// whole bytes on the way out, one 64-bit load shifted and masked on the
+// way in. Every path — appendPolys, MarshalInto, the RNS rows and the
+// streaming chunks — runs through these two functions, and the tests
+// check them byte for byte against the original bit-at-a-time loops.
 
 // LegacyTag returns the one-byte parameter tag the legacy tagged format
 // (Bytes/Parse*) opens with: 1 for P1, 2 for P2, 0 for custom sets. The
@@ -54,24 +64,14 @@ func isB1Moduli(moduli []uint32) bool {
 	return true
 }
 
-// growZero extends dst by n zeroed bytes, returning the grown slice and the
-// tail to pack into. The append-style serializers build on it so one
-// AppendTo call performs at most one allocation (none when dst has
-// capacity) — the zero-copy seam the public encoding.BinaryAppender
-// implementations ride.
-func growZero(dst []byte, n int) (grown, tail []byte) {
-	total := len(dst) + n
-	if cap(dst) < total {
-		g := make([]byte, total)
-		copy(g, dst)
-		return g, g[len(dst):]
-	}
-	grown = dst[:total]
-	tail = grown[len(dst):]
-	for i := range tail {
-		tail[i] = 0
-	}
-	return grown, tail
+// grow extends dst by n bytes, returning the grown slice and the tail
+// to pack into. The append-style serializers build on it so one AppendTo
+// call performs at most one allocation (none when dst has capacity) — the
+// zero-copy seam the public encoding.BinaryAppender implementations ride.
+// The tail is not cleared: packPoly overwrites every byte it covers.
+func grow(dst []byte, n int) (grown, tail []byte) {
+	grown = slices.Grow(dst, n)[:len(dst)+n]
+	return grown, grown[len(dst):]
 }
 
 // appendPolys appends the packed concatenation of polys to dst.
@@ -80,40 +80,69 @@ func appendPolys(dst []byte, p *Params, polys ...ntt.Poly) []byte {
 		return appendPolysRNS(dst, p, polys...)
 	}
 	pb := p.PolyBytes()
-	dst, tail := growZero(dst, len(polys)*pb)
+	dst, tail := grow(dst, len(polys)*pb)
 	for i, poly := range polys {
 		packPoly(tail[i*pb:(i+1)*pb], poly, p.CoeffBits())
 	}
 	return dst
 }
 
+// packPoly packs the low width bits of every coefficient of p into dst,
+// little-endian in the bit stream, overwriting every byte up to the last
+// (partial) one the stream covers. It keeps a 64-bit accumulator of fewer
+// than 8 pending bits, adds one masked coefficient per step, and flushes
+// the whole bytes: with an 8-byte store while eight bytes of dst remain,
+// byte by byte in the tail. The loop branches on width and position only,
+// never on coefficient bits, so packing a private key is branch-free in
+// the secret.
 func packPoly(dst []byte, p ntt.Poly, width uint) {
-	bitPos := 0
-	for _, c := range p {
-		for b := uint(0); b < width; b++ {
-			if c>>b&1 == 1 {
-				dst[bitPos/8] |= 1 << (bitPos % 8)
-			}
-			bitPos++
+	mask := uint64(1)<<width - 1
+	var acc uint64 // pending bits, fewer than 8 between steps
+	var nacc uint  // number of pending bits
+	j, i := 0, 0
+	for ; i < len(p) && j+8 <= len(dst); i++ {
+		acc |= (uint64(p[i]) & mask) << nacc
+		nacc += width
+		binary.LittleEndian.PutUint64(dst[j:], acc)
+		j += int(nacc >> 3)
+		acc >>= nacc &^ 7
+		nacc &= 7
+	}
+	for ; i < len(p); i++ {
+		acc |= (uint64(p[i]) & mask) << nacc
+		for nacc += width; nacc >= 8; nacc -= 8 {
+			dst[j] = byte(acc)
+			acc >>= 8
+			j++
 		}
+	}
+	if nacc > 0 {
+		dst[j] = byte(acc)
 	}
 }
 
-func unpackPoly(src []byte, n int, width uint) ntt.Poly {
-	out := make(ntt.Poly, n)
-	unpackPolyInto(out, src, width)
-	return out
-}
-
+// unpackPolyInto reverses packPoly: coefficient i is the width-bit field
+// at bit i·width of src. While eight bytes remain at the field's first
+// byte it is one little-endian 64-bit load, shifted by the bit offset
+// within that byte and masked (width ≤ 32, so offset + width ≤ 39 bits
+// fit); the last few coefficients assemble only the bytes their field
+// spans, so no load reads past src.
 func unpackPolyInto(dst ntt.Poly, src []byte, width uint) {
-	bitPos := 0
-	for i := range dst {
-		var c uint32
-		for b := uint(0); b < width; b++ {
-			c |= uint32(src[bitPos/8]>>(bitPos%8)&1) << b
-			bitPos++
+	mask := uint64(1)<<width - 1
+	var bit uint
+	i := 0
+	for ; i < len(dst) && int(bit>>3)+8 <= len(src); i++ {
+		dst[i] = uint32(binary.LittleEndian.Uint64(src[bit>>3:]) >> (bit & 7) & mask)
+		bit += width
+	}
+	for ; i < len(dst); i++ {
+		first, last := bit>>3, (bit+width-1)>>3
+		var w uint64
+		for b := first; b <= last; b++ {
+			w |= uint64(src[b]) << (8 * (b - first))
 		}
-		dst[i] = c
+		dst[i] = uint32(w >> (bit & 7) & mask)
+		bit += width
 	}
 }
 
@@ -231,9 +260,6 @@ func (ct *Ciphertext) MarshalInto(dst []byte) error {
 	if len(dst) != 1+2*p.PolyBytes() {
 		return fmt.Errorf("core: ciphertext buffer is %d bytes, want %d", len(dst), 1+2*p.PolyBytes())
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
 	tag, _ := paramTag(p)
 	dst[0] = tag
 	packPolyP(dst[1:1+p.PolyBytes()], p, ct.C1)
@@ -322,9 +348,6 @@ func writePolysTo(w io.Writer, p *Params, polys ...ntt.Poly) (int64, error) {
 			end := min(off+streamChunkCoeffs, len(poly))
 			nb := (end - off) / 8 * int(width)
 			chunk := buf[:nb]
-			for i := range chunk {
-				chunk[i] = 0
-			}
 			packPoly(chunk, poly[off:end], width)
 			n, err := w.Write(chunk)
 			written += int64(n)

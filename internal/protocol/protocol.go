@@ -313,32 +313,42 @@ func (c *Channel) switchEpoch(shared [ringlwe.SharedKeySize]byte) {
 //	     (seq ‖ length ‖ ciphertext)
 //	v2:  1-byte type ‖ 4-byte length ‖ ciphertext ‖ 16-byte truncated
 //	     HMAC over (seq ‖ type ‖ length ‖ ciphertext)
+//
+// The MAC input after the sequence number is exactly the record's wire
+// bytes up to the tag, so both directions hash the header and ciphertext
+// where they already lie.
 
-func stream(key [16]byte, seq uint64, data []byte) []byte {
+// stream XORs src with the AES-128-CTR keystream of (key, seq) into dst,
+// which may be src itself.
+func stream(dst []byte, key [16]byte, seq uint64, src []byte) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic(err)
 	}
 	var iv [16]byte
 	binary.BigEndian.PutUint64(iv[:8], seq)
-	out := make([]byte, len(data))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out, data)
-	return out
+	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, src)
 }
 
-func (c *Channel) mac(key [32]byte, seq uint64, typ byte, length uint32, ct []byte) []byte {
+// recordTag writes the truncated HMAC-SHA256 of seq ‖ hdr ‖ ct into tag,
+// hdr being the record's wire header (the v2 type byte, then the length).
+func recordTag(tag []byte, key *[32]byte, seq uint64, hdr, ct []byte) {
 	m := hmac.New(sha256.New, key[:])
-	var hdr [13]byte
-	binary.BigEndian.PutUint64(hdr[:8], seq)
-	n := 8
-	if c.version >= protocolV2 {
-		hdr[n] = typ
-		n++
-	}
-	binary.BigEndian.PutUint32(hdr[n:n+4], length)
-	m.Write(hdr[:n+4])
+	var s [8]byte
+	binary.BigEndian.PutUint64(s[:], seq)
+	m.Write(s[:])
+	m.Write(hdr)
 	m.Write(ct)
-	return m.Sum(nil)[:tagLen]
+	copy(tag[:tagLen], m.Sum(nil))
+}
+
+// hdrLen is the record header size of the channel's protocol version:
+// the 4-byte length, preceded on v2 by the type byte.
+func (c *Channel) hdrLen() int {
+	if c.version >= protocolV2 {
+		return 5
+	}
+	return 4
 }
 
 // seal encrypts and writes one record of the given type, with the
@@ -357,27 +367,25 @@ func (c *Channel) seal(typ byte, msg []byte) error {
 	return err
 }
 
+// sealRecord builds type ‖ length ‖ ciphertext ‖ tag in one buffer —
+// encrypting msg straight into its slot and tagging the bytes in place —
+// and hands the whole record to the transport in a single Write, so an
+// unbuffered TCP_NODELAY connection sends one segment per record.
 func (c *Channel) sealRecord(typ byte, msg []byte) error {
 	if len(msg) > maxRecordLen {
 		return fmt.Errorf("protocol: record too large (%d bytes)", len(msg))
 	}
-	ct := stream(c.sendKey, c.sendSeq, msg)
-	var hdr [5]byte
-	n := 0
-	if c.version >= protocolV2 {
-		hdr[0] = typ
-		n = 1
+	n := c.hdrLen()
+	rec := make([]byte, n+len(msg)+tagLen)
+	if n == 5 {
+		rec[0] = typ
 	}
-	binary.BigEndian.PutUint32(hdr[n:n+4], uint32(len(ct)))
-	tag := c.mac(c.sendMAC, c.sendSeq, typ, uint32(len(ct)), ct)
+	binary.BigEndian.PutUint32(rec[n-4:n], uint32(len(msg)))
+	ct := rec[n : n+len(msg)]
+	stream(ct, c.sendKey, c.sendSeq, msg)
+	recordTag(rec[n+len(msg):], &c.sendMAC, c.sendSeq, rec[:n], ct)
 	c.sendSeq++
-	if _, err := c.rw.Write(hdr[:n+4]); err != nil {
-		return err
-	}
-	if _, err := c.rw.Write(ct); err != nil {
-		return err
-	}
-	_, err := c.rw.Write(tag)
+	_, err := c.rw.Write(rec)
 	return err
 }
 
@@ -396,38 +404,36 @@ func (c *Channel) open() (byte, []byte, error) {
 	return typ, msg, err
 }
 
+// openRecord reads the header, then ciphertext ‖ tag in one read into one
+// buffer; it checks the tag before touching the ciphertext and then
+// decrypts it in place, returning the plaintext in that same buffer.
 func (c *Channel) openRecord() (byte, []byte, error) {
 	var hdr [5]byte
-	n := 0
-	typ := byte(recordData)
-	if c.version >= protocolV2 {
-		n = 1
-	}
-	if _, err := io.ReadFull(c.rw, hdr[:n+4]); err != nil {
+	n := c.hdrLen()
+	if _, err := io.ReadFull(c.rw, hdr[:n]); err != nil {
 		return 0, nil, err
 	}
-	if c.version >= protocolV2 {
+	typ := byte(recordData)
+	if n == 5 {
 		typ = hdr[0]
 	}
-	length := binary.BigEndian.Uint32(hdr[n : n+4])
+	length := binary.BigEndian.Uint32(hdr[n-4 : n])
 	if length > maxRecordLen {
 		return 0, nil, fmt.Errorf("protocol: oversized record (%d bytes)", length)
 	}
-	ct := make([]byte, length)
-	if _, err := io.ReadFull(c.rw, ct); err != nil {
+	body := make([]byte, length+tagLen)
+	if _, err := io.ReadFull(c.rw, body); err != nil {
 		return 0, nil, err
 	}
-	tag := make([]byte, tagLen)
-	if _, err := io.ReadFull(c.rw, tag); err != nil {
-		return 0, nil, err
-	}
-	want := c.mac(c.recvMAC, c.recvSeq, typ, length, ct)
-	if !hmac.Equal(tag, want) {
+	ct := body[:length:length]
+	var want [tagLen]byte
+	recordTag(want[:], &c.recvMAC, c.recvSeq, hdr[:n], ct)
+	if !hmac.Equal(body[length:], want[:]) {
 		return 0, nil, errors.New("protocol: record authentication failed")
 	}
-	msg := stream(c.recvKey, c.recvSeq, ct)
+	stream(ct, c.recvKey, c.recvSeq, ct)
 	c.recvSeq++
-	return typ, msg, nil
+	return typ, ct, nil
 }
 
 // Send seals and writes one data record, transparently rekeying first when

@@ -13,12 +13,13 @@ import (
 // usually depend on the narrowest interface that covers their needs.
 //
 // The one-shot methods (GenerateKeys, Encrypt, Encapsulate, …) run on an
-// internal workspace and are NOT safe for concurrent use — they preserve
-// the deterministic single-stream behaviour the known-answer tests pin.
-// For concurrent traffic, give each goroutine its own Workspace (see
-// NewWorkspace and AcquireWorkspace) or use the batch methods
-// (EncryptBatch, EncapsulateBatch, …), which drive a bounded worker pool
-// of pooled workspaces internally. Params may always be shared.
+// internal workspace behind one mutex: they are safe for concurrent use,
+// but concurrent callers queue on that lock, and only a single goroutine
+// sees the deterministic stream the known-answer tests pin. For parallel
+// traffic, give each goroutine its own Workspace (see NewWorkspace and
+// AcquireWorkspace) or use the batch methods (EncryptBatch,
+// EncapsulateBatch, …), which drive a bounded worker pool of pooled
+// workspaces internally. Params may always be shared.
 type Scheme struct {
 	params *Params
 	inner  *core.Scheme

@@ -3,6 +3,7 @@ package ringlwe
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -364,6 +365,61 @@ func TestLegacyOpsConcurrentWithForking(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestOneShotConcurrentKEM calls the public one-shot methods — key
+// generation, Encrypt, Encapsulate and the FO-transform CCA KEM — from 8
+// goroutines on one scheme. Run with `go test -race`. A1's negligible
+// intrinsic failure rate makes every mismatch a corruption.
+func TestOneShotConcurrentKEM(t *testing.T) {
+	p := A1()
+	s := NewDeterministic(p, 9)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := oneShotKEMRound(s, p); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func oneShotKEMRound(s *Scheme, p *Params) error {
+	pk, sk, err := s.GenerateKeys()
+	if err != nil {
+		return err
+	}
+	msg := make([]byte, p.MessageSize())
+	msg[0] = 0x5A
+	ct, err := s.Encrypt(pk, msg)
+	if err != nil {
+		return err
+	}
+	if got, err := s.Decrypt(sk, ct); err != nil || !bytes.Equal(got, msg) {
+		return fmt.Errorf("Encrypt/Decrypt round trip: %v", err)
+	}
+	blob, key, err := s.Encapsulate(pk)
+	if err != nil {
+		return err
+	}
+	if got, err := s.Decapsulate(sk, blob); err != nil || got != key {
+		return fmt.Errorf("Encapsulate/Decapsulate round trip: %v", err)
+	}
+	kp, err := s.GenerateCCAKeys()
+	if err != nil {
+		return err
+	}
+	cblob, ckey, err := s.EncapsulateCCA(kp.Public)
+	if err != nil {
+		return err
+	}
+	if got, err := s.DecapsulateCCA(kp, cblob); err != nil || got != ckey {
+		return fmt.Errorf("CCA round trip: %v", err)
+	}
+	return nil
 }
 
 func TestWorkspaceParameterMismatch(t *testing.T) {
