@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ringlwe/internal/cacheline"
 	"ringlwe/internal/ntt"
 	"ringlwe/internal/rng"
 	"ringlwe/internal/sampler"
@@ -18,8 +19,12 @@ import (
 //
 // A Workspace is not safe for concurrent use; create one per goroutine with
 // Scheme.NewWorkspace (cheap: the heavy tables are shared) or borrow one
-// from the Scheme's internal pool via Acquire/Release.
+// from the Scheme's internal pool via Acquire/Release. Its fields sit
+// between cache-line pads, as do the sampler, bit pools and source it
+// owns, so no two workspaces' state shares a cache line (see package
+// cacheline).
 type Workspace struct {
+	_       cacheline.Pad
 	scheme  *Scheme
 	sampler sampler.Engine
 	uniform *rng.BitPool
@@ -39,6 +44,8 @@ type Workspace struct {
 	// flushed snapshots the sampler counters at the last flushStats, so
 	// aggregation adds only the delta.
 	flushed sampler.Stats
+
+	_ cacheline.Pad
 }
 
 // newWorkspace builds a workspace drawing all randomness from src. The

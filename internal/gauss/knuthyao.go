@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ringlwe/internal/cacheline"
 	"ringlwe/internal/rng"
 )
 
@@ -44,8 +45,10 @@ func (v ScanVariant) String() string {
 // a probability Matrix, optionally accelerated by the paper's two lookup
 // tables (Algorithm 2). It consumes randomness bit by bit from a BitPool,
 // exactly as the microcontroller implementation does. Not safe for
-// concurrent use.
+// concurrent use. Every sample writes its counters, so the sampler sits
+// between cache-line pads (see package cacheline).
 type Sampler struct {
+	_       cacheline.Pad
 	Mat     *Matrix
 	Pool    *rng.BitPool
 	Variant ScanVariant
@@ -61,6 +64,8 @@ type Sampler struct {
 
 	// Statistics for the harness: total samples and where each was resolved.
 	Samples, LUT1Hits, LUT2Hits, ScanResolved uint64
+
+	_ cacheline.Pad
 }
 
 // Option configures a Sampler.

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"ringlwe/internal/cacheline"
 )
 
 // NumBuckets is the fixed bucket count of every Histogram: bucket 0
@@ -44,7 +46,7 @@ type histSlot struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64
 	max     atomic.Uint64
-	_       [8]byte
+	_       [4*cacheline.Size - (NumBuckets+3)*8]byte
 }
 
 // Histogram is a fixed-bucket log2 histogram with per-shard padded

@@ -22,6 +22,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"ringlwe/internal/cacheline"
 )
 
 // Labels is a metric instance's constant label set (e.g. params="P1",
@@ -63,7 +65,7 @@ func escapeLabel(v string) string {
 // cache line so adjacent shards never write the same line.
 type counterSlot struct {
 	v atomic.Uint64
-	_ [56]byte
+	_ [cacheline.Size - 8]byte
 }
 
 // Counter is a monotonic per-shard counter. Writers call Inc/Add with
@@ -105,7 +107,7 @@ func (c *Counter) Value() uint64 {
 // counterSlot.
 type gaugeSlot struct {
 	v atomic.Int64
-	_ [56]byte
+	_ [cacheline.Size - 8]byte
 }
 
 // Gauge is a per-shard signed gauge for level-style values (active

@@ -3,6 +3,8 @@ package rng
 import (
 	"crypto/sha256"
 	"encoding/binary"
+
+	"ringlwe/internal/cacheline"
 )
 
 // HashDRBG is a deterministic random bit generator: SHA-256 in counter
@@ -10,12 +12,15 @@ import (
 // Fujisaki-Okamoto transform re-derives the encryption coins from the
 // message, so the same message and seed must reproduce the exact
 // ciphertext) and is indistinguishable from random as long as SHA-256 is.
-// It is NOT a general-purpose CSPRNG replacement: it never reseeds.
+// It is NOT a general-purpose CSPRNG replacement: it never reseeds. Its
+// state sits between cache-line pads (see package cacheline).
 type HashDRBG struct {
+	_       cacheline.Pad
 	seed    [32]byte
 	counter uint64
 	buf     [32]byte
 	used    int
+	_       cacheline.Pad
 }
 
 // NewHashDRBG builds a generator over the given seed material (hashed to

@@ -3,6 +3,8 @@ package rng
 import (
 	"encoding/binary"
 	"io"
+
+	"ringlwe/internal/cacheline"
 )
 
 // ReaderSource adapts an io.Reader to the 32-bit word Source interface,
@@ -13,11 +15,14 @@ import (
 //
 // Like CryptoSource, a read failure panics: the samplers have no error
 // path, and a dead entropy source is a fatal fault, not a recoverable
-// condition.
+// condition. Its buffer and position sit between cache-line pads (see
+// package cacheline).
 type ReaderSource struct {
+	_   cacheline.Pad
 	r   io.Reader
 	buf [256]byte
 	pos int
+	_   cacheline.Pad
 }
 
 // NewReaderSource wraps r. The reader must yield uniformly distributed

@@ -9,6 +9,8 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"math/bits"
+
+	"ringlwe/internal/cacheline"
 )
 
 // Source produces uniform 32-bit words. Implementations need not be safe for
@@ -21,9 +23,12 @@ type Source interface {
 
 // Xorshift128 is a small deterministic PRNG (Marsaglia xorshift128). It is
 // used by tests and benchmarks where reproducibility matters; it is not
-// cryptographically secure.
+// cryptographically secure. Every draw writes its state, so the state sits
+// between cache-line pads (see package cacheline).
 type Xorshift128 struct {
+	_          cacheline.Pad
 	x, y, z, w uint32
+	_          cacheline.Pad
 }
 
 // NewXorshift128 seeds a deterministic source. Any seed is accepted; zero is
@@ -55,10 +60,13 @@ func (s *Xorshift128) Uint32() uint32 {
 
 // CryptoSource draws words from crypto/rand, buffering reads to amortize the
 // syscall cost. It panics if the operating system entropy source fails,
-// mirroring how a device would treat a dead TRNG as a fatal fault.
+// mirroring how a device would treat a dead TRNG as a fatal fault. Its
+// buffer and position sit between cache-line pads (see package cacheline).
 type CryptoSource struct {
+	_   cacheline.Pad
 	buf [256]byte
 	pos int
+	_   cacheline.Pad
 }
 
 // NewCryptoSource returns a source backed by crypto/rand.
@@ -128,12 +136,15 @@ func FetchCost(elapsed uint64) uint64 {
 // its most significant bit forced to 1 as a sentinel, so the number of fresh
 // bits remaining can be recovered with a single clz instruction and no
 // separate counter register. When the register value reaches 1 (only the
-// sentinel left), a new word is fetched.
+// sentinel left), a new word is fetched. Every bit drawn writes the
+// register, so it sits between cache-line pads (see package cacheline).
 type BitPool struct {
+	_   cacheline.Pad
 	src Source
 	reg uint32
 	// Refills counts word fetches, exposed for the cycle model and tests.
 	Refills uint64
+	_       cacheline.Pad
 }
 
 // NewBitPool returns an empty pool over src; the first Bit/Bits call fetches.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ringlwe/internal/cacheline"
 	"ringlwe/internal/gauss"
 	"ringlwe/internal/rng"
 	"ringlwe/internal/swar"
@@ -24,8 +25,10 @@ import (
 // identical walk — but the randomness-to-coefficient assignment differs
 // (probes are drawn batch-first, signs after), so outputs are not
 // bit-identical to "knuth-yao"; the differential fuzz target pins the
-// statistical agreement instead.
+// statistical agreement instead. The engine's counters sit between
+// cache-line pads (see package cacheline).
 type batchedEngine struct {
+	_          cacheline.Pad
 	mat        *gauss.Matrix
 	lut1, lut2 []uint8
 	lut2DRange int
@@ -36,6 +39,7 @@ type batchedEngine struct {
 	bitFn func() uint32
 
 	stats Stats
+	_     cacheline.Pad
 }
 
 // batchSize is how many coefficients one probe word resolves: eight 8-bit

@@ -3,6 +3,7 @@ package sampler
 import (
 	"math/bits"
 
+	"ringlwe/internal/cacheline"
 	"ringlwe/internal/gauss"
 	"ringlwe/internal/rng"
 )
@@ -16,8 +17,11 @@ import (
 // log₂(padded size) probes, and each step advances by masked arithmetic
 // instead of a data-dependent branch — the constant-time execution the
 // paper leaves as future work, traded against the Knuth-Yao backends'
-// lower entropy consumption.
+// lower entropy consumption. The engine's counters sit between cache-line
+// pads (see package cacheline).
 type cdtEngine struct {
+	_ cacheline.Pad
+
 	// cum is the cumulative table padded to pow2 length with ^0 entries;
 	// rowsMinus1 clamps the (probability 2^-64) saturated lookup.
 	cum        []uint64
@@ -28,6 +32,7 @@ type cdtEngine struct {
 	pool *rng.BitPool
 
 	stats Stats
+	_     cacheline.Pad
 }
 
 func init() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ringlwe/internal/cacheline"
 	"ringlwe/internal/gauss"
 	"ringlwe/internal/rng"
 	"ringlwe/internal/swar"
@@ -26,8 +27,10 @@ import (
 // The distribution is exactly the scalar sampler's — identical tables,
 // identical walk — but the randomness-to-coefficient assignment differs
 // again from both "knuth-yao" and "batched-ky", so outputs are compared
-// statistically (chi-square, tail bound), never bit-wise.
+// statistically (chi-square, tail bound), never bit-wise. The engine's
+// counters sit between cache-line pads (see package cacheline).
 type wideEngine struct {
+	_          cacheline.Pad
 	mat        *gauss.Matrix
 	lut1, lut2 []uint8
 	lut2DRange int
@@ -48,6 +51,7 @@ type wideEngine struct {
 	negQ   uint32
 
 	stats Stats
+	_     cacheline.Pad
 }
 
 // wideBatch is how many coefficients one pass resolves: two 64-bit probe

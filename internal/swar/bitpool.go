@@ -1,6 +1,9 @@
 package swar
 
-import "ringlwe/internal/rng"
+import (
+	"ringlwe/internal/cacheline"
+	"ringlwe/internal/rng"
+)
 
 // BitPool64 is the word-at-a-time companion of rng.BitPool: it dispenses the
 // exact same bit stream (each 32-bit source word contributes its low 31 bits,
@@ -10,14 +13,17 @@ import "ringlwe/internal/rng"
 // shift-and-mask here where the scalar pool pays eight branchy single-bit
 // draws.
 //
-// Not safe for concurrent use, like the scalar pool.
+// Not safe for concurrent use, like the scalar pool; like it, it sits
+// between cache-line pads (see package cacheline).
 type BitPool64 struct {
+	_   cacheline.Pad
 	src rng.Source
 	buf uint64 // undispensed bits, LSB first
 	n   uint   // number of valid bits in buf
 
 	// Refills counts source-word fetches, mirroring rng.BitPool.Refills.
 	Refills uint64
+	_       cacheline.Pad
 }
 
 // NewBitPool64 returns an empty pool over src; the first NextBits call

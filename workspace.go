@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 
+	"ringlwe/internal/cacheline"
 	"ringlwe/internal/core"
 )
 
@@ -24,6 +25,7 @@ type Workspace struct {
 
 	// ctScratch and msgBuf serve the KEM path: the parsed (or freshly
 	// built) ciphertext and the transported seed, reused across calls.
+	// Every call writes msgBuf, so it is padded to cache lines of its own.
 	ctScratch *core.Ciphertext
 	msgBuf    []byte
 }
@@ -42,7 +44,7 @@ func (s *Scheme) NewWorkspace() *Workspace {
 		scheme:    s,
 		inner:     ws,
 		ctScratch: core.NewCiphertext(s.params.inner),
-		msgBuf:    make([]byte, s.params.MessageSize()),
+		msgBuf:    cacheline.Bytes(s.params.MessageSize()),
 	}
 }
 
