@@ -107,8 +107,5 @@ func (c *CDTSampler) SampleInt() int32 {
 // SampleMod returns one sample reduced into [0, q).
 func (c *CDTSampler) SampleMod(q uint32) uint32 {
 	mag := c.SampleMagnitude()
-	if c.pool.Bit() == 1 && mag != 0 {
-		return q - mag
-	}
-	return mag
+	return CondNeg(mag, c.pool.Bit(), q)
 }

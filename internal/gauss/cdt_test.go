@@ -114,7 +114,7 @@ func TestCDTSampleMod(t *testing.T) {
 	a := NewCDTSampler(P1Matrix(), rng.NewXorshift128(6))
 	b := NewCDTSampler(P1Matrix(), rng.NewXorshift128(6))
 	const q = 7681
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < 100000; i++ {
 		v := a.SampleInt()
 		m := b.SampleMod(q)
 		var want uint32
@@ -126,6 +126,10 @@ func TestCDTSampleMod(t *testing.T) {
 		if m != want {
 			t.Fatalf("sample %d: %d vs %d", i, v, m)
 		}
+	}
+	// SampleMod draws the sign bit for magnitude 0 too.
+	if a.pool.Refills != b.pool.Refills || a.pool.Remaining() != b.pool.Remaining() {
+		t.Fatal("SampleMod and SampleInt consumed different amounts of randomness")
 	}
 }
 

@@ -43,8 +43,9 @@ func (v ScanVariant) String() string {
 
 // Sampler draws discrete Gaussian samples with the Knuth-Yao algorithm over
 // a probability Matrix, optionally accelerated by the paper's two lookup
-// tables (Algorithm 2). It consumes randomness bit by bit from a BitPool,
-// exactly as the microcontroller implementation does. Not safe for
+// tables (Algorithm 2). It draws its randomness from a BitPool the way the
+// microcontroller implementation does: LUT probes as whole 8- and 5-bit
+// fields, residual walk steps and the sign one bit at a time. Not safe for
 // concurrent use. Every sample writes its counters, so the sampler sits
 // between cache-line pads (see package cacheline).
 type Sampler struct {
@@ -240,13 +241,21 @@ func (s *Sampler) SampleInt() int32 {
 }
 
 // SampleMod returns one sample reduced into [0, q): magnitude row becomes
-// q - row when the sign bit is set (Algorithm 1 line 8).
+// q - row when the sign bit is set (Algorithm 1 line 8). The sign bit is
+// drawn after the walk, also for magnitude 0, and folded in by CondNeg.
 func (s *Sampler) SampleMod(q uint32) uint32 {
 	mag := s.SampleMagnitude()
-	if s.Pool.Bit() == 1 && mag != 0 {
-		return q - mag
-	}
-	return mag
+	return CondNeg(mag, s.Pool.Bit(), q)
+}
+
+// CondNeg maps a magnitude and a sign bit to the mod-q representative:
+// q−mag when sign is 1 and mag is not 0, mag otherwise. It has no branch,
+// so the random sign bit costs no mispredicted jump (and leaks nothing
+// through one). Every sampler backend folds its sign with it.
+func CondNeg(mag, sign, q uint32) uint32 {
+	nz := (mag | -mag) >> 31 // 1 iff mag ≠ 0
+	m := -(sign & nz)        // all-ones iff negating
+	return mag ^ ((mag ^ (q - mag)) & m)
 }
 
 // SamplePoly fills p with independent samples reduced mod q — one error

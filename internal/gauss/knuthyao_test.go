@@ -337,6 +337,104 @@ func TestSampleModMapping(t *testing.T) {
 	}
 }
 
+// branchyMod is the sign fold SampleMod used before CondNeg: the oracle
+// the branch-free fold is checked against.
+func branchyMod(mag, sign, q uint32) uint32 {
+	if sign == 1 && mag != 0 {
+		return q - mag
+	}
+	return mag
+}
+
+func TestCondNeg(t *testing.T) {
+	for _, q := range []uint32{7681, 12289, 1<<31 - 1} {
+		for _, mag := range []uint32{0, 1, 2, 17, 54, q / 2, q - 1} {
+			for sign := uint32(0); sign < 2; sign++ {
+				if got, want := CondNeg(mag, sign, q), branchyMod(mag, sign, q); got != want {
+					t.Errorf("CondNeg(%d, %d, %d) = %d, want %d", mag, sign, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// SampleMod must equal a walk followed by a branchy fold of the next pool
+// bit, sample by sample, and leave the pool in the same state: the sign
+// bit is drawn after the walk whatever the magnitude.
+func TestSampleModMatchesBranchyFold(t *testing.T) {
+	const q = 7681
+	for _, seed := range []uint64{1, 2, 3} {
+		for _, lut := range []bool{true, false} {
+			got, err := NewSampler(P1Matrix(), rng.NewXorshift128(seed), WithLUT(lut))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewSampler(P1Matrix(), rng.NewXorshift128(seed), WithLUT(lut))
+			if err != nil {
+				t.Fatal(err)
+			}
+			zeroNeg := 0
+			for i := 0; i < 100000; i++ {
+				mag := ref.SampleMagnitude()
+				sign := ref.Pool.Bit()
+				want := branchyMod(mag, sign, q)
+				if mag == 0 && sign == 1 {
+					zeroNeg++
+				}
+				if g := got.SampleMod(q); g != want {
+					t.Fatalf("seed %d lut %v sample %d: SampleMod = %d, want %d", seed, lut, i, g, want)
+				}
+				if got.Pool.Refills != ref.Pool.Refills || got.Pool.Remaining() != ref.Pool.Remaining() {
+					t.Fatalf("seed %d lut %v sample %d: pool state diverged", seed, lut, i)
+				}
+			}
+			if zeroNeg == 0 {
+				t.Fatalf("seed %d lut %v: no zero magnitude with a set sign bit", seed, lut)
+			}
+		}
+	}
+}
+
+// A zero magnitude with a set sign bit maps to 0, and the sign bit is still
+// consumed.
+func TestSampleModZeroConsumesSign(t *testing.T) {
+	mat := P1Matrix()
+	lut1, _, err := BuildLUT1(mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := -1
+	for i, e := range lut1 {
+		if e == 0 {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
+		t.Fatal("no LUT1 entry resolves to magnitude 0")
+	}
+	// Low 8 bits: the LUT1 probe; bit 8: the sign; bit 9: the next bit.
+	src := &wordSource{word: uint32(idx) | 1<<8}
+	s, err := NewSampler(mat, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.SampleMod(7681); got != 0 {
+		t.Fatalf("SampleMod = %d, want 0", got)
+	}
+	if r := s.Pool.Remaining(); r != 31-9 {
+		t.Fatalf("Remaining = %d after probe and sign, want %d", r, 31-9)
+	}
+	if b := s.Pool.Bit(); b != 0 {
+		t.Fatal("the sign bit was not consumed")
+	}
+}
+
+// wordSource returns the same word forever.
+type wordSource struct{ word uint32 }
+
+func (s *wordSource) Uint32() uint32 { return s.word }
+
 func TestSamplePoly(t *testing.T) {
 	mat := P1Matrix()
 	s, err := NewSampler(mat, rng.NewXorshift128(9))

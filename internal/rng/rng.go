@@ -158,6 +158,10 @@ func (p *BitPool) Remaining() uint {
 	return uint(31 - bits.LeadingZeros32(p.reg))
 }
 
+// refill is kept out of line so that Bit, which calls it once per 31 bits,
+// stays small enough to inline.
+//
+//go:noinline
 func (p *BitPool) refill() {
 	p.reg = p.src.Uint32() | 1<<31 // sentinel: MSB forced to one
 	p.Refills++
@@ -174,15 +178,35 @@ func (p *BitPool) Bit() uint32 {
 }
 
 // Bits returns the next n random bits (0 ≤ n ≤ 31) packed little-endian:
-// the first bit delivered is the least significant of the result. Bits may
-// straddle a refill boundary; the stream stays continuous.
+// the first bit delivered is the least significant of the result. It reads
+// them the way the paper's register does: one clz for the fresh-bit count,
+// one mask and one shift. A read the register cannot cover takes what is
+// left, refills once and takes the rest from the fresh word, so the stream,
+// the refill points and Refills are exactly those of n successive Bit
+// calls.
 func (p *BitPool) Bits(n uint) uint32 {
+	if n > p.Remaining() { // always taken for n > 31, which straddle rejects
+		return p.straddle(n)
+	}
+	v := p.reg & (1<<n - 1)
+	p.reg >>= n
+	return v
+}
+
+// straddle serves a Bits(n) read that needs more than the avail < n bits
+// the register holds: the low avail bits come from the register, the rest
+// from one refill. Refilling only here, when a bit is actually needed,
+// keeps the refill point of the bit-serial stream. Outlined so the common
+// path of Bits stays small.
+func (p *BitPool) straddle(n uint) uint32 {
 	if n > 31 {
 		panic("rng: BitPool.Bits supports at most 31 bits per call")
 	}
-	var v uint32
-	for i := uint(0); i < n; i++ {
-		v |= p.Bit() << i
-	}
+	avail := p.Remaining()
+	lo := p.reg & (1<<avail - 1)
+	p.refill()
+	rest := n - avail
+	v := lo | (p.reg&(1<<rest-1))<<avail
+	p.reg >>= rest
 	return v
 }

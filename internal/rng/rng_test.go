@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,71 @@ func TestBitPoolBitsStraddlesRefill(t *testing.T) {
 	}
 }
 
+// refBits is the bit-serial Bits the word-at-a-time one replaced: n Bit
+// calls packed LSB-first. It is the oracle for the stream, the refill
+// points and the register state.
+func refBits(p *BitPool, n uint) uint32 {
+	var v uint32
+	for i := uint(0); i < n; i++ {
+		v |= p.Bit() << i
+	}
+	return v
+}
+
+// TestBitPoolBitsMatchesBitSerial drives a word-at-a-time pool and a
+// bit-serial one over the same source through random interleavings of Bit
+// and Bits(n) for every n in [0, 31], and checks that every draw returns
+// the same value and leaves the same Refills and Remaining.
+func TestBitPoolBitsMatchesBitSerial(t *testing.T) {
+	const draws = 100000
+	for _, seed := range []uint64{1, 2, 3} {
+		got := NewBitPool(NewXorshift128(seed))
+		want := NewBitPool(NewXorshift128(seed))
+		script := NewXorshift128(seed + 1000)
+		var boundary, straddles int
+		for i := 0; i < draws; i++ {
+			op := script.Uint32()
+			var g, w uint32
+			n := uint(op % 33) // 32 means a single Bit call
+			before := want.Remaining()
+			if n == 32 {
+				g, w = got.Bit(), want.Bit()
+			} else {
+				g, w = got.Bits(n), refBits(want, n)
+			}
+			if before == n && n > 0 {
+				boundary++ // ends exactly on the register's last bit
+			}
+			if n != 32 && n > before {
+				straddles++
+			}
+			if g != w || got.Refills != want.Refills || got.Remaining() != want.Remaining() {
+				t.Fatalf("seed %d draw %d (n=%d, %d bits before): got %#x refills %d remaining %d, want %#x refills %d remaining %d",
+					seed, i, n, before, g, got.Refills, got.Remaining(), w, want.Refills, want.Remaining())
+			}
+		}
+		if boundary < 100 || straddles < 1000 {
+			t.Fatalf("seed %d: only %d boundary draws and %d straddles", seed, boundary, straddles)
+		}
+	}
+}
+
+// A read that takes exactly the bits left must not refill: the next word
+// is fetched only when a bit of it is needed, as in the bit-serial pool.
+func TestBitPoolBitsRefillsLazily(t *testing.T) {
+	words := []uint32{0x7FFFFFFF, 0x2AAAAAAA}
+	p := NewBitPool(&scriptedSource{words: words})
+	if v := p.Bits(31); v != 0x7FFFFFFF || p.Refills != 1 || p.Remaining() != 0 {
+		t.Fatalf("Bits(31) = %#x, Refills %d, Remaining %d", v, p.Refills, p.Remaining())
+	}
+	if v := p.Bits(0); v != 0 || p.Refills != 1 {
+		t.Fatalf("Bits(0) on an empty register = %#x, Refills %d", v, p.Refills)
+	}
+	if v := p.Bits(4); v != 0xA || p.Refills != 2 || p.Remaining() != 27 {
+		t.Fatalf("Bits(4) = %#x, Refills %d, Remaining %d", v, p.Refills, p.Remaining())
+	}
+}
+
 func TestBitPoolBitsRejectsOversize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -238,6 +304,24 @@ func BenchmarkBitPoolBit(b *testing.B) {
 		p.Bit()
 	}
 }
+
+// BenchmarkBitPoolBits reads n-bit fields: 5 and 8 are the Knuth-Yao LUT
+// probes, 13 the uniform ã rejection width, 16 the KEM seed half words and
+// 22 a read that straddles a refill most of the time.
+func BenchmarkBitPoolBits(b *testing.B) {
+	for _, n := range []uint{5, 8, 13, 16, 22} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := NewBitPool(NewXorshift128(1))
+			var sink uint32
+			for i := 0; i < b.N; i++ {
+				sink ^= p.Bits(n)
+			}
+			bitsSink = sink
+		})
+	}
+}
+
+var bitsSink uint32
 
 func BenchmarkXorshift(b *testing.B) {
 	s := NewXorshift128(1)

@@ -89,7 +89,7 @@ func (e *batchedEngine) SamplePolyInto(dst []uint32, q uint32) {
 		} else {
 			mag = e.resolveFailure(mag)
 		}
-		dst[i] = condNeg(mag, uint32(e.pool.NextBits(1)), q)
+		dst[i] = gauss.CondNeg(mag, uint32(e.pool.NextBits(1)), q)
 	}
 }
 
@@ -116,7 +116,7 @@ func (e *batchedEngine) sampleBatch(dst []uint32, q uint32) {
 		// LUT-1, magnitudes are the result bytes.
 		e.stats.LUT1Hits += batchSize
 		for k := 0; k < batchSize; k++ {
-			dst[k] = condNeg(uint32(res>>(8*k))&0x7F, signs>>k&1, q)
+			dst[k] = gauss.CondNeg(uint32(res>>(8*k))&0x7F, signs>>k&1, q)
 		}
 		return
 	}
@@ -127,7 +127,7 @@ func (e *batchedEngine) sampleBatch(dst []uint32, q uint32) {
 		if b&0x80 != 0 {
 			mag = e.resolveFailure(mag)
 		}
-		dst[k] = condNeg(mag, signs>>k&1, q)
+		dst[k] = gauss.CondNeg(mag, signs>>k&1, q)
 	}
 }
 

@@ -88,7 +88,7 @@ func (e *cdtEngine) magnitude(u uint64) uint32 {
 func (e *cdtEngine) SamplePolyInto(dst []uint32, q uint32) {
 	for i := range dst {
 		mag := e.magnitude(rng.Uint64(e.src))
-		dst[i] = condNeg(mag, e.pool.Bit(), q)
+		dst[i] = gauss.CondNeg(mag, e.pool.Bit(), q)
 	}
 	e.stats.Samples += uint64(len(dst))
 }

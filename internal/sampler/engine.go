@@ -138,13 +138,3 @@ func New(name string, cfg *Config, src rng.Source) (Engine, error) {
 	}
 	return f(cfg, src)
 }
-
-// condNeg maps a magnitude and sign bit to the mod-q representative:
-// sign=1 yields q−mag unless mag is 0, branchlessly (shared by the
-// batched and cdt backends; the scalar reference keeps gauss.Sampler's
-// own branchy form to stay instruction-for-instruction identical).
-func condNeg(mag, sign, q uint32) uint32 {
-	nz := (mag | -mag) >> 31 // 1 iff mag ≠ 0
-	m := -(sign & nz)        // all-ones iff negating
-	return mag ^ ((mag ^ (q - mag)) & m)
-}

@@ -115,7 +115,7 @@ func (e *wideEngine) SamplePolyInto(dst []uint32, q uint32) {
 		} else {
 			mag = e.resolveFailure(mag)
 		}
-		dst[i] = condNeg(mag, w>>8&1, q)
+		dst[i] = gauss.CondNeg(mag, w>>8&1, q)
 	}
 }
 
@@ -181,7 +181,7 @@ func (e *wideEngine) sampleBatch(dst []uint32, q uint32) {
 		if b&0x80 != 0 {
 			mag = e.resolveFailure(mag)
 		}
-		dst[k] = condNeg(mag, signs>>k&1, q)
+		dst[k] = gauss.CondNeg(mag, signs>>k&1, q)
 	}
 	for k := 0; k < 8; k++ {
 		b := uint32(r1>>(8*k)) & 0xFF
@@ -189,7 +189,7 @@ func (e *wideEngine) sampleBatch(dst []uint32, q uint32) {
 		if b&0x80 != 0 {
 			mag = e.resolveFailure(mag)
 		}
-		dst[8+k] = condNeg(mag, signs>>(8+k)&1, q)
+		dst[8+k] = gauss.CondNeg(mag, signs>>(8+k)&1, q)
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 // BitPool64 is the word-at-a-time companion of rng.BitPool: it dispenses the
 // exact same bit stream (each 32-bit source word contributes its low 31 bits,
 // LSB first, matching the scalar pool's sentinel layout), but hands out up to
-// 32 bits per call from a 64-bit buffer instead of one bit per call. This is
-// the randomness front end of the batched samplers: a LUT-1 byte probe is one
-// shift-and-mask here where the scalar pool pays eight branchy single-bit
-// draws.
+// 32 bits per call from a 64-bit buffer, so a read never has to straddle a
+// refill. This is the randomness front end of the batched samplers: eight
+// LUT-1 byte probes come out of one 64-bit read.
 //
 // Not safe for concurrent use, like the scalar pool; like it, it sits
 // between cache-line pads (see package cacheline).

@@ -33,22 +33,21 @@ type EncapsulatedKey []byte
 
 // kemKey derives the session key from the transported seed.
 func kemKey(seed []byte) [SharedKeySize]byte {
-	h := sha256.New()
-	h.Write([]byte("ringlwe-kem-v1 key"))
-	h.Write(seed)
-	var out [SharedKeySize]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return kemHash("ringlwe-kem-v1 key", seed)
 }
 
 // kemTag derives the confirmation tag from the transported seed.
 func kemTag(seed []byte) [confirmTagSize]byte {
-	h := sha256.New()
-	h.Write([]byte("ringlwe-kem-v1 confirm"))
-	h.Write(seed)
-	var out [confirmTagSize]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	sum := kemHash("ringlwe-kem-v1 confirm", seed)
+	return [confirmTagSize]byte(sum[:confirmTagSize])
+}
+
+// kemHash returns SHA-256(label ‖ seed). The input is assembled in a stack
+// buffer that holds the seed of every ring up to n = 2048, so the hash
+// allocates nothing; a larger seed makes append move it to the heap.
+func kemHash(label string, seed []byte) [sha256.Size]byte {
+	var buf [32 + 256]byte
+	return sha256.Sum256(append(append(buf[:0], label...), seed...))
 }
 
 // Encapsulate transports a fresh random session key to pk. It returns the

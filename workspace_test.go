@@ -2,6 +2,7 @@ package ringlwe
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -77,6 +78,59 @@ func TestWorkspaceEncryptZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("workspace DecryptInto: %v allocs/op, want 0", n)
+	}
+}
+
+// TestWorkspaceKEMZeroAlloc pins the KEM hot path: Decapsulate allocates
+// nothing and Encapsulate allocates only the blob it returns.
+func TestWorkspaceKEMZeroAlloc(t *testing.T) {
+	for _, p := range []*Params{P1(), P2()} {
+		s := NewDeterministic(p, 2)
+		pk, sk, err := s.GenerateKeys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := s.NewWorkspace()
+		blob, _, err := ws.Encapsulate(pk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := ws.Encapsulate(pk); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%s workspace Encapsulate: %v allocs/op, want 1", p.Name(), n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := ws.Decapsulate(sk, blob); err != nil && !errors.Is(err, ErrDecapsulation) {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s workspace Decapsulate: %v allocs/op, want 0", p.Name(), n)
+		}
+	}
+}
+
+// The KEM key and tag are SHA-256 over label ‖ seed, whether the seed fits
+// the stack buffer or not.
+func TestKEMHashMatchesStreamingSHA256(t *testing.T) {
+	for _, n := range []int{0, 32, 64, 128, 256, 257, 1024} {
+		seed := make([]byte, n)
+		for i := range seed {
+			seed[i] = byte(i*7 + n)
+		}
+		for label, got := range map[string][]byte{
+			"ringlwe-kem-v1 key":     func() []byte { k := kemKey(seed); return k[:] }(),
+			"ringlwe-kem-v1 confirm": func() []byte { k := kemTag(seed); return k[:] }(),
+		} {
+			h := sha256.New()
+			h.Write([]byte(label))
+			h.Write(seed)
+			if want := h.Sum(nil)[:len(got)]; !bytes.Equal(got, want) {
+				t.Errorf("%q over a %d-byte seed: %x, want %x", label, n, got, want)
+			}
+		}
 	}
 }
 
