@@ -17,9 +17,6 @@ func BenchmarkEncryptEngineSampler(b *testing.B) {
 		msg[i] = byte(i)
 	}
 	for _, engine := range Engines() {
-		if engine == "packed" {
-			continue // allocates per transform; not a throughput backend
-		}
 		for _, smp := range Samplers() {
 			b.Run(fmt.Sprintf("%s/%s", engine, smp), func(b *testing.B) {
 				s := NewDeterministic(p, 1, WithEngine(engine), WithSampler(smp))

@@ -4,7 +4,7 @@
 // sample was resolved:
 //
 //	go run ./examples/sampler-bench
-//	go run ./examples/sampler-bench -sampler batched-ky -n 2000
+//	go run ./examples/sampler-bench -sampler wide-ky -n 2000
 package main
 
 import (

@@ -3,34 +3,69 @@ package core
 import (
 	"testing"
 
-	"ringlwe/internal/cpu"
 	"ringlwe/internal/rng"
 	"ringlwe/internal/sampler"
 )
 
-// TestAutoResolution pins the cpu-dispatch seam in NewWithOptions: empty
-// and "auto" backend names resolve to the machine's best registered
-// backends, and the resolved scheme still round-trips.
+// bigQ is the first prime above 2²⁹ with q ≡ 1 (mod 32): the shoup kernels
+// accept it (q < 2³⁰), the vector kernels' bound lemma (4q ≤ 2³¹) does not.
+const bigQ = 536871233
+
+// refusedSets builds one parameter set per way the vector kernels refuse
+// tables: a dimension below one lane block per stride class (single
+// modulus and RNS) and a modulus beyond the bound lemma.
+func refusedSets(t *testing.T) map[string]*Params {
+	t.Helper()
+	tiny, err := NewParams("tiny", 8, 7681, 1131, 100, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tinyRNS, err := NewRNSParams("tiny-rns", 8, []uint32{17, 97, 113}, 1131, 100, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := NewParams("wide-q", 16, bigQ, 1131, 100, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Params{"n=8": tiny, "n=8 rns": tinyRNS, "q>2^29": wide}
+}
+
+// TestAutoResolution pins the default rule in NewWithOptions: with no
+// options, or "auto", every shipped set — and every B1 residue channel —
+// runs the vector engine and the knuth-yao sampler, and still round-trips.
 func TestAutoResolution(t *testing.T) {
-	t.Setenv(cpu.EnvForceEngine, "")
-	t.Setenv(cpu.EnvForceSampler, "")
-	for _, name := range []string{"", "auto"} {
-		s, err := NewWithOptions(P1(), rng.NewXorshift128(7), Options{Engine: name, Sampler: name})
+	for _, p := range []*Params{P1(), P2(), A1(), B1()} {
+		for _, name := range []string{"", "auto"} {
+			s, err := NewWithOptions(p, rng.NewXorshift128(7), Options{Engine: name, Sampler: name})
+			if err != nil {
+				t.Fatalf("%s Options{%q}: %v", p.Name, name, err)
+			}
+			if got := s.Engine(); got != "vector" {
+				t.Errorf("%s Options{%q}: engine %q, want vector", p.Name, name, got)
+			}
+			for i, e := range s.engs {
+				if e.Name() != "vector" {
+					t.Errorf("%s channel %d: engine %q, want vector", p.Name, i, e.Name())
+				}
+			}
+			if got := s.Sampler(); got != sampler.Default {
+				t.Errorf("%s Options{%q}: sampler %q, want %q", p.Name, name, got, sampler.Default)
+			}
+		}
+		s, err := New(p, rng.NewXorshift128(7))
 		if err != nil {
-			t.Fatalf("Options{%q}: %v", name, err)
+			t.Fatal(err)
 		}
-		if got, want := s.Engine(), cpu.BestNTTEngine(); got != want {
-			t.Errorf("Options{%q}: engine %q, want dispatch choice %q", name, got, want)
-		}
-		if got, want := s.Sampler(), cpu.BestSamplerEngine(); got != want {
-			t.Errorf("Options{%q}: sampler %q, want dispatch choice %q", name, got, want)
+		if s.Engine() != "vector" {
+			t.Errorf("%s: New resolved engine %q, want vector", p.Name, s.Engine())
 		}
 		pk, sk, err := s.GenerateKeys()
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg := make([]byte, P1().MessageBytes())
-		msg[0], msg[31] = 0xA5, 0x5A
+		msg := make([]byte, p.MessageBytes())
+		msg[0], msg[len(msg)-1] = 0xA5, 0x5A
 		ct, err := s.Encrypt(pk, msg)
 		if err != nil {
 			t.Fatal(err)
@@ -41,42 +76,45 @@ func TestAutoResolution(t *testing.T) {
 		}
 		for i := range msg {
 			if got[i] != msg[i] {
-				t.Fatalf("auto-resolved scheme failed to round-trip at byte %d", i)
+				t.Fatalf("%s: default-resolved scheme failed to round-trip at byte %d", p.Name, i)
 			}
 		}
 	}
 }
 
-// TestAutoResolutionForcedFailsLoudly pins the CI contract: a forced
-// backend name is used verbatim, so an unregistered name must surface as
-// a construction error instead of being silently corrected — and a valid
-// forced name must win over detection.
-func TestAutoResolutionForcedFailsLoudly(t *testing.T) {
-	t.Setenv(cpu.EnvForceEngine, "no-such-engine")
-	if _, err := NewWithOptions(P1(), rng.NewXorshift128(7), Options{Engine: "auto", Sampler: sampler.Default}); err == nil {
-		t.Error("forced unregistered engine did not fail construction")
+// TestAutoResolutionFallback: a set the vector kernels refuse resolves to
+// shoup, through New and, for RNS sets, through Basis.ResolveEngines.
+func TestAutoResolutionFallback(t *testing.T) {
+	for label, p := range refusedSets(t) {
+		s, err := New(p, rng.NewXorshift128(7))
+		if err != nil {
+			t.Fatalf("%s: New: %v", label, err)
+		}
+		if s.Engine() != "shoup" {
+			t.Errorf("%s: New resolved engine %q, want shoup", label, s.Engine())
+		}
+		if p.IsRNS() {
+			engs, err := p.Basis.ResolveEngines("auto")
+			if err != nil {
+				t.Fatalf("%s: ResolveEngines: %v", label, err)
+			}
+			for i, e := range engs {
+				if e.Name() != "shoup" {
+					t.Errorf("%s channel %d: engine %q, want shoup", label, i, e.Name())
+				}
+			}
+		}
 	}
-	t.Setenv(cpu.EnvForceEngine, "barrett")
-	s, err := NewWithOptions(P1(), rng.NewXorshift128(7), Options{Engine: "auto", Sampler: sampler.Default})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Engine() != "barrett" {
-		t.Errorf("forced engine ignored: resolved to %q", s.Engine())
-	}
+}
 
-	t.Setenv(cpu.EnvForceEngine, "")
-	t.Setenv(cpu.EnvForceSampler, "no-such-sampler")
-	if _, err := NewWithOptions(P1(), rng.NewXorshift128(7), Options{Sampler: "auto"}); err == nil {
-		t.Error("forced unregistered sampler did not fail construction")
-	}
-	t.Setenv(cpu.EnvForceSampler, "cdt")
-	s, err = NewWithOptions(P1(), rng.NewXorshift128(7), Options{Sampler: "auto"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Sampler() != "cdt" {
-		t.Errorf("forced sampler ignored: resolved to %q", s.Sampler())
+// TestAutoResolutionForcedFailsLoudly: a named backend is forced — used
+// verbatim — so "vector" over a set it refuses fails construction instead
+// of falling back to shoup the way the unnamed default does.
+func TestAutoResolutionForcedFailsLoudly(t *testing.T) {
+	for label, p := range refusedSets(t) {
+		if _, err := NewWithOptions(p, rng.NewXorshift128(7), Options{Engine: "vector"}); err == nil {
+			t.Errorf("%s: explicit vector engine did not fail construction", label)
+		}
 	}
 }
 
@@ -85,6 +123,9 @@ func TestAutoResolutionForcedFailsLoudly(t *testing.T) {
 func TestExplicitNamesStillFailLoudly(t *testing.T) {
 	if _, err := NewWithOptions(P1(), rng.NewXorshift128(7), Options{Engine: "bogus"}); err == nil {
 		t.Error("explicit unregistered engine did not fail")
+	}
+	if _, err := NewWithOptions(B1(), rng.NewXorshift128(7), Options{Engine: "bogus"}); err == nil {
+		t.Error("explicit unregistered engine did not fail over an RNS set")
 	}
 	if _, err := NewWithOptions(P1(), rng.NewXorshift128(7), Options{Sampler: "bogus"}); err == nil {
 		t.Error("explicit unregistered sampler did not fail")

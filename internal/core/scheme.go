@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"ringlwe/internal/cacheline"
-	"ringlwe/internal/cpu"
 	"ringlwe/internal/ntt"
 	"ringlwe/internal/rng"
 	"ringlwe/internal/sampler"
@@ -111,10 +110,10 @@ type Scheme struct {
 }
 
 // New builds a Scheme over params drawing all randomness from src, running
-// every transform through the default NTT engine (ntt.DefaultEngine, the
-// fastest differentially verified backend).
+// every transform through the default NTT engine (ntt.ResolveEngine: the
+// vector kernels wherever they accept the tables, shoup elsewhere).
 func New(params *Params, src rng.Source) (*Scheme, error) {
-	return NewWithEngine(params, src, ntt.DefaultEngine)
+	return NewWithEngine(params, src, "")
 }
 
 // NewWithEngine is New with an explicit NTT backend selected by registry
@@ -150,13 +149,10 @@ type Options struct {
 
 // NewWithOptions is New with the full option set resolved by the caller.
 //
-// An empty or "auto" backend name resolves through the cpu dispatch layer
-// to the best backend for the running machine (cpu.BestNTTEngine,
-// cpu.BestSamplerEngine). Auto-resolution is allowed to fall back to the
-// registry default when the dispatched backend rejects this parameter set
-// (e.g. the vector engine's modulus/dimension gates) — unless the choice
-// was forced via the RLWE_FORCE_* environment knobs, in which case the
-// construction error surfaces. Explicit names always fail loudly.
+// An empty or "auto" engine name resolves by ntt.ResolveEngine: the vector
+// kernels where they accept the tables, shoup where they refuse them
+// (n < 16, or 4q > 2³¹). An empty or "auto" sampler name resolves to
+// sampler.Default. Explicit names always fail loudly.
 func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, error) {
 	var (
 		eng  ntt.Engine
@@ -164,26 +160,19 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 		err  error
 	)
 	if params.IsRNS() {
-		// Per-channel resolution with the same auto-fallback semantics,
-		// implemented by the basis (and cached there, so every scheme over
-		// one basis shares engine instances).
+		// Per-channel resolution by the same rule, implemented by the
+		// basis (and cached there, so every scheme over one basis shares
+		// engine instances).
 		engs, err = params.Basis.ResolveEngines(opts.Engine)
 	} else {
-		engName, engAuto := opts.Engine, false
-		if engName == "" || engName == "auto" {
-			engName, engAuto = cpu.BestNTTEngine(), true
-		}
-		eng, err = ntt.NewEngine(engName, params.Tables)
-		if err != nil && engAuto && !cpu.EngineForced() {
-			eng, err = ntt.NewEngine(ntt.DefaultEngine, params.Tables)
-		}
+		eng, err = ntt.NewEngine(ntt.ResolveEngine(opts.Engine, params.Tables), params.Tables)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	smpName, smpAuto := opts.Sampler, false
+	smpName := opts.Sampler
 	if smpName == "" || smpName == "auto" {
-		smpName, smpAuto = cpu.BestSamplerEngine(), true
+		smpName = sampler.Default
 	}
 	s := &Scheme{
 		Params:   params,
@@ -194,10 +183,6 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 		src:      rng.NewLockedSource(src),
 	}
 	def, err := newWorkspace(s, s.src)
-	if err != nil && smpAuto && !cpu.SamplerForced() {
-		s.smp = sampler.Default
-		def, err = newWorkspace(s, s.src)
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,6 @@ const (
 	opInverse
 	opForwardThree
 	opMul
-	opMulAdd
 	opAdd
 	opSub
 	opScalarMul
@@ -64,8 +63,6 @@ func (j *allJob) Run() {
 		j.eng.ForwardThree(j.a, j.b, j.c)
 	case opMul:
 		j.eng.PointwiseMul(j.c, j.a, j.b)
-	case opMulAdd:
-		j.eng.PointwiseMulAdd(j.c, j.a, j.b)
 	case opAdd:
 		j.eng.Add(j.c, j.a, j.b)
 	case opSub:
@@ -194,17 +191,6 @@ func (r *Runner) MulAll(c, a, b Poly) {
 	for i := range r.engs {
 		r.jobs[i].op = opMul
 		r.jobs[i].c = r.row(c, i)
-		r.jobs[i].a = r.row(a, i)
-		r.jobs[i].b = r.row(b, i)
-	}
-	r.dispatch()
-}
-
-// MulAddAll sets acc += a ∘ b per channel.
-func (r *Runner) MulAddAll(acc, a, b Poly) {
-	for i := range r.engs {
-		r.jobs[i].op = opMulAdd
-		r.jobs[i].c = r.row(acc, i)
 		r.jobs[i].a = r.row(a, i)
 		r.jobs[i].b = r.row(b, i)
 	}

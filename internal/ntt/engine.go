@@ -65,14 +65,32 @@ type Engine interface {
 }
 
 // EngineFactory builds an engine over precomputed tables. Construction may
-// fail when the backend's preconditions do not hold (e.g. the packed engine
-// needs BitLen ≤ 16).
+// fail when the backend's preconditions do not hold (e.g. the vector engine
+// needs 4q ≤ 2³¹ and n ≥ 16).
 type EngineFactory func(*Tables) (Engine, error)
 
 // DefaultEngine is the backend new schemes select when none is requested:
 // the fastest one that is differentially verified against the Barrett
 // reference in this package's tests.
-const DefaultEngine = "shoup"
+const DefaultEngine = "vector"
+
+// ResolveEngine names the backend a request for name builds over tabs (one
+// table per residue channel; every channel gets the same backend). An
+// explicit name is returned verbatim, so a backend that refuses the tables
+// fails loudly in NewEngine. "" and "auto" resolve to DefaultEngine where
+// its kernels accept every table, and to "shoup" otherwise (n < 16, or
+// 4q > 2³¹).
+func ResolveEngine(name string, tabs ...*Tables) string {
+	if name != "" && name != "auto" {
+		return name
+	}
+	for _, t := range tabs {
+		if vectorRefuses(t) != nil {
+			return "shoup"
+		}
+	}
+	return DefaultEngine
+}
 
 var (
 	engineMu  sync.RWMutex
@@ -118,7 +136,6 @@ func init() {
 	RegisterEngine("barrett", func(t *Tables) (Engine, error) {
 		return &barrettEngine{t: t}, nil
 	})
-	RegisterEngine("packed", NewPackedEngine)
 }
 
 // barrettEngine is the reference backend: the generic Barrett-reduced
@@ -143,89 +160,4 @@ func (e *barrettEngine) ForwardInto(dst, src Poly)     { e.t.ForwardInto(dst, sr
 func (e *barrettEngine) InverseInto(dst, src Poly)     { e.t.InverseInto(dst, src) }
 func (e *barrettEngine) MulInto(dst, a, b, scratch Poly) {
 	e.t.MulInto(dst, a, b, scratch)
-}
-
-// packedEngine runs the transforms through the paper's Algorithm 4 packed
-// kernels (two 16-bit coefficients per 32-bit word). Because the Engine
-// interface speaks one-coefficient-per-word Poly, each transform packs and
-// unpacks around the kernel, allocating one PackedPoly per polynomial per
-// call — this backend demonstrates the paper's memory-traffic optimization
-// and serves the differential tests, but it is not the zero-allocation hot
-// path (that is the Shoup engine).
-type packedEngine struct{ t *Tables }
-
-// NewPackedEngine builds the packed backend; the modulus must fit 16 bits.
-func NewPackedEngine(t *Tables) (Engine, error) {
-	if t.M.BitLen() > 16 {
-		return nil, fmt.Errorf("ntt: packed engine needs BitLen ≤ 16, got %d", t.M.BitLen())
-	}
-	return &packedEngine{t: t}, nil
-}
-
-func (e *packedEngine) Name() string    { return "packed" }
-func (e *packedEngine) Tables() *Tables { return e.t }
-
-func (e *packedEngine) Forward(a Poly) {
-	p := e.t.Pack(a)
-	e.t.ForwardPacked(p)
-	e.unpackInto(a, p)
-}
-
-func (e *packedEngine) Inverse(a Poly) {
-	p := e.t.Pack(a)
-	e.t.InversePacked(p)
-	e.unpackInto(a, p)
-}
-
-func (e *packedEngine) ForwardThree(a, b, c Poly) {
-	pa, pb, pc := e.t.Pack(a), e.t.Pack(b), e.t.Pack(c)
-	e.t.ForwardThreePacked(pa, pb, pc)
-	e.unpackInto(a, pa)
-	e.unpackInto(b, pb)
-	e.unpackInto(c, pc)
-}
-
-// ForwardMany transforms each polynomial through the packed kernel in
-// turn; the pack/unpack round trip already dominates this backend, so a
-// fused variant would buy nothing.
-func (e *packedEngine) ForwardMany(polys []Poly) {
-	for _, p := range polys {
-		e.Forward(p)
-	}
-}
-
-func (e *packedEngine) unpackInto(a Poly, p PackedPoly) {
-	for i, w := range p {
-		a[2*i] = w & halfMask
-		a[2*i+1] = w >> 16
-	}
-}
-
-func (e *packedEngine) PointwiseMul(c, a, b Poly) { e.t.PointwiseMul(c, a, b) }
-func (e *packedEngine) PointwiseMulAdd(acc, a, b Poly) {
-	e.t.PointwiseMulAdd(acc, a, b)
-}
-func (e *packedEngine) Add(c, a, b Poly)              { e.t.Add(c, a, b) }
-func (e *packedEngine) Sub(c, a, b Poly)              { e.t.Sub(c, a, b) }
-func (e *packedEngine) ScalarMul(c, a Poly, s uint32) { e.t.ScalarMul(c, a, s) }
-
-func (e *packedEngine) ForwardInto(dst, src Poly) {
-	prepInto(e.t, dst, src, "ForwardInto")
-	e.Forward(dst)
-}
-
-func (e *packedEngine) InverseInto(dst, src Poly) {
-	prepInto(e.t, dst, src, "InverseInto")
-	e.Inverse(dst)
-}
-
-func (e *packedEngine) MulInto(dst, a, b, scratch Poly) {
-	if len(dst) != e.t.N || len(a) != e.t.N || len(b) != e.t.N || len(scratch) != e.t.N {
-		panic("ntt: MulInto length mismatch")
-	}
-	copy(scratch, b)
-	e.ForwardInto(dst, a)
-	e.Forward(scratch)
-	e.PointwiseMul(dst, dst, scratch)
-	e.Inverse(dst)
 }

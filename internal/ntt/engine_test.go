@@ -34,7 +34,7 @@ func engineTables(t *testing.T, q uint32, n int) *Tables {
 // tables, and report its own name.
 func TestEngineRegistry(t *testing.T) {
 	names := EngineNames()
-	for _, want := range []string{"barrett", "packed", "shoup", "vector"} {
+	for _, want := range []string{"barrett", "shoup", "vector"} {
 		found := false
 		for _, n := range names {
 			found = found || n == want
@@ -59,7 +59,7 @@ func TestEngineRegistry(t *testing.T) {
 	if _, err := NewEngine("no-such-engine", tab); err == nil {
 		t.Fatal("NewEngine accepted an unknown name")
 	}
-	if DefaultEngine != "shoup" {
+	if DefaultEngine != "vector" {
 		t.Fatalf("DefaultEngine = %q, want the fastest verified backend", DefaultEngine)
 	}
 }

@@ -36,7 +36,7 @@ func TestEvalOpsMatchReference(t *testing.T) {
 		for _, name := range EngineNames() {
 			eng, err := NewEngine(name, tb)
 			if err != nil {
-				continue // backend rejects this modulus (e.g. packed needs ≤16 bits)
+				continue // backend rejects this modulus (e.g. vector needs 4q ≤ 2³¹)
 			}
 			c := make(Poly, tb.N)
 			eng.Add(c, a, b)

@@ -12,7 +12,8 @@ import (
 // registry tests (TestEnginesMatchBarrett, TestForwardManyMatchesForward,
 // TestEngineOutputsCanonical, FuzzEngineMulDifferential), which iterate
 // every registered backend. This file covers what those cannot: the
-// construction gates, the kernel seam, and the backend-specific
+// construction gates, the default-resolution rule built on them, and the
+// backend-specific
 // performance contracts (zero allocations, lane-block dimensions).
 
 func TestVectorEngineRegistered(t *testing.T) {
@@ -63,6 +64,30 @@ func TestVectorEngineGates(t *testing.T) {
 	if _, err := NewVectorEngine(ok); err != nil {
 		t.Errorf("vector engine rejected n = 16: %v", err)
 	}
+
+	// The default rule follows the gates: every table accepted → vector,
+	// any table refused → shoup; explicit names pass through untouched.
+	for _, c := range []struct {
+		name string
+		tabs []*Tables
+		want string
+	}{
+		{"", []*Tables{ok}, "vector"},
+		{"auto", []*Tables{ok, ok}, "vector"},
+		{"", []*Tables{small}, "shoup"},
+		{"auto", []*Tables{ok, small}, "shoup"},
+		{"vector", []*Tables{small}, "vector"},
+		{"barrett", []*Tables{ok}, "barrett"},
+	} {
+		if got := ResolveEngine(c.name, c.tabs...); got != c.want {
+			t.Errorf("ResolveEngine(%q, %d tables) = %q, want %q", c.name, len(c.tabs), got, c.want)
+		}
+	}
+	if tBig != nil {
+		if got := ResolveEngine("", tBig); got != "shoup" {
+			t.Errorf("ResolveEngine over q=%d = %q, want shoup", mBig.Q, got)
+		}
+	}
 }
 
 // TestVectorMinimumDimension runs the full differential check at the
@@ -106,23 +131,6 @@ func TestVectorMinimumDimension(t *testing.T) {
 		if naive := tab.Naive(a, b); !reflect.DeepEqual(dst, naive) {
 			t.Fatalf("trial %d: MulInto disagrees with Naive at n=16", trial)
 		}
-	}
-}
-
-// TestVectorISA pins the kernel seam: exactly one per-GOARCH binding file
-// is compiled in and reports which instruction family the kernels target.
-func TestVectorISA(t *testing.T) {
-	tab := manyTestTables(t)
-	e, err := NewEngine("vector", tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := e.(*VectorEngine)
-	if !ok {
-		t.Fatalf("vector registry entry built %T", e)
-	}
-	if isa := v.ISA(); isa == "" {
-		t.Error("ISA() is empty; the kernel seam is unbound")
 	}
 }
 

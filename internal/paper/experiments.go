@@ -581,8 +581,8 @@ func Extensions() *Table {
 	t.Notes = append(t.Notes,
 		"Further extensions live in the code: constant-time decode "+
 			"(internal/core), constant-time CDT sampling (internal/gauss), and "+
-			"4×16-bit SWAR lane arithmetic for the paper's SIMD future-work "+
-			"direction (internal/swar).")
+			"8-lane vector NTT kernels for the paper's SIMD future-work "+
+			"direction (internal/ntt, engine \"vector\").")
 	return t
 }
 

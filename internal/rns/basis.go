@@ -14,7 +14,6 @@ import (
 	"math/big"
 	"sync"
 
-	"ringlwe/internal/cpu"
 	"ringlwe/internal/ntt"
 	"ringlwe/internal/zq"
 )
@@ -192,21 +191,12 @@ func (b *Basis) CoeffBig(p []uint32, j int) *big.Int {
 }
 
 // ResolveEngines returns one engine per channel for the named backend,
-// resolving "" / "auto" through the CPU dispatcher with the same fallback
-// rule as the single-modulus scheme: if the auto-selected backend refuses
-// a channel's modulus and no RLWE_FORCE_ENGINE pin is set, fall back to
-// the registry default. Results are cached per resolved name, so every
-// scheme over this basis shares the same immutable engine instances.
+// resolving "" / "auto" by the same rule as the single-modulus scheme
+// (ntt.ResolveEngine over every channel's tables). Results are cached per
+// resolved name, so every scheme over this basis shares the same
+// immutable engine instances.
 func (b *Basis) ResolveEngines(name string) ([]ntt.Engine, error) {
-	auto := name == "" || name == "auto"
-	if auto {
-		name = cpu.BestNTTEngine()
-	}
-	engs, err := b.enginesFor(name)
-	if err != nil && auto && !cpu.EngineForced() && name != ntt.DefaultEngine {
-		engs, err = b.enginesFor(ntt.DefaultEngine)
-	}
-	return engs, err
+	return b.enginesFor(ntt.ResolveEngine(name, b.Tables...))
 }
 
 func (b *Basis) enginesFor(name string) ([]ntt.Engine, error) {

@@ -116,9 +116,10 @@ func TestNewBasisRejects(t *testing.T) {
 	}
 }
 
-// TestBasisEngineResolution checks per-channel engine construction through
-// the dispatcher seam: explicit names build one engine per channel over
-// the right tables, results are cached, and unknown names error.
+// TestBasisEngineResolution checks per-channel engine construction:
+// explicit names build one engine per channel over the right tables,
+// results are cached, "auto" over this n = 8 basis (too small for the
+// vector kernels) falls back to shoup, and unknown names error.
 func TestBasisEngineResolution(t *testing.T) {
 	b, err := NewBasis(8, []uint32{17, 97, 113})
 	if err != nil {
@@ -143,8 +144,10 @@ func TestBasisEngineResolution(t *testing.T) {
 	if again[0] != engs[0] {
 		t.Error("ResolveEngines did not cache engine instances")
 	}
-	if _, err := b.ResolveEngines("auto"); err != nil {
+	if auto, err := b.ResolveEngines("auto"); err != nil {
 		t.Errorf("ResolveEngines(auto): %v", err)
+	} else if auto[0].Name() != "shoup" {
+		t.Errorf("ResolveEngines(auto) over n=8 built %q, want shoup", auto[0].Name())
 	}
 	if _, err := b.ResolveEngines("no-such-engine"); err == nil {
 		t.Error("unknown engine accepted")

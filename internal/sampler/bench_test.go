@@ -8,8 +8,7 @@ import (
 
 // BenchmarkSamplePolyInto measures every backend filling one P1-sized
 // error polynomial, reporting ns/coeff alongside the standard metrics
-// (BENCH_3.json archives these; the batched backend's ≥2× advantage over
-// the scalar reference is an acceptance gate of PR 3).
+// (BENCH_3.json and BENCH_6.json archive these).
 func BenchmarkSamplePolyInto(b *testing.B) {
 	cfg := testConfig(b)
 	const n = 256

@@ -11,11 +11,12 @@
 //     are bit-identical to the historical hot path and every known-answer
 //     vector is preserved. It is the reference oracle the faster backends
 //     are differentially and statistically tested against.
-//   - "batched-ky": a word-at-a-time Knuth-Yao. The bit pool is drawn in
-//     64-bit gulps (swar.BitPool64) and the LUT-1 byte probes for eight
-//     coefficients ride in one 64-bit word, SWAR-tested for failures with a
-//     single mask; only the rare residuals (≈2.2% per coefficient) fall
-//     back to the serial LUT-2/scan walk.
+//   - "wide-ky": a word-at-a-time Knuth-Yao, sixteen coefficients per
+//     pass. The LUT-1 byte probes for eight coefficients ride in one 64-bit
+//     source word, SWAR-tested for failures with a single mask; only the
+//     rare residuals (≈2.2% per coefficient) fall back to the serial
+//     LUT-2/scan walk, fed from a 64-bit bit pool (swar.BitPool64). The
+//     Fast profile's sampler.
 //   - "cdt": inversion sampling against the cumulative table, with a
 //     fixed-shape branchless binary search — the same number of table
 //     probes and the same arithmetic for every sample (the paper's

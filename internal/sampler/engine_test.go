@@ -29,7 +29,7 @@ func testConfig(t testing.TB) *Config {
 
 func TestNames(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"batched-ky", "cdt", "knuth-yao", "wide-ky"} {
+	for _, want := range []string{"cdt", "knuth-yao", "wide-ky"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -106,7 +106,7 @@ func TestKnuthYaoBitIdentical(t *testing.T) {
 
 // TestTailBound pins the truncation: every sampled residue is within
 // Rows−1 of 0 mod q, for every backend and both moduli, including lengths
-// that exercise the batched engine's scalar tail.
+// that exercise the wide engine's scalar tail.
 func TestTailBound(t *testing.T) {
 	cfg := testConfig(t)
 	maxMag := uint32(cfg.Matrix.Rows - 1)

@@ -10,25 +10,27 @@ import (
 	"ringlwe/internal/swar"
 )
 
-// wideEngine is the "wide-ky" backend: batched-ky stretched to sixteen
-// coefficients per pass. Two independent 64-bit probe words are in flight
-// at once, so the sixteen LUT-1 gathers of a batch form two dependency
-// chains the CPU can overlap instead of one — the out-of-order window
-// hides most of the second word's latency behind the first. The probe
-// words are drawn as raw source words rather than through the bit pool:
-// a LUT-1 probe needs eight uniform bits and a full source word supplies
-// thirty-two, so the pool's shift-and-carry bookkeeping (the price of
-// bit-exact scalar equivalence, which no KAT demands of this backend)
-// is pure overhead here. Signs for the whole batch ride in one further
-// word. Only LUT-1 failures (≈2.2% of coefficients at the paper's σ)
-// touch the bit pool, which feeds the serial LUT-2 probe and residual
-// clz walk exactly as in batched-ky.
+// wideEngine is the "wide-ky" backend: Knuth-Yao restructured for a 64-bit
+// software pipeline, sixteen coefficients per pass. Each 64-bit probe word
+// carries eight LUT-1 byte probes whose results pack back into one word,
+// so a single SWAR mask tests all eight for failure. Two independent probe
+// words are in flight at once, so the sixteen LUT-1 gathers of a batch
+// form two dependency chains the CPU can overlap instead of one — the
+// out-of-order window hides most of the second word's latency behind the
+// first. The probe words are drawn as raw source words rather than through
+// the bit pool: a LUT-1 probe needs eight uniform bits and a full source
+// word supplies thirty-two, so the pool's shift-and-carry bookkeeping (the
+// price of bit-exact scalar equivalence, which no KAT demands of this
+// backend) is pure overhead here. Signs for the whole batch ride in one
+// further word. Only LUT-1 failures (≈2.2% of coefficients at the paper's
+// σ) touch the bit pool, which feeds the serial LUT-2 probe and residual
+// clz walk.
 //
 // The distribution is exactly the scalar sampler's — identical tables,
 // identical walk — but the randomness-to-coefficient assignment differs
-// again from both "knuth-yao" and "batched-ky", so outputs are compared
-// statistically (chi-square, tail bound), never bit-wise. The engine's
-// counters sit between cache-line pads (see package cacheline).
+// from "knuth-yao", so outputs are compared statistically (chi-square,
+// tail bound), never bit-wise. The engine's counters sit between
+// cache-line pads (see package cacheline).
 type wideEngine struct {
 	_          cacheline.Pad
 	mat        *gauss.Matrix
@@ -57,6 +59,9 @@ type wideEngine struct {
 // wideBatch is how many coefficients one pass resolves: two 64-bit probe
 // words of eight LUT-1 indexes each.
 const wideBatch = 16
+
+// failFlags has the LUT failure bit (0x80) of every probe lane set.
+const failFlags = 0x8080808080808080
 
 func init() {
 	Register("wide-ky", func(cfg *Config, src rng.Source) (Engine, error) {
@@ -194,7 +199,7 @@ func (e *wideEngine) sampleBatch(dst []uint32, q uint32) {
 }
 
 // resolveFailure finishes a walk LUT-1 left at level-8 distance d — the
-// same LUT-2/clz resolution chain as batched-ky, fed from the bit pool.
+// same LUT-2/clz resolution chain as gauss.Sampler, fed from the bit pool.
 func (e *wideEngine) resolveFailure(d uint32) uint32 {
 	if int(d) < e.lut2DRange {
 		r := uint32(e.pool.NextBits(5))

@@ -1,3 +1,5 @@
+// Package swar holds BitPool64, the 64-bit-buffered bit pool the "wide-ky"
+// sampler feeds its LUT-2 probes and residual walk from.
 package swar
 
 import (
@@ -9,8 +11,7 @@ import (
 // exact same bit stream (each 32-bit source word contributes its low 31 bits,
 // LSB first, matching the scalar pool's sentinel layout), but hands out up to
 // 32 bits per call from a 64-bit buffer, so a read never has to straddle a
-// refill. This is the randomness front end of the batched samplers: eight
-// LUT-1 byte probes come out of one 64-bit read.
+// refill.
 //
 // Not safe for concurrent use, like the scalar pool; like it, it sits
 // between cache-line pads (see package cacheline).

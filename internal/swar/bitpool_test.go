@@ -29,7 +29,7 @@ func TestBitPool64ScalarEquivalence(t *testing.T) {
 }
 
 // TestBitPool64MixedWidths interleaves every width against one shared stream,
-// mimicking the batched sampler's probe/sign/LUT2 mixture.
+// mimicking a sampler's mixture of probe, sign and LUT-2 draws.
 func TestBitPool64MixedWidths(t *testing.T) {
 	word := NewBitPool64(rng.NewXorshift128(42))
 	scalar := rng.NewBitPool(rng.NewXorshift128(42))

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"ringlwe/internal/core"
-	"ringlwe/internal/cpu"
 	"ringlwe/internal/ntt"
 	"ringlwe/internal/sampler"
 )
@@ -34,30 +33,15 @@ type Profile struct {
 
 // Preset profile values. The presets are exposed as Options (Fast,
 // Reference, ConstantTime); these are the configurations they resolve to.
+// profileDefault is what New resolves to with no options over every set
+// the vector kernels accept; over any other set the engine falls back to
+// shoup (ntt.ResolveEngine).
 var (
 	profileDefault   = Profile{Engine: ntt.DefaultEngine, Sampler: sampler.Default}
-	profileFast      = fastProfile()
+	profileFast      = Profile{Engine: "vector", Sampler: "wide-ky"}
 	profileReference = Profile{Engine: "barrett", Sampler: "knuth-yao"}
 	profileConstTime = Profile{Engine: "shoup", Sampler: "cdt", ConstantTimeDecode: true}
 )
-
-// fastProfile resolves the throughput preset through the CPU dispatch
-// layer once at startup: machines with a vector unit get the 8-lane
-// "vector" NTT kernels and the 16-coefficient "wide-ky" sampler batch;
-// anything narrower keeps the previous fast pair (Shoup kernels, 8-wide
-// batched sampler), so Fast is never slower than it used to be. The
-// RLWE_FORCE_ENGINE / RLWE_FORCE_SAMPLER environment knobs override the
-// detection (read at process start, like all dispatch decisions).
-func fastProfile() Profile {
-	p := Profile{Engine: "shoup", Sampler: "batched-ky"}
-	if e := cpu.BestNTTEngine(); e != ntt.DefaultEngine {
-		p.Engine = e
-	}
-	if s := cpu.BestSamplerEngine(); s != sampler.Default {
-		p.Sampler = s
-	}
-	return p
-}
 
 // Name returns the preset label this profile corresponds to — "fast",
 // "reference", "constant-time", or "default" for the configuration New
@@ -96,31 +80,26 @@ func (c config) coreOptions() core.Options {
 type Option func(*config)
 
 func applyOptions(opts []Option) config {
-	c := config{profile: profileDefault}
+	var c config
 	for _, o := range opts {
 		o(&c)
 	}
-	// A hand-assembled Profile may leave fields zero; resolve them to the
-	// defaults so Scheme.Profile always reports a complete configuration.
-	if c.profile.Engine == "" {
-		c.profile.Engine = ntt.DefaultEngine
-	}
+	// Zero fields take the defaults. The engine stays empty so core
+	// resolves it against the parameter set (ntt.ResolveEngine); the
+	// scheme reports the backend it resolved to.
 	if c.profile.Sampler == "" {
 		c.profile.Sampler = sampler.Default
 	}
 	return c
 }
 
-// Fast selects the throughput preset, resolved through CPU dispatch at
-// process start: on machines with a vector unit (any amd64 or arm64)
-// that is the 8-lane "vector" NTT kernels plus the 16-coefficient
-// "wide-ky" SWAR Knuth-Yao sampler; narrower targets keep the Shoup
-// kernels and the 8-wide batched sampler. Deterministic streams differ
-// from the reference profile — the samplers spend randomness in word
-// gulps — and, unlike the fixed presets, the resolved backends (and thus
-// the streams) vary by machine; ciphertexts interoperate freely with
-// keys from any profile. Set RLWE_FORCE_ENGINE / RLWE_FORCE_SAMPLER to
-// pin the choice.
+// Fast selects the throughput preset: the 8-lane "vector" NTT kernels
+// plus the 16-coefficient "wide-ky" SWAR Knuth-Yao sampler, on every
+// machine (both are portable Go). Deterministic streams differ from the
+// default and reference profiles — the sampler spends randomness in word
+// gulps — but ciphertexts interoperate freely with keys from any profile.
+// Like any explicit engine choice, it fails construction over a set the
+// vector kernels refuse (n < 16, or 4q > 2³¹).
 func Fast() Option { return WithProfile(profileFast) }
 
 // Reference selects the paper-faithful preset: the generic Barrett NTT
@@ -147,11 +126,11 @@ func WithProfile(p Profile) Option {
 // WithEngine selects the NTT backend the scheme's transforms run through,
 // by registry name (see Engines). Every backend computes bit-identical
 // results — the known-answer vectors hold under all of them — so this is
-// purely a speed/footprint knob: "shoup" (the default) is the
-// Shoup-multiplied lazy-reduction kernel, "barrett" the generic reference
-// path, and "packed" the paper's two-coefficients-per-word layout (which
-// allocates per transform; it exists for study, not throughput).
-// Construction panics if the name is not registered.
+// purely a speed knob: "vector" (the default) runs the Shoup lazy-reduction
+// butterflies in 8-lane blocks, "shoup" is the scalar Shoup kernel the
+// paper's schedule maps onto, and "barrett" the generic reference path.
+// Construction panics if the name is not registered or the backend
+// refuses the parameter set.
 func WithEngine(name string) Option {
 	return func(c *config) { c.profile.Engine = name }
 }
@@ -164,7 +143,7 @@ func Engines() []string { return ntt.EngineNames() }
 // All backends target the identical distribution, but they spend
 // randomness differently, so only the default "knuth-yao" — the paper's
 // serial LUT sampler, the one the known-answer vectors pin — reproduces
-// historical deterministic streams; "batched-ky" trades that for ≈6×
+// historical deterministic streams; "wide-ky" trades that for ≈3×
 // sampling throughput via 64-bit batched LUT probes, and "cdt" trades it
 // for a fixed-shape constant-time inversion. Ciphertexts sampled under any
 // backend interoperate freely (decryption consumes no randomness).

@@ -13,15 +13,13 @@ func TestProfileResolution(t *testing.T) {
 		opts []Option
 		want Profile
 	}{
-		{"default", nil, Profile{Engine: "shoup", Sampler: "knuth-yao"}},
-		// Fast resolves through CPU dispatch, so its backends vary by
-		// machine; fastProfile() is the single source of truth.
-		{"fast", []Option{Fast()}, fastProfile()},
+		{"default", nil, Profile{Engine: "vector", Sampler: "knuth-yao"}},
+		{"fast", []Option{Fast()}, Profile{Engine: "vector", Sampler: "wide-ky"}},
 		{"reference", []Option{Reference()}, Profile{Engine: "barrett", Sampler: "knuth-yao"}},
 		{"constant-time", []Option{ConstantTime()}, Profile{Engine: "shoup", Sampler: "cdt", ConstantTimeDecode: true}},
-		{"custom", []Option{Fast(), WithSampler("cdt")}, Profile{Engine: fastProfile().Engine, Sampler: "cdt"}},
-		{"custom", []Option{WithConstantTimeDecode()}, Profile{Engine: "shoup", Sampler: "knuth-yao", ConstantTimeDecode: true}},
-		{"reference", []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "shoup", Sampler: "knuth-yao"}},
+		{"custom", []Option{Fast(), WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
+		{"custom", []Option{WithConstantTimeDecode()}, Profile{Engine: "vector", Sampler: "knuth-yao", ConstantTimeDecode: true}},
+		{"reference", []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "vector", Sampler: "knuth-yao"}},
 	}
 	// The last case: WithProfile with zero fields resolves to the defaults,
 	// whose Name is "default".
@@ -83,7 +81,7 @@ func TestProfileRoundTrip(t *testing.T) {
 		{Fast()},
 		{Reference()},
 		{ConstantTime()},
-		{WithEngine("packed"), WithSampler("cdt")},
+		{WithEngine("shoup"), WithSampler("cdt")},
 	} {
 		a := NewDeterministic(P1(), 7, opts...)
 		b := NewDeterministic(P1(), 7, WithProfile(a.Profile()))

@@ -28,9 +28,9 @@ type Scheme struct {
 
 // New returns a Scheme drawing randomness from the operating system CSPRNG
 // (crypto/rand), or from the WithRandom reader when one is given. With no
-// profile options the scheme resolves to the "default" profile (Shoup NTT
+// profile options the scheme resolves to the "default" profile (vector NTT
 // kernels, serial Knuth-Yao sampler — the KAT-pinned stream on the fast
-// transform path).
+// transform path; sets the vector kernels refuse run the shoup kernels).
 func New(p *Params, opts ...Option) *Scheme {
 	c := applyOptions(opts)
 	var src rng.Source

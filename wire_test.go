@@ -218,6 +218,13 @@ func TestWireCustomParams(t *testing.T) {
 	if err := RegisterParams(0x7001, custom); err != nil {
 		t.Fatal(err)
 	}
+	// Release the ID afterwards so the test can run again (-count=N) with
+	// a fresh custom set.
+	t.Cleanup(func() {
+		paramsRegistry.mu.Lock()
+		delete(paramsRegistry.byID, 0x7001)
+		paramsRegistry.mu.Unlock()
+	})
 	if got := custom.WireID(); got != 0x7001 {
 		t.Fatalf("WireID = %d, want %d", got, 0x7001)
 	}

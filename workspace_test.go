@@ -135,19 +135,16 @@ func TestKEMHashMatchesStreamingSHA256(t *testing.T) {
 }
 
 // TestWorkspaceEngineZeroAlloc pins the steady-state encrypt/decrypt path
-// at zero allocations under every NTT backend except "packed" (the
-// paper-layout study backend, which allocates per transform by design) —
-// in particular the vector engine's lane-block kernels, and the Fast
-// profile's CPU-dispatched pairing of them with the wide sampler.
+// at zero allocations under every NTT backend — in particular the vector
+// engine's lane-block kernels, and the Fast profile's pairing of them with
+// the wide sampler.
 func TestWorkspaceEngineZeroAlloc(t *testing.T) {
 	p := P1()
 	msg := make([]byte, p.MessageSize())
 	out := make([]byte, p.MessageSize())
 	configs := [][]Option{{Fast()}}
 	for _, name := range Engines() {
-		if name != "packed" {
-			configs = append(configs, []Option{WithEngine(name)})
-		}
+		configs = append(configs, []Option{WithEngine(name)})
 	}
 	for i, opts := range configs {
 		s := NewDeterministic(p, uint64(80+i), opts...)
