@@ -8,16 +8,58 @@ import (
 	"ringlwe/internal/zq"
 )
 
-// engineTestSets mirrors the paper's parameter sets.
+// engineTestSets mirrors the paper's parameter sets and A1, plus one
+// NTT-friendly prime on each side of the AVX2 kernels' 4q ≤ 2¹⁶ gate:
+// 16001 runs them, 17921 falls back to the portable vector kernels.
 var engineTestSets = []struct {
-	q uint32
-	n int
+	name string
+	q    uint32
+	n    int
 }{
-	{7681, 256},
-	{12289, 512},
+	{"P1", 7681, 256},
+	{"P2", 12289, 512},
+	{"A1", 12289, 256},
+	{"q16001", 16001, 64},
+	{"q17921", 17921, 256},
 }
 
-func engineTables(t *testing.T, q uint32, n int) *Tables {
+// namedEngine is a backend under differential test with its label.
+type namedEngine struct {
+	name string
+	Engine
+}
+
+// testEngines builds every registered engine over tab, plus the vector
+// engine with its AVX2 kernels off as "vector-portable": on an AVX2 host
+// "vector" runs the assembly wherever simdAdmits(tab), so both vector
+// kernels meet the same oracle.
+func testEngines(t testing.TB, tab *Tables) []namedEngine {
+	t.Helper()
+	var out []namedEngine
+	for _, name := range EngineNames() {
+		e, err := NewEngine(name, tab)
+		if err != nil {
+			t.Fatalf("%s q=%d n=%d: %v", name, tab.M.Q, tab.N, err)
+		}
+		out = append(out, namedEngine{name, e})
+	}
+	portable, err := newVectorEngine(tab, false)
+	if err != nil {
+		t.Fatalf("vector-portable q=%d n=%d: %v", tab.M.Q, tab.N, err)
+	}
+	return append(out, namedEngine{"vector-portable", portable})
+}
+
+// constPoly is the polynomial with every coefficient v.
+func constPoly(tab *Tables, v uint32) Poly {
+	p := tab.NewPoly()
+	for i := range p {
+		p[i] = v
+	}
+	return p
+}
+
+func engineTables(t testing.TB, q uint32, n int) *Tables {
 	t.Helper()
 	m, err := zq.NewModulus(q)
 	if err != nil {
@@ -64,8 +106,10 @@ func TestEngineRegistry(t *testing.T) {
 	}
 }
 
-// Differential cross-check: every registered engine computes bit-identical
-// canonical results to the Barrett reference on every Engine operation.
+// Differential cross-check: every engine (and both vector kernels)
+// computes bit-identical canonical results to the Barrett reference on
+// every Engine operation, over random inputs and the all-zero and
+// all-(q−1) edge vectors.
 func TestEnginesMatchBarrett(t *testing.T) {
 	for _, set := range engineTestSets {
 		tab := engineTables(t, set.q, set.n)
@@ -74,13 +118,17 @@ func TestEnginesMatchBarrett(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(int64(set.q)))
-		for _, name := range EngineNames() {
-			eng, err := NewEngine(name, tab)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for trial := 0; trial < 8; trial++ {
+		zero, top := tab.NewPoly(), constPoly(tab, set.q-1)
+		for _, ne := range testEngines(t, tab) {
+			name, eng := ne.name, ne.Engine
+			for trial := 0; trial < 10; trial++ {
 				a, b, c := randPoly(r, tab), randPoly(r, tab), randPoly(r, tab)
+				switch trial {
+				case 8:
+					a, b, c = zero, zero, zero
+				case 9:
+					a, b, c = top, top, top
+				}
 
 				// Forward / Inverse round into each other and match the oracle.
 				gotF := append(Poly(nil), a...)
@@ -184,88 +232,69 @@ func TestEngineOutputsCanonical(t *testing.T) {
 	for _, set := range engineTestSets {
 		tab := engineTables(t, set.q, set.n)
 		r := rand.New(rand.NewSource(99))
-		for _, name := range EngineNames() {
-			eng, err := NewEngine(name, tab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := randPoly(r, tab)
-			eng.Forward(a)
-			for i, v := range a {
-				if v >= set.q {
-					t.Fatalf("%s q=%d: Forward output[%d] = %d not canonical", name, set.q, i, v)
+		for _, ne := range testEngines(t, tab) {
+			for _, a := range []Poly{randPoly(r, tab), constPoly(tab, set.q-1)} {
+				ne.Forward(a)
+				for i, v := range a {
+					if v >= set.q {
+						t.Fatalf("%s q=%d: Forward output[%d] = %d not canonical", ne.name, set.q, i, v)
+					}
 				}
-			}
-			eng.Inverse(a)
-			for i, v := range a {
-				if v >= set.q {
-					t.Fatalf("%s q=%d: Inverse output[%d] = %d not canonical", name, set.q, i, v)
+				ne.Inverse(a)
+				for i, v := range a {
+					if v >= set.q {
+						t.Fatalf("%s q=%d: Inverse output[%d] = %d not canonical", ne.name, set.q, i, v)
+					}
 				}
 			}
 		}
 	}
 }
 
-func benchEngineForward(b *testing.B, name string, q uint32, n int) {
-	m, _ := zq.NewModulus(q)
-	tab, _ := NewTables(m, n)
-	eng, err := NewEngine(name, tab)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchEngineForward(b *testing.B, eng Engine) {
 	r := rand.New(rand.NewSource(1))
-	a := randPoly(r, tab)
+	a := randPoly(r, eng.Tables())
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		eng.Forward(a)
 	}
 }
 
-func benchEngineInverse(b *testing.B, name string, q uint32, n int) {
-	m, _ := zq.NewModulus(q)
-	tab, _ := NewTables(m, n)
-	eng, err := NewEngine(name, tab)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchEngineInverse(b *testing.B, eng Engine) {
 	r := rand.New(rand.NewSource(1))
-	a := randPoly(r, tab)
+	a := randPoly(r, eng.Tables())
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		eng.Inverse(a)
 	}
 }
 
-// BenchmarkForward compares the registered engines on the forward
-// transform; the Shoup backend's margin over barrett is the refactor's
-// headline number (see README "Choosing an NTT engine").
-func BenchmarkForward(b *testing.B) {
+func benchEnginePointwiseMul(b *testing.B, eng Engine) {
+	r := rand.New(rand.NewSource(1))
+	x, y, c := randPoly(r, eng.Tables()), randPoly(r, eng.Tables()), eng.Tables().NewPoly()
+	b.ReportAllocs()
+	for b.Loop() {
+		eng.PointwiseMul(c, x, y)
+	}
+}
+
+// benchEngines runs fn per test set and engine, the vector engine also as
+// "vector-portable" (AVX2 kernels off), so one run shows the kernel ratio.
+func benchEngines(b *testing.B, fn func(*testing.B, Engine)) {
 	for _, set := range engineTestSets {
-		for _, name := range EngineNames() {
-			label := "P1"
-			if set.n == 512 {
-				label = "P2"
-			}
-			b.Run(label+"/"+name, func(b *testing.B) {
-				benchEngineForward(b, name, set.q, set.n)
-			})
+		tab := engineTables(b, set.q, set.n)
+		for _, ne := range testEngines(b, tab) {
+			b.Run(set.name+"/"+ne.name, func(b *testing.B) { fn(b, ne.Engine) })
 		}
 	}
 }
 
+// BenchmarkForward compares the engines on the forward transform (see
+// README "Choosing an NTT engine").
+func BenchmarkForward(b *testing.B) { benchEngines(b, benchEngineForward) }
+
 // BenchmarkInverse is BenchmarkForward for the inverse transform.
-func BenchmarkInverse(b *testing.B) {
-	for _, set := range engineTestSets {
-		for _, name := range EngineNames() {
-			label := "P1"
-			if set.n == 512 {
-				label = "P2"
-			}
-			b.Run(label+"/"+name, func(b *testing.B) {
-				benchEngineInverse(b, name, set.q, set.n)
-			})
-		}
-	}
-}
+func BenchmarkInverse(b *testing.B) { benchEngines(b, benchEngineInverse) }
+
+// BenchmarkPointwiseMul is BenchmarkForward for the NTT-domain product.
+func BenchmarkPointwiseMul(b *testing.B) { benchEngines(b, benchEnginePointwiseMul) }

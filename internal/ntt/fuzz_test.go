@@ -3,8 +3,6 @@ package ntt
 import (
 	"encoding/binary"
 	"testing"
-
-	"ringlwe/internal/zq"
 )
 
 // fuzzPoly derives a canonical polynomial of dimension n from raw fuzz
@@ -24,9 +22,9 @@ func fuzzPoly(data []byte, off, n int, q uint32) Poly {
 }
 
 // FuzzEngineMulDifferential drives two fuzzer-chosen polynomials through
-// every registered engine's full multiplication pipeline and cross-checks
-// each result against the O(n²) schoolbook oracle, on both paper parameter
-// sets. Any disagreement — between an engine and the oracle, or between
+// every engine's full multiplication pipeline (both vector kernels) and
+// cross-checks each result against the O(n²) schoolbook oracle, on every
+// engineTestSets entry. Any disagreement — between an engine and the oracle, or between
 // two engines — is a bug in a butterfly, a twiddle table or a reduction
 // bound. Runs as a plain test over the seed corpus under `go test`.
 func FuzzEngineMulDifferential(f *testing.F) {
@@ -40,35 +38,12 @@ func FuzzEngineMulDifferential(f *testing.F) {
 
 	type fuzzSet struct {
 		tab     *Tables
-		engines []Engine
+		engines []namedEngine
 	}
 	var sets []fuzzSet
 	for _, ps := range engineTestSets {
-		m, err := zq.NewModulus(ps.q)
-		if err != nil {
-			f.Fatal(err)
-		}
-		tab, err := NewTables(m, ps.n)
-		if err != nil {
-			f.Fatal(err)
-		}
-		s := fuzzSet{tab: tab}
-		for _, name := range EngineNames() {
-			e, err := NewEngine(name, tab)
-			if err != nil {
-				// A backend may gate itself out of a parameter set (the
-				// vector engine rejects moduli beyond its bound lemma and
-				// tiny dimensions); skip it here — its own tests cover the
-				// gates — rather than failing the whole differential.
-				f.Logf("engine %s skipped for q=%d n=%d: %v", name, ps.q, ps.n, err)
-				continue
-			}
-			s.engines = append(s.engines, e)
-		}
-		if len(s.engines) < 2 {
-			f.Fatalf("fewer than two engines constructible for q=%d n=%d", ps.q, ps.n)
-		}
-		sets = append(sets, s)
+		tab := engineTables(f, ps.q, ps.n)
+		sets = append(sets, fuzzSet{tab, testEngines(f, tab)})
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -88,7 +63,7 @@ func FuzzEngineMulDifferential(f *testing.F) {
 				for i := range dst {
 					if dst[i] != want[i] {
 						t.Fatalf("engine %s n=%d q=%d: coeff %d = %d, oracle %d",
-							e.Name(), n, q, i, dst[i], want[i])
+							e.name, n, q, i, dst[i], want[i])
 					}
 				}
 			}

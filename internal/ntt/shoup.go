@@ -1,6 +1,10 @@
 package ntt
 
-import "fmt"
+import (
+	"fmt"
+
+	"ringlwe/internal/zq"
+)
 
 // The Shoup-multiplied, lazy-reduction NTT backend.
 //
@@ -152,14 +156,14 @@ func (e *ShoupEngine) forwardLazy(a Poly) {
 }
 
 // Normalize folds every lazy coefficient back to its canonical residue.
-// One compare-and-subtract per coefficient — the entire price the forward
-// transform pays for riding lazy through all (n/2)·log₂n butterflies.
+// One branch-free zq.CondSub per coefficient (sound: q < 2³⁰ and inputs
+// are below 2q) — the entire price the forward transform pays for riding
+// lazy through all (n/2)·log₂n butterflies. No coefficient steers a
+// branch, which the ConstantTime profile's encrypt path relies on.
 func (e *ShoupEngine) Normalize(a Poly) {
 	q := e.q
 	for j, v := range a {
-		if v >= q {
-			a[j] = v - q
-		}
+		a[j] = zq.CondSub(v, q)
 	}
 }
 

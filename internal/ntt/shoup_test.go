@@ -86,24 +86,28 @@ func TestShoupLazyDomainBounds(t *testing.T) {
 	}
 }
 
-// Normalize must be exactly the lazy→canonical fold.
+// Normalize must be exactly the compare-and-subtract fold it replaced,
+// checked exhaustively over the lazy domain [0, 2q).
 func TestShoupNormalize(t *testing.T) {
-	tab := engineTables(t, 7681, 256)
-	engIface, _ := NewEngine("shoup", tab)
-	eng := engIface.(*ShoupEngine)
-	a := tab.NewPoly()
-	r := rand.New(rand.NewSource(3))
-	for i := range a {
-		a[i] = uint32(r.Intn(int(2 * tab.M.Q)))
-	}
-	want := append(Poly(nil), a...)
-	for i := range want {
-		want[i] %= tab.M.Q
-	}
-	eng.Normalize(a)
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("Normalize coeff %d = %d, want %d", i, a[i], want[i])
+	for _, q := range []uint32{7681, 12289} {
+		tab := engineTables(t, q, 256)
+		eng, err := NewShoupEngine(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := make(Poly, 2*q)
+		for i := range a {
+			a[i] = uint32(i)
+		}
+		eng.(*ShoupEngine).Normalize(a)
+		for x, got := range a {
+			want := uint32(x)
+			if want >= q {
+				want -= q
+			}
+			if got != want {
+				t.Fatalf("q=%d: Normalize(%d) = %d, want %d", q, x, got, want)
+			}
 		}
 	}
 }

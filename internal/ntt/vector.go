@@ -11,8 +11,10 @@ import (
 // Same mathematics as the Shoup engine — Shoup-multiplied twiddles, lazy
 // [0, 2q) intermediates — but the stage loops are restructured the way a
 // SIMD unit wants them, which is the DATE 2015 paper's word-level
-// parallelism theme transposed from a Cortex-M register file to modern
-// 8-lane vector pipelines:
+// parallelism theme transposed from a Cortex-M register file to a modern
+// out-of-order core. Go does not auto-vectorize, so in portable Go the
+// gain is instruction-level parallelism across eight independent scalar
+// lane chains:
 //
 //   - Flat lane blocks. Wherever the butterfly stride allows it, eight
 //     butterflies are processed per iteration through *[8]uint32 array
@@ -33,8 +35,16 @@ import (
 //
 // The short-stride stages (step 4, 2, 1), where lo and hi lanes interleave
 // inside one block, get dedicated kernels that keep the whole 8-coefficient
-// block in registers; this is the layout an in-register shuffle network
-// would use.
+// block in registers.
+//
+// These portable kernels run everywhere and are the oracle for the AVX2
+// kernels of vector_amd64.s, which replace vecForward, vecInverse and
+// PointwiseMul on AVX2 hosts when 4q ≤ 2¹⁶ and n ≥ 32 (P1, P2 and A1; see
+// simdAdmits). Those keep the []uint32 layout, eight coefficients to a ymm
+// register, and do 16-bit Shoup arithmetic in the low word of each lane,
+// the 16-bit-lane NTT of Seiler ("Faster AVX2 optimized NTT multiplication
+// for Ring-LWE lattice cryptography", ePrint 2018/039); the last four
+// stages run per 16-coefficient block with in-register shuffles.
 //
 // Results are bit-identical to the Barrett reference and the Shoup engine
 // (asserted by the differential tests and scheme KATs); only the schedule
@@ -49,6 +59,7 @@ type VectorEngine struct {
 	q, twoQ uint32
 
 	// psiRevShoup[i] = Shoup companion of PsiRev[i]; likewise the inverse.
+	// Only the portable kernels read them: nil when simd is set.
 	psiRevShoup    []uint32
 	psiInvRevShoup []uint32
 
@@ -59,33 +70,93 @@ type VectorEngine struct {
 	// runs at all.
 	nInv, nInvShoup       uint32
 	nInvPsi, nInvPsiShoup uint32
+
+	// simd is non-nil when the AVX2 kernels run the transforms and
+	// PointwiseMul.
+	simd *simdTables
 }
 
 // NewVectorEngine precomputes the Shoup companions of every twiddle in t.
 // The modulus must satisfy the vector kernels' bound lemma 4q ≤ 2³¹
 // (zq.Modulus.VectorSafe) so the branchless sign-bit folds are sound, and
 // the dimension must be ≥ 16 so every stride class has a full lane block;
-// both paper parameter sets qualify with room to spare.
+// both paper parameter sets qualify with room to spare. On an AVX2 host,
+// tables that also satisfy simdAdmits run the assembly kernels.
 func NewVectorEngine(t *Tables) (Engine, error) {
+	return newVectorEngine(t, hasAVX2)
+}
+
+// newVectorEngine is NewVectorEngine with the choice of the AVX2 kernels
+// made by the caller: simd must only be true where hasAVX2 is, and tests
+// pass false to build the portable engine on any host.
+func newVectorEngine(t *Tables, simd bool) (*VectorEngine, error) {
 	if err := vectorRefuses(t); err != nil {
 		return nil, err
 	}
 	e := &VectorEngine{
-		t:              t,
-		q:              t.M.Q,
-		twoQ:           2 * t.M.Q,
-		psiRevShoup:    make([]uint32, t.N),
-		psiInvRevShoup: make([]uint32, t.N),
-		nInv:           t.NInv,
-		nInvShoup:      t.M.Shoup(t.NInv),
+		t:         t,
+		q:         t.M.Q,
+		twoQ:      2 * t.M.Q,
+		nInv:      t.NInv,
+		nInvShoup: t.M.Shoup(t.NInv),
 	}
 	e.nInvPsi = t.M.Mul(t.NInv, t.PsiInvRev[1])
 	e.nInvPsiShoup = t.M.Shoup(e.nInvPsi)
+	if simd && simdAdmits(t) {
+		e.simd = newSIMDTables(t, e.nInvPsi)
+		return e, nil
+	}
+	e.psiRevShoup = make([]uint32, t.N)
+	e.psiInvRevShoup = make([]uint32, t.N)
 	for i := 0; i < t.N; i++ {
 		e.psiRevShoup[i] = t.M.Shoup(t.PsiRev[i])
 		e.psiInvRevShoup[i] = t.M.Shoup(t.PsiInvRev[i])
 	}
 	return e, nil
+}
+
+// simdAdmits reports whether the 16-bit AVX2 kernels can run over t: every
+// lazy intermediate (below 4q) must fit a 16-bit word, and the dimension
+// must give the wide-stage loops whole 16-coefficient groups (n ≥ 32).
+// P1, P2 and A1 qualify; B1's 29-bit channels do not.
+func simdAdmits(t *Tables) bool {
+	return 4*uint64(t.M.Q) <= 1<<16 && t.N >= 32
+}
+
+// simdTables hold the AVX2 kernels' constants. They replace the portable
+// kernels' Shoup companion tables, which an engine running the assembly
+// does not build, so both kinds of engine hold the same 8n bytes.
+type simdTables struct {
+	// fwd[k] and inv[k] pack PsiRev[k] and PsiInvRev[k] with their 16-bit
+	// Shoup companions (packShoup16). inv[0] and inv[1], never used as
+	// twiddles, pack n⁻¹ and n⁻¹·ψ⁻¹ for the inverse's fused final stage.
+	fwd, inv []uint32
+
+	// PointwiseMul's q⁻¹ mod 2¹⁶, and its Montgomery fix-up factor
+	// 2¹⁶ mod q packed with its companion.
+	qInv, mont uint32
+}
+
+func newSIMDTables(t *Tables, nInvPsi uint32) *simdTables {
+	n, q := t.N, t.M.Q
+	s := &simdTables{fwd: make([]uint32, n), inv: make([]uint32, n)}
+	for k := 0; k < n; k++ {
+		s.fwd[k] = packShoup16(t.PsiRev[k], q)
+		s.inv[k] = packShoup16(t.PsiInvRev[k], q)
+	}
+	s.inv[0], s.inv[1] = packShoup16(t.NInv, q), packShoup16(nInvPsi, q)
+	s.qInv = q // Newton: each step doubles the bits of q⁻¹ mod 2¹⁶ (q·q ≡ 1 mod 8)
+	for i := 0; i < 3; i++ {
+		s.qInv = s.qInv * (2 - q*s.qInv) & 0xffff
+	}
+	s.mont = packShoup16((1<<16)%q, q)
+	return s
+}
+
+// packShoup16 packs a canonical w < 2¹⁶ with its 16-bit Shoup companion
+// ⌊w·2¹⁶/q⌋ into the high word: the layout vector_amd64.s loads.
+func packShoup16(w, q uint32) uint32 {
+	return w | uint32((uint64(w)<<16)/uint64(q))<<16
 }
 
 // vectorRefuses reports why the vector kernels cannot run over t, or nil
@@ -170,6 +241,10 @@ func invButterfly8(lo, hi *[8]uint32, w, ws, q, twoQ uint32) {
 // blocks, the three interleaved tail strides (4, 2, 1) run dedicated
 // in-register block kernels.
 func vecForward(e *VectorEngine, a Poly) {
+	if e.simd != nil {
+		forwardAVX2(a, e.simd.fwd, e.q)
+		return
+	}
 	n := e.t.N
 	q, twoQ := e.q, e.twoQ
 	psi, psiS := e.t.PsiRev, e.psiRevShoup
@@ -253,6 +328,10 @@ func vecForward(e *VectorEngine, a Poly) {
 // the forward kernel mirrored, with the n⁻¹ scaling (and its fused
 // normalization) folded into the final stage.
 func vecInverse(e *VectorEngine, a Poly) {
+	if e.simd != nil {
+		inverseAVX2(a, e.simd.inv, e.q)
+		return
+	}
 	n := e.t.N
 	q, twoQ := e.q, e.twoQ
 	psi, psiS := e.t.PsiInvRev, e.psiInvRevShoup
@@ -407,6 +486,10 @@ func (e *VectorEngine) PointwiseMul(c, a, b Poly) {
 	n := e.t.N
 	if len(a) != n || len(b) != n || len(c) != n {
 		panic("ntt: PointwiseMul length mismatch")
+	}
+	if s := e.simd; s != nil {
+		pointwiseMulAVX2(c, a, b, e.q, s.qInv, s.mont)
+		return
 	}
 	m := e.t.M
 	q := e.q
