@@ -3,6 +3,7 @@ package ringlwe
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -269,5 +270,31 @@ func TestB1AggregateWire(t *testing.T) {
 	}
 	if _, err := ParseAnyAggregate(forged); !errors.Is(err, ErrNoiseBudget) {
 		t.Fatalf("forged addend count: got %v, want ErrNoiseBudget", err)
+	}
+}
+
+// TestCustomRNSModuliCount pins CustomRNS to its documented 2–4 moduli: a
+// single prime is Custom's job (and would report IsRNS false), five
+// exceed the CRT accumulator.
+func TestCustomRNSModuliCount(t *testing.T) {
+	_, err := CustomRNS("x", 256, []uint32{7681}, 1131, 100)
+	if err == nil {
+		t.Fatal("CustomRNS accepted a single modulus")
+	}
+	if !strings.Contains(err.Error(), "Custom") {
+		t.Errorf("single-modulus error %q does not point to Custom", err)
+	}
+	if _, err := CustomRNS("x", 256, nil, 1131, 100); err == nil {
+		t.Fatal("CustomRNS accepted no moduli")
+	}
+	if _, err := CustomRNS("x", 256, []uint32{7681, 10753, 11777, 12289, 13313}, 1131, 100); err == nil {
+		t.Fatal("CustomRNS accepted five moduli")
+	}
+	p, err := CustomRNS("x", 256, []uint32{7681, 12289}, 1131, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.IsRNS() || p.Q() != 0 || len(p.Moduli()) != 2 {
+		t.Fatalf("two-modulus set: IsRNS=%v Q=%d Moduli=%v", p.IsRNS(), p.Q(), p.Moduli())
 	}
 }

@@ -16,22 +16,14 @@ import (
 // internal/gauss is the drop-in alternative) and Go's own scheduler noise.
 
 // EncodeConstantTime is Encode without secret-dependent branches: the
-// message bit selects 0 or ⌊q/2⌋ through a mask.
+// message bit selects 0 or ⌊q/2⌋ through a mask (AddEncodedConstantTime
+// onto the zero polynomial).
 func EncodeConstantTime(p *Params, msg []byte) (ntt.Poly, error) {
 	if len(msg) != p.MessageBytes() {
 		return nil, errMessageSize(p, len(msg))
 	}
-	if p.IsRNS() {
-		out := p.newPoly()
-		rnsAddEncodedConstantTime(p, out, msg)
-		return out, nil
-	}
-	half := p.Q / 2
-	out := make(ntt.Poly, p.N)
-	for i := 0; i < p.N; i++ {
-		bit := uint32(msg[i/8]>>(i%8)) & 1
-		out[i] = half & -bit // mask is all-ones when bit = 1
-	}
+	out := p.newPoly()
+	AddEncodedConstantTime(p, out, msg)
 	return out, nil
 }
 
@@ -48,15 +40,13 @@ func DecodeConstantTime(p *Params, m ntt.Poly) []byte {
 // profile's workspaces run, so the hardened decrypt path stays at zero
 // allocations like the branching one.
 func DecodeConstantTimeInto(dst []byte, p *Params, m ntt.Poly) {
-	if p.IsRNS() {
-		// The RNS decoder's borrow-based threshold test is already
+	if p.K() > 1 {
+		// The CRT decoder's borrow-based threshold test is already
 		// branchless; one decoder serves both profiles.
-		rnsDecodeInto(dst, p, m)
+		crtDecodeInto(dst, p, m)
 		return
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	q := uint64(p.Q)
 	for i := 0; i < p.N; i++ {
 		c4 := 4 * uint64(m[i])
@@ -74,21 +64,22 @@ func DecodeConstantTimeInto(dst []byte, p *Params, m ntt.Poly) {
 // decoder: addEncoded (the Encode step fused into the e3 error polynomial)
 // with the message bit selecting 0 or ⌊q/2⌋ through a mask and the mod-q
 // reduction done by borrow extraction instead of a comparison, so no
-// plaintext bit steers a branch or a memory index.
+// plaintext bit steers a branch or a memory index. Each channel adds the
+// residue of ⌊q/2⌋.
 func AddEncodedConstantTime(p *Params, dst ntt.Poly, msg []byte) {
-	if p.IsRNS() {
-		rnsAddEncodedConstantTime(p, dst, msg)
-		return
-	}
-	half := p.Q / 2
-	q := uint64(p.Q)
-	for i := 0; i < p.N; i++ {
-		bit := uint32(msg[i/8]>>(i%8)) & 1
-		s := uint64(dst[i]) + uint64(half&-bit)
-		// Reduce s into [0, q): subtract q when s ≥ q, branchlessly.
-		// ge = 1 iff s ≥ q (s < 2q here, so one conditional subtract).
-		ge := 1 - (s-q)>>63
-		dst[i] = uint32(s - q*ge)
+	b := p.Basis
+	for i, qi := range b.Moduli {
+		half := b.HalfQRes(i)
+		q := uint64(qi)
+		row := p.row(dst, i)
+		for j := range row {
+			bit := uint32(msg[j/8]>>(j%8)) & 1
+			s := uint64(row[j]) + uint64(half&-bit)
+			// Reduce s into [0, q): subtract q when s ≥ q, branchlessly.
+			// ge = 1 iff s ≥ q (s < 2q here, so one conditional subtract).
+			ge := 1 - (s-q)>>63
+			row[j] = uint32(s - q*ge)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "errors"
+import (
+	"errors"
+
+	"ringlwe/internal/rns"
+)
 
 // ErrNoiseBudget is returned when an evaluation op would push a ciphertext's
 // accumulated noise past Params.MaxAddends, i.e. past the point where the
@@ -56,15 +60,11 @@ func (s *Scheme) EvalAddInto(dst, a, b *Ciphertext) error {
 	if units > uint64(s.Params.maxAddends) {
 		return ErrNoiseBudget
 	}
-	if s.Params.IsRNS() {
-		if err := s.rnsEvalAddInto(dst, a, b); err != nil {
-			return err
-		}
-		dst.Addends = units
-		return nil
+	p := s.Params
+	for i, eng := range s.engs {
+		eng.Add(p.row(dst.C1, i), p.row(a.C1, i), p.row(b.C1, i))
+		eng.Add(p.row(dst.C2, i), p.row(a.C2, i), p.row(b.C2, i))
 	}
-	s.eng.Add(dst.C1, a.C1, b.C1)
-	s.eng.Add(dst.C2, a.C2, b.C2)
 	dst.Addends = units
 	return nil
 }
@@ -80,15 +80,11 @@ func (s *Scheme) EvalSubInto(dst, a, b *Ciphertext) error {
 	if units > uint64(s.Params.maxAddends) {
 		return ErrNoiseBudget
 	}
-	if s.Params.IsRNS() {
-		if err := s.rnsEvalSubInto(dst, a, b); err != nil {
-			return err
-		}
-		dst.Addends = units
-		return nil
+	p := s.Params
+	for i, eng := range s.engs {
+		eng.Sub(p.row(dst.C1, i), p.row(a.C1, i), p.row(b.C1, i))
+		eng.Sub(p.row(dst.C2, i), p.row(a.C2, i), p.row(b.C2, i))
 	}
-	s.eng.Sub(dst.C1, a.C1, b.C1)
-	s.eng.Sub(dst.C2, a.C2, b.C2)
 	dst.Addends = units
 	return nil
 }
@@ -97,22 +93,25 @@ func (s *Scheme) EvalSubInto(dst, a, b *Ciphertext) error {
 // (reduced mod q). The plaintext polynomial is scaled by k mod q — note that
 // for the bit encoding only odd k preserve the message (even k annihilate
 // q/2 encodings). Noise scales with the *lifted* magnitude of the scalar,
-// ĉ = min(k mod q, q − k mod q), and variance grows with ĉ², so the op
-// charges a.Addends·ĉ² units. dst may alias a.
+// ĉ = min(k mod q, q − k mod q) over the composite q, and variance grows
+// with ĉ², so the op charges a.Addends·ĉ² units. Each channel scales by
+// k mod qᵢ. dst may alias a.
 func (s *Scheme) EvalScalarMulInto(dst, a *Ciphertext, k uint32) error {
 	if err := s.checkEvalArgs(dst, a); err != nil {
 		return err
 	}
-	if s.Params.IsRNS() {
-		return s.rnsEvalScalarMulInto(dst, a, k)
+	p := s.Params
+	// A word-sized k wraps only when q itself fits in a word.
+	q := p.Basis.Q128()
+	kr := rns.Uint128{Lo: uint64(k)}
+	if q.Hi == 0 {
+		kr.Lo %= q.Lo
 	}
-	q := s.Params.Q
-	kr := k % q
-	ch := uint64(kr)
-	if q-kr < kr {
-		ch = uint64(q - kr)
+	ch := kr.Lo
+	if d := q.Sub(kr); d.Less(kr) {
+		ch = d.Lo
 	}
-	maxU := uint64(s.Params.maxAddends)
+	maxU := uint64(p.maxAddends)
 	units := uint64(0)
 	if c2 := ch * ch; c2 != 0 {
 		if a.Addends > maxU/c2 {
@@ -123,8 +122,11 @@ func (s *Scheme) EvalScalarMulInto(dst, a *Ciphertext, k uint32) error {
 	if units > maxU {
 		return ErrNoiseBudget
 	}
-	s.eng.ScalarMul(dst.C1, a.C1, kr)
-	s.eng.ScalarMul(dst.C2, a.C2, kr)
+	for i, eng := range s.engs {
+		ki := k % p.Basis.Moduli[i]
+		eng.ScalarMul(p.row(dst.C1, i), p.row(a.C1, i), ki)
+		eng.ScalarMul(p.row(dst.C2, i), p.row(a.C2, i), ki)
+	}
 	dst.Addends = units
 	return nil
 }

@@ -57,12 +57,6 @@ func (e *packedTestEngine) ForwardThree(a, b, c ntt.Poly) {
 	copy(c, e.t.Unpack(pc))
 }
 
-func (e *packedTestEngine) ForwardMany(polys []ntt.Poly) {
-	for _, p := range polys {
-		e.Forward(p)
-	}
-}
-
 func (e *packedTestEngine) ForwardInto(dst, src ntt.Poly) {
 	copy(dst, src)
 	e.Forward(dst)

@@ -24,6 +24,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"sync"
 
 	"ringlwe/internal/gauss"
@@ -35,14 +36,15 @@ import (
 )
 
 // Params bundles every precomputed object one parameter set needs: the
-// modulus with its Barrett constants, the NTT twiddle tables, the Knuth-Yao
-// probability matrix and its lookup tables. Params are immutable after
-// construction and safe to share between goroutines; the stateful objects
-// (samplers, schemes) are created per source.
+// RNS basis with its per-channel Barrett constants and NTT twiddle tables,
+// the Knuth-Yao probability matrix and its lookup tables. Params are
+// immutable after construction and safe to share between goroutines; the
+// stateful objects (samplers, schemes) are created per source.
 type Params struct {
 	// Name identifies the set in output ("P1", "P2").
 	Name string
-	// N is the ring dimension, Q the modulus.
+	// N is the ring dimension. Q is the modulus of a one-channel set and
+	// 0 when K > 1, whose composite modulus overflows a word.
 	N int
 	Q uint32
 	// SNum/SDen give the Gaussian parameter s = σ·√(2π) as an exact
@@ -51,19 +53,20 @@ type Params struct {
 	// Sigma is the standard deviation of the error distribution.
 	Sigma float64
 
+	// Mod and Tables are channel 0's Barrett constants and twiddle tables
+	// when K = 1, nil otherwise: views into Basis for the single-modulus
+	// consumers (the Cortex-M4 model and the paper's tables).
 	Mod    *zq.Modulus
 	Tables *ntt.Tables
 	Matrix *gauss.Matrix
 
-	// Basis is the multi-modulus RNS decomposition, nil for the
-	// single-modulus sets. When set, Q is 0 and Mod/Tables are nil: the
-	// composite modulus and its per-channel precomputation live in the
-	// basis, and every code path dispatches on IsRNS (see rns.go).
+	// Basis is the residue decomposition every ring operation runs over:
+	// one channel for the paper sets P1/P2 and A1, three for B1 (see
+	// rns.go).
 	Basis *rns.Basis
 
-	// qFloat is the modulus as a float64 for the Gaussian noise model —
-	// float64(Q) for single-modulus sets, the composite q for RNS sets
-	// (which overflows uint32 by design).
+	// qFloat is the (composite) modulus as a float64 for the Gaussian
+	// noise model; for k > 1 it overflows uint32 by design.
 	qFloat float64
 
 	lut1, lut2 []uint8
@@ -81,35 +84,25 @@ type Params struct {
 	samplerCfg *sampler.Config
 }
 
-// NewParams validates and precomputes a parameter set. lambda is the
-// statistical-distance exponent for the sampler tables (the paper uses 90).
+// NewParams validates and precomputes a parameter set over one prime q:
+// the one-channel basis of NewRNSParams. lambda is the statistical-distance
+// exponent for the sampler tables (the paper uses 90).
 func NewParams(name string, n int, q uint32, sNum, sDen int64, lambda int) (*Params, error) {
-	mod, err := zq.NewModulus(q)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	tables, err := ntt.NewTables(mod, n)
+	return NewRNSParams(name, n, []uint32{q}, sNum, sDen, lambda)
+}
+
+// NewRNSParams validates and precomputes a parameter set over the given
+// residue primes (each ≡ 1 mod 2n, composite ≤ rns.MaxQBits bits). The
+// error distribution depends only on σ, not on the modulus, so the sampler
+// tables are the same for every basis.
+func NewRNSParams(name string, n int, moduli []uint32, sNum, sDen int64, lambda int) (*Params, error) {
+	basis, err := rns.NewBasis(n, moduli)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if n%8 != 0 {
 		return nil, fmt.Errorf("core: ring dimension %d must be a multiple of 8 for byte packing", n)
 	}
-	p, err := newGaussParams(name, n, sNum, sDen, lambda)
-	if err != nil {
-		return nil, err
-	}
-	p.Q, p.Mod, p.Tables = q, mod, tables
-	p.qFloat = float64(q)
-	p.maxAddends = computeMaxAddends(p)
-	return p, nil
-}
-
-// newGaussParams builds the modulus-independent half of a parameter set:
-// the error distribution's probability matrix and sampler lookup tables
-// (they depend only on σ). NewParams and NewRNSParams attach their
-// modulus machinery on top.
-func newGaussParams(name string, n int, sNum, sDen int64, lambda int) (*Params, error) {
 	sigma := (float64(sNum) / float64(sDen)) / math.Sqrt(2*math.Pi)
 	rows, cols := gauss.Size(sigma, lambda)
 	mat, err := gauss.NewMatrixFromS(sNum, sDen, rows, cols)
@@ -124,13 +117,20 @@ func newGaussParams(name string, n int, sNum, sDen int64, lambda int) (*Params, 
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Params{
+	p := &Params{
 		Name: name, N: n,
 		SNum: sNum, SDen: sDen, Sigma: sigma,
 		Matrix: mat,
+		Basis:  basis,
 		lut1:   lut1, lut2: lut2, maxFailD: maxD,
 		samplerCfg: &sampler.Config{Matrix: mat, LUT1: lut1, LUT2: lut2, MaxFailD: maxD},
-	}, nil
+	}
+	if basis.K == 1 {
+		p.Q, p.Mod, p.Tables = moduli[0], basis.Mods[0], basis.Tables[0]
+	}
+	p.qFloat, _ = new(big.Float).SetInt(basis.QBig).Float64()
+	p.maxAddends = computeMaxAddends(p)
+	return p, nil
 }
 
 // SamplerConfig returns the shared immutable state (matrix plus lookup
@@ -144,32 +144,25 @@ func (p *Params) NewSampler(src rng.Source) (*gauss.Sampler, error) {
 		gauss.WithPrebuiltLUTs(p.lut1, p.lut2, p.maxFailD))
 }
 
-// CoeffBits returns the serialized width of one coefficient (13 for P1, 14
-// for P2). For RNS sets it is the width of the widest residue row — rows
-// serialize at their own channel widths; see PolyBytes.
+// CoeffBits returns the serialized width of the widest residue row (13
+// for P1, 14 for P2); each row serializes at its own channel's width, see
+// PolyBytes.
 func (p *Params) CoeffBits() uint {
-	if p.Basis != nil {
-		w := uint(0)
-		for _, m := range p.Basis.Mods {
-			w = max(w, m.BitLen())
-		}
-		return w
+	w := uint(0)
+	for _, m := range p.Basis.Mods {
+		w = max(w, m.BitLen())
 	}
-	return p.Mod.BitLen()
+	return w
 }
 
-// PolyBytes returns the serialized size of one polynomial: the packed body
-// for single-modulus sets, or the concatenation of the byte-aligned
-// per-channel residue rows for RNS sets.
+// PolyBytes returns the serialized size of one polynomial: the
+// concatenation of its byte-aligned residue rows.
 func (p *Params) PolyBytes() int {
-	if p.Basis != nil {
-		total := 0
-		for i := 0; i < p.Basis.K; i++ {
-			total += p.rowBytes(i)
-		}
-		return total
+	total := 0
+	for i := 0; i < p.Basis.K; i++ {
+		total += p.rowBytes(i)
 	}
-	return (p.N*int(p.CoeffBits()) + 7) / 8
+	return total
 }
 
 // MessageBytes returns the plaintext size: one bit per ring coefficient.
@@ -245,7 +238,7 @@ var (
 // σ=11.31/√2π). The heavy precomputation runs once per process.
 func P1() *Params {
 	p1Once.Do(func() {
-		p, err := NewParams("P1", 256, 7681, 1131, 100, 90)
+		p, err := NewRNSParams("P1", 256, []uint32{7681}, 1131, 100, 90)
 		if err != nil {
 			panic(err)
 		}
@@ -258,7 +251,7 @@ func P1() *Params {
 // σ=12.18/√2π).
 func P2() *Params {
 	p2Once.Do(func() {
-		p, err := NewParams("P2", 512, 12289, 1218, 100, 90)
+		p, err := NewRNSParams("P2", 512, []uint32{12289}, 1218, 100, 90)
 		if err != nil {
 			panic(err)
 		}
@@ -275,7 +268,7 @@ func P2() *Params {
 // replacement. q = 12289 ≡ 1 (mod 512) keeps every NTT backend applicable.
 func A1() *Params {
 	a1Once.Do(func() {
-		p, err := NewParams("A1", 256, 12289, 800, 100, 90)
+		p, err := NewRNSParams("A1", 256, []uint32{12289}, 800, 100, 90)
 		if err != nil {
 			panic(err)
 		}

@@ -63,15 +63,11 @@ type aggStats struct {
 type Scheme struct {
 	Params *Params
 
-	// eng is the NTT backend every transform of this scheme runs through.
-	// All registered engines produce bit-identical results (the KATs hold
-	// under any of them); they differ in speed and allocation behaviour.
-	// nil for RNS parameter sets, which run through engs instead.
-	eng ntt.Engine
-
-	// engs holds one engine per residue channel for RNS parameter sets
-	// (resolved through the basis, shared immutably by every workspace's
-	// Runner); nil for single-modulus sets.
+	// engs holds the NTT backend of each residue channel, resolved and
+	// cached by the basis, so every scheme and every workspace Runner over
+	// one basis shares the same immutable instances. All registered
+	// engines produce bit-identical results (the KATs hold under any of
+	// them); they differ in speed and allocation behaviour.
 	engs []ntt.Engine
 
 	// smp is the registry name of the Gaussian sampler backend every
@@ -154,19 +150,7 @@ type Options struct {
 // (n < 16, or 4q > 2³¹). An empty or "auto" sampler name resolves to
 // sampler.Default. Explicit names always fail loudly.
 func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, error) {
-	var (
-		eng  ntt.Engine
-		engs []ntt.Engine
-		err  error
-	)
-	if params.IsRNS() {
-		// Per-channel resolution by the same rule, implemented by the
-		// basis (and cached there, so every scheme over one basis shares
-		// engine instances).
-		engs, err = params.Basis.ResolveEngines(opts.Engine)
-	} else {
-		eng, err = ntt.NewEngine(ntt.ResolveEngine(opts.Engine, params.Tables), params.Tables)
-	}
+	engs, err := params.Basis.ResolveEngines(opts.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -176,7 +160,6 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 	}
 	s := &Scheme{
 		Params:   params,
-		eng:      eng,
 		engs:     engs,
 		smp:      smpName,
 		ctDecode: opts.ConstantTimeDecode,
@@ -199,13 +182,8 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 }
 
 // Engine returns the registry name of the NTT backend this scheme runs on
-// (for RNS sets, the backend shared by every residue channel).
-func (s *Scheme) Engine() string {
-	if s.engs != nil {
-		return s.engs[0].Name()
-	}
-	return s.eng.Name()
-}
+// (shared by every residue channel).
+func (s *Scheme) Engine() string { return s.engs[0].Name() }
 
 // Sampler returns the registry name of the Gaussian sampler backend this
 // scheme's workspaces draw error polynomials from.
@@ -262,20 +240,13 @@ func (s *Scheme) GenerateKeysShared(a ntt.Poly) (*PublicKey, *PrivateKey, error)
 
 // Encode maps a message of MessageBytes bytes to the polynomial m̄ whose
 // coefficient i is ⌊q/2⌋·bit_i (bit i = bit i%8 of byte i/8).
+// For K > 1 the offset is added as its residue in every channel.
 func Encode(p *Params, msg []byte) (ntt.Poly, error) {
-	if p.IsRNS() {
-		return rnsEncode(p, msg)
-	}
 	if len(msg) != p.MessageBytes() {
-		return nil, fmt.Errorf("core: message is %d bytes, want %d", len(msg), p.MessageBytes())
+		return nil, errMessageSize(p, len(msg))
 	}
-	half := p.Q / 2
-	out := make(ntt.Poly, p.N)
-	for i := 0; i < p.N; i++ {
-		if msg[i/8]>>(i%8)&1 == 1 {
-			out[i] = half
-		}
-	}
+	out := p.newPoly()
+	addEncoded(p, out, msg)
 	return out, nil
 }
 
@@ -288,14 +259,14 @@ func Decode(p *Params, m ntt.Poly) []byte {
 }
 
 // DecodeInto is Decode writing into a caller-owned MessageBytes buffer.
+// A one-channel set tests the word-sized coefficient directly; K > 1
+// CRT-reconstructs each coefficient first.
 func DecodeInto(dst []byte, p *Params, m ntt.Poly) {
-	if p.IsRNS() {
-		rnsDecodeInto(dst, p, m)
+	if p.K() > 1 {
+		crtDecodeInto(dst, p, m)
 		return
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	for i := 0; i < p.N; i++ {
 		c := uint64(m[i])
 		if 4*c > uint64(p.Q) && 4*c < 3*uint64(p.Q) {
@@ -331,14 +302,14 @@ func (sk *PrivateKey) DecryptToPoly(ct *Ciphertext) (ntt.Poly, error) {
 	if ct.Params != p {
 		return nil, errors.New("core: ciphertext parameter set mismatch")
 	}
-	if p.IsRNS() {
-		return rnsDecryptToPoly(sk, ct)
+	// Engine-less: the basis tables' reference kernels, channel by channel.
+	m := p.newPoly()
+	for i, t := range p.Basis.Tables {
+		row := p.row(m, i)
+		t.PointwiseMul(row, p.row(ct.C1, i), p.row(sk.R2, i))
+		t.Add(row, row, p.row(ct.C2, i))
+		t.Inverse(row)
 	}
-	t := p.Tables
-	m := make(ntt.Poly, p.N)
-	t.PointwiseMul(m, ct.C1, sk.R2)
-	t.Add(m, m, ct.C2)
-	t.Inverse(m)
 	return m, nil
 }
 

@@ -10,17 +10,20 @@ import (
 	"ringlwe/internal/ntt"
 )
 
-// Serialization packs each coefficient into CoeffBits bits (13 for P1, 14
-// for P2), little-endian within the bit stream, matching the paper's
-// observation that coefficients fit in half words. A one-byte header tags
+// Serialization packs each coefficient into its channel's bit width (13
+// for P1, 14 for P2), little-endian within the bit stream, matching the
+// paper's observation that coefficients fit in half words. A polynomial
+// serializes as its residue rows in channel order, each byte-aligned, so
+// every row is independently parseable and range-checked; a one-channel
+// set's body is its single row. A one-byte header tags
 // the parameter set so mismatches fail loudly instead of decrypting noise.
 //
 // The wire layout is fixed; only the loops that move it are tuned. Like
 // the paper's half-word stores, packPoly and unpackPolyInto move a machine
 // word per coefficient rather than a bit: a 64-bit accumulator flushed as
 // whole bytes on the way out, one 64-bit load shifted and masked on the
-// way in. Every path — appendPolys, MarshalInto, the RNS rows and the
-// streaming chunks — runs through these two functions, and the tests
+// way in. Every path — appendPolys, MarshalInto and the streaming
+// chunks — runs through these two functions, and the tests
 // check them byte for byte against the original bit-at-a-time loops.
 
 // LegacyTag returns the one-byte parameter tag the legacy tagged format
@@ -41,27 +44,12 @@ func paramTag(p *Params) (byte, error) {
 		return 2, nil
 	case p.N == 256 && p.Q == 12289:
 		return 3, nil
-	case p.IsRNS() && p.N == 1024 && isB1Moduli(p.Basis.Moduli):
+	case p.N == 1024 && slices.Equal(p.Basis.Moduli, B1Moduli):
 		return 4, nil
 	default:
 		// Custom sets serialize with tag 0; the caller must know the params.
 		return 0, nil
 	}
-}
-
-// isB1Moduli reports whether moduli is exactly the B1 residue basis, so
-// the structural tag match above stays as strict as the N/Q matches of the
-// single-modulus sets.
-func isB1Moduli(moduli []uint32) bool {
-	if len(moduli) != len(B1Moduli) {
-		return false
-	}
-	for i, q := range B1Moduli {
-		if moduli[i] != q {
-			return false
-		}
-	}
-	return true
 }
 
 // grow extends dst by n bytes, returning the grown slice and the tail
@@ -76,13 +64,10 @@ func grow(dst []byte, n int) (grown, tail []byte) {
 
 // appendPolys appends the packed concatenation of polys to dst.
 func appendPolys(dst []byte, p *Params, polys ...ntt.Poly) []byte {
-	if p.IsRNS() {
-		return appendPolysRNS(dst, p, polys...)
-	}
 	pb := p.PolyBytes()
 	dst, tail := grow(dst, len(polys)*pb)
 	for i, poly := range polys {
-		packPoly(tail[i*pb:(i+1)*pb], poly, p.CoeffBits())
+		packPolyP(tail[i*pb:(i+1)*pb], p, poly)
 	}
 	return dst
 }
@@ -178,23 +163,25 @@ func ParsePublicKeyBody(p *Params, body []byte) (*PublicKey, error) {
 	return pk, nil
 }
 
-// unpackPolyP unpacks one packed polynomial body under p's layout: flat at
-// CoeffBits for single-modulus sets, per-channel rows for RNS sets.
+// unpackPolyP unpacks one packed polynomial body under p's layout: its
+// residue rows, each at its channel's width.
 func unpackPolyP(dst ntt.Poly, p *Params, src []byte) {
-	if p.IsRNS() {
-		unpackPolyRNSInto(dst, p, src)
-		return
+	off := 0
+	for i, m := range p.Basis.Mods {
+		rb := p.rowBytes(i)
+		unpackPolyInto(p.row(dst, i), src[off:off+rb], m.BitLen())
+		off += rb
 	}
-	unpackPolyInto(dst, src, p.CoeffBits())
 }
 
 // packPolyP is the packing counterpart of unpackPolyP.
 func packPolyP(dst []byte, p *Params, poly ntt.Poly) {
-	if p.IsRNS() {
-		packPolyRNS(dst, p, poly)
-		return
+	off := 0
+	for i, m := range p.Basis.Mods {
+		rb := p.rowBytes(i)
+		packPoly(dst[off:off+rb], p.row(poly, i), m.BitLen())
+		off += rb
 	}
-	packPoly(dst, poly, p.CoeffBits())
 }
 
 // ParsePublicKey reverses PublicKey.Bytes under the given parameters.
@@ -311,9 +298,9 @@ func ParseCiphertextBodyInto(ct *Ciphertext, body []byte) error {
 	return nil
 }
 
-// Streaming body I/O. The packed format groups eight coefficients into
-// CoeffBits whole bytes, so any multiple of eight coefficients starts on a
-// byte boundary; the writers and readers below exploit that to move bodies
+// Streaming body I/O. The packed format groups eight coefficients of a
+// row into width whole bytes, so any multiple of eight coefficients starts
+// on a byte boundary; the writers and readers below exploit that to move bodies
 // through a small stack chunk instead of materializing the whole blob —
 // the seam behind the public io.WriterTo/io.ReaderFrom implementations.
 
@@ -333,26 +320,26 @@ const streamChunkBufSize = streamChunkCoeffs / 8 * 32
 var streamChunkPool = sync.Pool{New: func() any { return new([streamChunkBufSize]byte) }}
 
 // writePolysTo writes the packed concatenation of polys to w chunk by
-// chunk, returning the byte count written. It allocates no slice
-// proportional to the body.
+// chunk, row by row at each channel's width, returning the byte count
+// written. It allocates no slice proportional to the body.
 func writePolysTo(w io.Writer, p *Params, polys ...ntt.Poly) (int64, error) {
-	if p.IsRNS() {
-		return writePolysToRNS(w, p, polys...)
-	}
 	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
 	defer streamChunkPool.Put(buf)
-	width := p.CoeffBits()
 	var written int64
 	for _, poly := range polys {
-		for off := 0; off < len(poly); off += streamChunkCoeffs {
-			end := min(off+streamChunkCoeffs, len(poly))
-			nb := (end - off) / 8 * int(width)
-			chunk := buf[:nb]
-			packPoly(chunk, poly[off:end], width)
-			n, err := w.Write(chunk)
-			written += int64(n)
-			if err != nil {
-				return written, err
+		for i, m := range p.Basis.Mods {
+			width := m.BitLen()
+			row := p.row(poly, i)
+			for off := 0; off < len(row); off += streamChunkCoeffs {
+				end := min(off+streamChunkCoeffs, len(row))
+				nb := (end - off) / 8 * int(width)
+				chunk := buf[:nb]
+				packPoly(chunk, row[off:end], width)
+				n, err := w.Write(chunk)
+				written += int64(n)
+				if err != nil {
+					return written, err
+				}
 			}
 		}
 	}
@@ -363,23 +350,23 @@ func writePolysTo(w io.Writer, p *Params, polys ...ntt.Poly) (int64, error) {
 // returning the byte count consumed. Coefficients are range-checked after
 // each poly completes, as the one-shot parsers do.
 func readPolysFrom(r io.Reader, p *Params, polys ...ntt.Poly) (int64, error) {
-	if p.IsRNS() {
-		return readPolysFromRNS(r, p, polys...)
-	}
 	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
 	defer streamChunkPool.Put(buf)
-	width := p.CoeffBits()
 	var read int64
 	for _, poly := range polys {
-		for off := 0; off < len(poly); off += streamChunkCoeffs {
-			end := min(off+streamChunkCoeffs, len(poly))
-			nb := (end - off) / 8 * int(width)
-			n, err := io.ReadFull(r, buf[:nb])
-			read += int64(n)
-			if err != nil {
-				return read, err
+		for i, m := range p.Basis.Mods {
+			width := m.BitLen()
+			row := p.row(poly, i)
+			for off := 0; off < len(row); off += streamChunkCoeffs {
+				end := min(off+streamChunkCoeffs, len(row))
+				nb := (end - off) / 8 * int(width)
+				n, err := io.ReadFull(r, buf[:nb])
+				read += int64(n)
+				if err != nil {
+					return read, err
+				}
+				unpackPolyInto(row[off:end], buf[:nb], width)
 			}
-			unpackPolyInto(poly[off:end], buf[:nb], width)
 		}
 		if err := checkRange(p, poly); err != nil {
 			return read, err
@@ -454,14 +441,16 @@ func checkBlob(p *Params, data []byte, polys int) error {
 	return nil
 }
 
+// checkRange enforces per-row canonicity: row i's coefficients must be
+// below qᵢ. Oversized residues would smuggle non-canonical values through
+// the CRT (or, for one channel, past the threshold decoder).
 func checkRange(p *Params, polys ...ntt.Poly) error {
-	if p.IsRNS() {
-		return checkRangeRNS(p, polys...)
-	}
 	for _, poly := range polys {
-		for i, c := range poly {
-			if c >= p.Q {
-				return fmt.Errorf("coefficient %d out of range: %d ≥ q", i, c)
+		for i, qi := range p.Basis.Moduli {
+			for j, c := range p.row(poly, i) {
+				if c >= qi {
+					return fmt.Errorf("residue row %d coefficient %d out of range: %d ≥ q%d", i, j, c, i+1)
+				}
 			}
 		}
 	}

@@ -29,17 +29,14 @@ type Workspace struct {
 	sampler sampler.Engine
 	uniform *rng.BitPool
 
-	// runner schedules the per-channel transforms of an RNS scheme (its
-	// job slots and WaitGroup are single-caller state, hence per
-	// workspace); nil for single-modulus sets.
+	// runner schedules every ring operation over the residue channels
+	// (inline for one channel; its job slots and WaitGroup are
+	// single-caller state, hence per workspace).
 	runner *ntt.Runner
 
 	// Scratch polynomials: the three error polynomials of one encryption.
-	// DecryptInto reuses e1 as its accumulator. errs aliases all three as
-	// the reusable ForwardMany batch, so the fused transform takes a
-	// workspace-owned slice and stays allocation-free.
+	// DecryptInto reuses e1 as its accumulator.
 	e1, e2, e3 ntt.Poly
-	errs       []ntt.Poly
 
 	// flushed snapshots the sampler counters at the last flushStats, so
 	// aggregation adds only the delta.
@@ -57,23 +54,20 @@ func newWorkspace(s *Scheme, src rng.Source) (*Workspace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	runner, err := ntt.NewRunner(s.engs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	p := s.Params
-	w := &Workspace{
+	return &Workspace{
 		scheme:  s,
 		sampler: smp,
 		uniform: rng.NewBitPool(src),
+		runner:  runner,
 		e1:      p.newPoly(),
 		e2:      p.newPoly(),
 		e3:      p.newPoly(),
-	}
-	w.errs = []ntt.Poly{w.e1, w.e2, w.e3}
-	if p.IsRNS() {
-		w.runner, err = ntt.NewRunner(s.engs)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	return w, nil
+	}, nil
 }
 
 // Params returns the workspace's parameter set.
@@ -93,24 +87,26 @@ func (w *Workspace) flushStats() {
 	w.flushed = now
 }
 
-// UniformPolyInto fills dst with independent uniform coefficients in [0, q)
-// by rejection from CoeffBits-bit strings (no modulo bias).
+// UniformPolyInto fills dst with independent uniform coefficients in [0, q):
+// each residue row is uniform mod its channel prime by rejection from
+// BitLen-bit strings (no modulo bias), which by CRT is exactly uniform
+// over the composite ring.
 func (w *Workspace) UniformPolyInto(dst ntt.Poly) {
 	p := w.scheme.Params
 	if len(dst) != p.polyLen() {
 		panic("core: UniformPolyInto length mismatch")
 	}
-	if p.IsRNS() {
-		w.rnsUniformPolyInto(dst)
-		return
-	}
-	bits := p.CoeffBits()
-	for i := range dst {
-		for {
-			v := w.uniform.Bits(bits)
-			if v < p.Q {
-				dst[i] = v
-				break
+	b := p.Basis
+	for i, qi := range b.Moduli {
+		bits := b.Mods[i].BitLen()
+		row := p.row(dst, i)
+		for j := range row {
+			for {
+				v := w.uniform.Bits(bits)
+				if v < qi {
+					row[j] = v
+					break
+				}
 			}
 		}
 	}
@@ -123,15 +119,30 @@ func (w *Workspace) UniformPoly() ntt.Poly {
 	return out
 }
 
-// errorPolyInto fills dst with one X_σ error polynomial, reduced mod q,
-// through the scheme's selected sampler backend (per residue channel for
-// RNS sets).
+// errorPolyInto fills dst with one X_σ error polynomial through the
+// scheme's selected sampler backend: the sampler draws the signed values
+// once, reduced mod q₁ into row 0 (negatives as q₁−|e|), then each further
+// row re-reduces the same signed value mod its own channel prime. Error
+// magnitudes are bounded by the sampler's tail cut (≪ q₁/2), so the sign
+// test v > q₁/2 is exact.
 func (w *Workspace) errorPolyInto(dst ntt.Poly) {
-	if w.scheme.Params.IsRNS() {
-		w.rnsErrorPolyInto(dst)
-		return
+	p := w.scheme.Params
+	b := p.Basis
+	row0 := p.row(dst, 0)
+	q1 := b.Moduli[0]
+	w.sampler.SamplePolyInto(row0, q1)
+	half := q1 / 2
+	for i := 1; i < b.K; i++ {
+		qi := b.Moduli[i]
+		row := p.row(dst, i)
+		for j, v := range row0 {
+			if v > half {
+				row[j] = qi - (q1 - v)
+			} else {
+				row[j] = v
+			}
+		}
 	}
-	w.sampler.SamplePolyInto(dst, w.scheme.Params.Q)
 }
 
 // UniformRandom16 returns 16 uniform random bits from the workspace's
@@ -164,39 +175,39 @@ func (w *Workspace) GenerateKeys() (*PublicKey, *PrivateKey, error) {
 // their polynomials; only r1 lives in workspace scratch.
 func (w *Workspace) GenerateKeysShared(a ntt.Poly) (*PublicKey, *PrivateKey, error) {
 	p := w.scheme.Params
-	if p.IsRNS() {
-		return w.rnsGenerateKeysShared(a)
+	if len(a) != p.polyLen() {
+		return nil, nil, fmt.Errorf("core: ã has %d coefficients, want %d", len(a), p.polyLen())
 	}
-	if len(a) != p.N {
-		return nil, nil, fmt.Errorf("core: ã has %d coefficients, want %d", len(a), p.N)
-	}
-	t := p.Tables
-	eng := w.scheme.eng
+	r := w.runner
 
 	r1 := w.e1 // scratch: consumed by the p̃ computation below
 	w.errorPolyInto(r1)
-	r2 := make(ntt.Poly, p.N) // retained as the private key
+	r2 := p.newPoly() // retained as the private key
 	w.errorPolyInto(r2)
-	eng.Forward(r1)
-	eng.Forward(r2)
+	r.ForwardAll(r1)
+	r.ForwardAll(r2)
 
-	pk := &PublicKey{Params: p, A: append(ntt.Poly(nil), a...), P: make(ntt.Poly, p.N)}
-	eng.PointwiseMul(pk.P, pk.A, r2)
-	t.Sub(pk.P, r1, pk.P) // p̃ = r̃1 − ã∘r̃2
+	pk := &PublicKey{Params: p, A: append(ntt.Poly(nil), a...), P: p.newPoly()}
+	r.MulAll(pk.P, pk.A, r2)
+	r.SubAll(pk.P, r1, pk.P) // p̃ = r̃1 − ã∘r̃2
 
 	sk := &PrivateKey{Params: p, R2: r2}
 	w.flushStats()
 	return pk, sk, nil
 }
 
-// addEncoded adds ⌊q/2⌋ to every coefficient whose message bit is set —
-// the Encode step fused into the e3 error polynomial, allocation-free.
+// addEncoded adds ⌊q/2⌋ to every coefficient whose message bit is set, as
+// its residue in each channel — the Encode step fused into the e3 error
+// polynomial, allocation-free.
 func addEncoded(p *Params, dst ntt.Poly, msg []byte) {
-	half := p.Q / 2
-	m := p.Mod
-	for i := 0; i < p.N; i++ {
-		if msg[i/8]>>(i%8)&1 == 1 {
-			dst[i] = m.Add(dst[i], half)
+	b := p.Basis
+	for i, mod := range b.Mods {
+		half := b.HalfQRes(i)
+		row := p.row(dst, i)
+		for j := range row {
+			if msg[j/8]>>(j%8)&1 == 1 {
+				row[j] = mod.Add(row[j], half)
+			}
 		}
 	}
 }
@@ -215,13 +226,9 @@ func (w *Workspace) EncryptInto(ct *Ciphertext, pk *PublicKey, msg []byte) error
 		return errors.New("core: ciphertext buffer parameter set mismatch")
 	}
 	if len(msg) != p.MessageBytes() {
-		return fmt.Errorf("core: message is %d bytes, want %d", len(msg), p.MessageBytes())
+		return errMessageSize(p, len(msg))
 	}
-	if p.IsRNS() {
-		return w.rnsEncryptInto(ct, pk, msg)
-	}
-	t := p.Tables
-	eng := w.scheme.eng
+	r := w.runner
 
 	w.errorPolyInto(w.e1)
 	w.errorPolyInto(w.e2)
@@ -233,18 +240,16 @@ func (w *Workspace) EncryptInto(ct *Ciphertext, pk *PublicKey, msg []byte) error
 	} else {
 		addEncoded(p, w.e3, msg)
 	}
-	// The three forward transforms of one encryption, fused exactly as the
-	// paper's parallel NTT (and the instrumented Cortex-M4F model) fuses
-	// them — through the generalized batch transform over the
-	// workspace-owned slice, so the batch layer's workers amortize the
-	// twiddle loads without allocating.
-	eng.ForwardMany(w.errs)
+	// The three forward transforms of one encryption, fused per channel
+	// exactly as the paper's parallel-3 NTT (and the instrumented
+	// Cortex-M4F model) fuses them.
+	r.ForwardThreeAll(w.e1, w.e2, w.e3)
 
-	eng.PointwiseMul(ct.C1, pk.A, w.e1)
-	t.Add(ct.C1, ct.C1, w.e2) // c̃1 = ã∘ẽ1 + ẽ2
-	eng.PointwiseMul(ct.C2, pk.P, w.e1)
-	t.Add(ct.C2, ct.C2, w.e3) // c̃2 = p̃∘ẽ1 + NTT(e3+m̄)
-	ct.Addends = 1            // fresh encryption: one noise unit
+	r.MulAll(ct.C1, pk.A, w.e1)
+	r.AddAll(ct.C1, ct.C1, w.e2) // c̃1 = ã∘ẽ1 + ẽ2
+	r.MulAll(ct.C2, pk.P, w.e1)
+	r.AddAll(ct.C2, ct.C2, w.e3) // c̃2 = p̃∘ẽ1 + NTT(e3+m̄)
+	ct.Addends = 1               // fresh encryption: one noise unit
 	w.flushStats()
 	return nil
 }
@@ -273,15 +278,11 @@ func (w *Workspace) DecryptInto(dst []byte, sk *PrivateKey, ct *Ciphertext) erro
 	if len(dst) != p.MessageBytes() {
 		return fmt.Errorf("core: message buffer is %d bytes, want %d", len(dst), p.MessageBytes())
 	}
-	if p.IsRNS() {
-		return w.rnsDecryptInto(dst, sk, ct)
-	}
-	t := p.Tables
-	eng := w.scheme.eng
+	r := w.runner
 	m := w.e1
-	eng.PointwiseMul(m, ct.C1, sk.R2)
-	t.Add(m, m, ct.C2)
-	eng.Inverse(m)
+	r.MulAll(m, ct.C1, sk.R2)
+	r.AddAll(m, m, ct.C2)
+	r.InverseAll(m)
 	if w.scheme.ctDecode {
 		DecodeConstantTimeInto(dst, p, m)
 	} else {

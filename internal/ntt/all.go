@@ -14,9 +14,9 @@ import (
 // independent single-modulus operations, one per residue channel. A Runner
 // owns one Engine per channel and fans the rows out over the shared
 // persistent worker pool (internal/par), falling back to an inline serial
-// loop when the fan-out cannot pay for itself: k == 1 (the existing
-// single-modulus parameter sets never touch the pool and cannot regress),
-// a single-core GOMAXPROCS, or rows below a size threshold.
+// loop when the fan-out cannot pay for itself: k == 1 (the one-channel
+// paper sets never touch the pool), a single-core GOMAXPROCS, rows below a
+// size threshold, or a memory-bound coefficient-wise sum or difference.
 //
 // A Runner is single-caller state (its job slots and WaitGroup are reused
 // across calls to stay allocation-free), so each core.Workspace owns one —
@@ -126,13 +126,19 @@ func (r *Runner) Engines() []Engine { return r.engs }
 // row returns channel i's view of a flat residue polynomial.
 func (r *Runner) row(a Poly, i int) Poly { return a[i*r.n : (i+1)*r.n] }
 
-// parallel reports whether this call should fan out over the pool.
-func (r *Runner) parallel() bool {
+// parallel reports whether a call of op should fan out over the pool.
+// Sums and differences are memory-bound: at B1's shape (n=1024, k=3) the
+// pool round trip costs more than the rows themselves (BenchmarkRNSAddAll),
+// so they run inline unless forced.
+func (r *Runner) parallel(op allOp) bool {
 	if len(r.engs) == 1 || r.ForceSerial {
 		return false
 	}
 	if r.ForceParallel {
 		return true
+	}
+	if op == opAdd || op == opSub {
+		return false
 	}
 	return r.n >= parallelMinN && runtime.GOMAXPROCS(0) > 1
 }
@@ -141,7 +147,7 @@ func (r *Runner) parallel() bool {
 // shared pool, or inline when the fan-out would not pay.
 func (r *Runner) dispatch() {
 	k := len(r.engs)
-	if !r.parallel() {
+	if !r.parallel(r.jobs[0].op) {
 		for i := 0; i < k; i++ {
 			r.jobs[i].Run()
 		}
@@ -197,8 +203,8 @@ func (r *Runner) MulAll(c, a, b Poly) {
 	r.dispatch()
 }
 
-// AddAll sets c = a + b per channel. Addition is memory-bound, so it only
-// takes the pool path under ForceParallel or a genuinely large row.
+// AddAll sets c = a + b per channel. Addition is memory-bound, so it runs
+// inline unless ForceParallel is set.
 func (r *Runner) AddAll(c, a, b Poly) {
 	for i := range r.engs {
 		r.jobs[i].op = opAdd
@@ -209,7 +215,7 @@ func (r *Runner) AddAll(c, a, b Poly) {
 	r.dispatch()
 }
 
-// SubAll sets c = a - b per channel.
+// SubAll sets c = a - b per channel, inline like AddAll.
 func (r *Runner) SubAll(c, a, b Poly) {
 	for i := range r.engs {
 		r.jobs[i].op = opSub

@@ -95,3 +95,29 @@ func BenchmarkRNSMulAll(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRNSAddAll measures the coefficient-wise sum schedule at B1's
+// shape (n=1024, k=3), serial vs parallel dispatch. Addition is
+// memory-bound, so this lane decides whether AddAll should fan out at all.
+func BenchmarkRNSAddAll(b *testing.B) {
+	const k = 3
+	for _, mode := range []struct {
+		name  string
+		force bool
+	}{{"serial", false}, {"parallel", true}} {
+		b.Run(fmt.Sprintf("k=%d/%s", k, mode.name), func(b *testing.B) {
+			r := benchRunner(b, k)
+			r.ForceParallel = mode.force
+			r.ForceSerial = !mode.force
+			rng := rand.New(rand.NewSource(3))
+			x := randResidues(rng, r)
+			y := randResidues(rng, r)
+			c := make(Poly, len(x))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.AddAll(c, x, y)
+			}
+		})
+	}
+}

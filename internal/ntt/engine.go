@@ -34,11 +34,6 @@ type Engine interface {
 	// ForwardThree applies Forward to a, b and c in one fused pass (the
 	// paper's parallel-3 NTT; the encryption hot path).
 	ForwardThree(a, b, c Poly)
-	// ForwardMany applies Forward to every polynomial in one fused pass —
-	// the parallel NTT generalized to any batch width, amortizing the
-	// twiddle loads across the batch. Implementations must not retain the
-	// slice, so stack-built arguments stay allocation-free.
-	ForwardMany(polys []Poly)
 
 	// PointwiseMul sets c = a ∘ b; aliasing among arguments is allowed.
 	PointwiseMul(c, a, b Poly)
@@ -148,7 +143,6 @@ func (e *barrettEngine) Tables() *Tables           { return e.t }
 func (e *barrettEngine) Forward(a Poly)            { e.t.Forward(a) }
 func (e *barrettEngine) Inverse(a Poly)            { e.t.Inverse(a) }
 func (e *barrettEngine) ForwardThree(a, b, c Poly) { e.t.ForwardThree(a, b, c) }
-func (e *barrettEngine) ForwardMany(polys []Poly)  { e.t.ForwardMany(polys) }
 func (e *barrettEngine) PointwiseMul(c, a, b Poly) { e.t.PointwiseMul(c, a, b) }
 func (e *barrettEngine) PointwiseMulAdd(acc, a, b Poly) {
 	e.t.PointwiseMulAdd(acc, a, b)

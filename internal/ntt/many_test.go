@@ -32,37 +32,31 @@ func randomPolys(tb *Tables, count int, seed uint64) []Poly {
 	return polys
 }
 
-// TestForwardManyMatchesForward pins ForwardMany to repeated Forward on
-// every engine, across batch widths from the empty batch through widths
-// past the fused-three special case.
+// TestForwardManyMatchesForward pins the Tables' fused batch transform to
+// repeated Forward, across batch widths from the empty batch through
+// widths past the fused-three case.
 func TestForwardManyMatchesForward(t *testing.T) {
 	tb := manyTestTables(t)
-	for _, name := range EngineNames() {
-		eng, err := NewEngine(name, tb)
-		if err != nil {
-			t.Fatal(err)
+	for _, count := range []int{0, 1, 2, 3, 4, 5, 8} {
+		got := randomPolys(tb, count, uint64(100+count))
+		want := randomPolys(tb, count, uint64(100+count))
+		tb.ForwardMany(got)
+		for i := range want {
+			tb.Forward(want[i])
 		}
-		for _, count := range []int{0, 1, 2, 3, 4, 5, 8} {
-			got := randomPolys(tb, count, uint64(100+count))
-			want := randomPolys(tb, count, uint64(100+count))
-			eng.ForwardMany(got)
-			for i := range want {
-				eng.Forward(want[i])
-			}
-			for i := range want {
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("%s count=%d poly %d coeff %d: ForwardMany %d, Forward %d",
-							name, count, i, j, got[i][j], want[i][j])
-					}
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("count=%d poly %d coeff %d: ForwardMany %d, Forward %d",
+						count, i, j, got[i][j], want[i][j])
 				}
 			}
 		}
 	}
 }
 
-// TestForwardThreeMatchesForwardMany pins the delegation: the historical
-// fused-three entry point and a width-3 ForwardMany are bit-identical.
+// TestForwardThreeMatchesForwardMany pins every engine's fused three-way
+// transform to the Tables' width-3 batch transform, bit for bit.
 func TestForwardThreeMatchesForwardMany(t *testing.T) {
 	tb := manyTestTables(t)
 	for _, name := range EngineNames() {
@@ -73,7 +67,7 @@ func TestForwardThreeMatchesForwardMany(t *testing.T) {
 		a := randomPolys(tb, 3, 7)
 		b := randomPolys(tb, 3, 7)
 		eng.ForwardThree(a[0], a[1], a[2])
-		eng.ForwardMany(b)
+		tb.ForwardMany(b)
 		for i := range a {
 			for j := range a[i] {
 				if a[i][j] != b[i][j] {
@@ -85,11 +79,10 @@ func TestForwardThreeMatchesForwardMany(t *testing.T) {
 	}
 }
 
-// TestForwardManyZeroAllocShoup pins the hot-path contract: driving a
-// caller-held batch slice through the Shoup engine allocates nothing (the
-// encrypt path reuses one workspace-owned slice this way; a slice literal
-// built at an interface call site would escape).
-func TestForwardManyZeroAllocShoup(t *testing.T) {
+// TestForwardThreeZeroAllocShoup pins the hot-path contract: the Shoup
+// engine's fused pass builds its batch on the stack, so driving it through
+// the Engine interface allocates nothing.
+func TestForwardThreeZeroAllocShoup(t *testing.T) {
 	tb := manyTestTables(t)
 	eng, err := NewEngine("shoup", tb)
 	if err != nil {
@@ -97,19 +90,19 @@ func TestForwardManyZeroAllocShoup(t *testing.T) {
 	}
 	polys := randomPolys(tb, 3, 9)
 	allocs := testing.AllocsPerRun(20, func() {
-		eng.ForwardMany(polys)
+		eng.ForwardThree(polys[0], polys[1], polys[2])
 	})
 	if allocs != 0 {
-		t.Fatalf("ForwardMany allocates %.1f/op, want 0", allocs)
+		t.Fatalf("ForwardThree allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestForwardManyConcurrent shares one engine instance across goroutines
-// each transforming its own batch — the workspace concurrency model.
+// TestForwardThreeConcurrent shares one engine instance across goroutines
+// each transforming its own triple — the workspace concurrency model.
 // Engines must be stateless after construction (tables are read-only), so
 // this is race-free; the CI race detector holds every backend to it,
 // including the vector engine's lane-block kernels.
-func TestForwardManyConcurrent(t *testing.T) {
+func TestForwardThreeConcurrent(t *testing.T) {
 	tb := manyTestTables(t)
 	const workers = 8
 	for _, name := range EngineNames() {
@@ -129,7 +122,7 @@ func TestForwardManyConcurrent(t *testing.T) {
 		done := make(chan int, workers)
 		for w := 0; w < workers; w++ {
 			go func(w int) {
-				eng.ForwardMany(got[w])
+				eng.ForwardThree(got[w][0], got[w][1], got[w][2])
 				done <- w
 			}(w)
 		}
@@ -149,17 +142,21 @@ func TestForwardManyConcurrent(t *testing.T) {
 	}
 }
 
-// TestForwardManyLengthPanics pins the length validation.
-func TestForwardManyLengthPanics(t *testing.T) {
+// TestForwardThreeLengthPanics pins the length validation on every engine.
+func TestForwardThreeLengthPanics(t *testing.T) {
 	tb := manyTestTables(t)
-	eng, err := NewEngine("shoup", tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ForwardMany with a short polynomial did not panic")
+	for _, name := range EngineNames() {
+		eng, err := NewEngine(name, tb)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	eng.ForwardMany([]Poly{make(Poly, tb.N), make(Poly, tb.N-1)})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ForwardThree with a short polynomial did not panic", name)
+				}
+			}()
+			eng.ForwardThree(make(Poly, tb.N), make(Poly, tb.N), make(Poly, tb.N-1))
+		}()
+	}
 }

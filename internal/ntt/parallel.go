@@ -18,11 +18,9 @@ func (t *Tables) ForwardThree(a, b, c Poly) {
 }
 
 // ForwardMany applies Forward to every polynomial in a single fused pass —
-// the parallel-3 NTT generalized to any batch width, so a batch layer can
-// amortize the twiddle loads and loop bookkeeping over the whole batch
-// rather than one encryption's three polynomials. The result is identical
-// to len(polys) separate Forward calls. The slice is only iterated, so a
-// stack-built argument does not allocate.
+// the parallel-3 NTT at any batch width, ForwardThree being its width-3
+// case. The result is identical to len(polys) separate Forward calls. The
+// slice is only iterated, so a stack-built argument does not allocate.
 func (t *Tables) ForwardMany(polys []Poly) {
 	for _, p := range polys {
 		if len(p) != t.N {

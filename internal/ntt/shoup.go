@@ -178,22 +178,16 @@ func (e *ShoupEngine) Forward(a Poly) {
 }
 
 // ForwardThree implements Engine: the paper's parallel-3 NTT with Shoup
-// butterflies, a fixed-width case of ForwardMany.
+// butterflies — the twiddle and its Shoup companion are loaded once per
+// butterfly group and reused across all three polynomials, each riding the
+// lazy [0, 2q) domain until one final normalization sweep. The batch slice
+// stays on the stack, so the fused pass allocates nothing.
 func (e *ShoupEngine) ForwardThree(a, b, c Poly) {
-	e.ForwardMany([]Poly{a, b, c})
-}
-
-// ForwardMany implements Engine: the fused parallel NTT at any batch width
-// — the twiddle and its Shoup companion are loaded once per butterfly
-// group and reused across every polynomial, all of them riding the lazy
-// [0, 2q) domain until one final normalization sweep each.
-func (e *ShoupEngine) ForwardMany(polys []Poly) {
 	n := e.t.N
-	for _, p := range polys {
-		if len(p) != n {
-			panic("ntt: ForwardMany length mismatch")
-		}
+	if len(a) != n || len(b) != n || len(c) != n {
+		panic("ntt: ForwardThree length mismatch")
 	}
+	polys := []Poly{a, b, c}
 	m, twoQ := e.t.M, e.twoQ
 	step := n
 	for half := 1; half < n; half <<= 1 {

@@ -465,20 +465,6 @@ func (e *VectorEngine) ForwardThree(a, b, c Poly) {
 	e.Forward(c)
 }
 
-// ForwardMany implements Engine; see ForwardThree for why the batch is
-// processed polynomial by polynomial rather than interleaved.
-func (e *VectorEngine) ForwardMany(polys []Poly) {
-	n := e.t.N
-	for _, p := range polys {
-		if len(p) != n {
-			panic("ntt: ForwardMany length mismatch")
-		}
-	}
-	for _, p := range polys {
-		vecForward(e, p)
-	}
-}
-
 // PointwiseMul implements Engine with the Shoup engine's fused lazy
 // handling: the left operand folds canonical on the fly, so lazy inputs
 // are accepted and the output is canonical.

@@ -10,7 +10,7 @@ import (
 )
 
 // The vector engine's correctness is pinned primarily by the shared
-// registry tests (TestEnginesMatchBarrett, TestForwardManyMatchesForward,
+// registry tests (TestEnginesMatchBarrett, TestForwardThreeMatchesForward,
 // TestEngineOutputsCanonical, FuzzEngineMulDifferential), which iterate
 // every registered backend. This file covers what those cannot: the
 // construction gates, the default-resolution rule built on them, and the
@@ -175,7 +175,7 @@ func TestVectorZeroAlloc(t *testing.T) {
 		}{
 			{"Forward", func() { e.Forward(a) }},
 			{"Inverse", func() { e.Inverse(a) }},
-			{"ForwardMany", func() { e.ForwardMany(batch) }},
+			{"ForwardThree", func() { e.ForwardThree(batch[0], batch[1], batch[2]) }},
 			{"PointwiseMul", func() { e.PointwiseMul(dst, a, batch[0]) }},
 			{"MulInto", func() { e.MulInto(dst, a, batch[0], scratch) }},
 		} {
@@ -187,7 +187,7 @@ func TestVectorZeroAlloc(t *testing.T) {
 }
 
 // TestVectorConcurrentShared has eight goroutines share one vector engine
-// (AVX2-backed on an AVX2 host) through ForwardMany and Inverse, each on
+// (AVX2-backed on an AVX2 host) through ForwardThree and Inverse, each on
 // its own polynomials, and checks every result against barrett. Run under
 // -race it also pins that the engine's tables are read-only after
 // construction.
@@ -214,10 +214,10 @@ func TestVectorConcurrentShared(t *testing.T) {
 					want[i] = append(Poly(nil), p...)
 					oracle.Forward(want[i])
 				}
-				e.ForwardMany(batch)
+				e.ForwardThree(batch[0], batch[1], batch[2])
 				for i := range batch {
 					if !reflect.DeepEqual(batch[i], want[i]) {
-						t.Errorf("worker %d round %d: ForwardMany poly %d differs from barrett", w, round, i)
+						t.Errorf("worker %d round %d: ForwardThree poly %d differs from barrett", w, round, i)
 						return
 					}
 					oracle.Inverse(want[i])

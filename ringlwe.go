@@ -43,6 +43,8 @@
 package ringlwe
 
 import (
+	"fmt"
+
 	"ringlwe/internal/core"
 )
 
@@ -83,6 +85,11 @@ func B1() *Params { return &Params{inner: core.B1()} }
 // rational. Intended for experiments; prefer B1. To serialize objects of
 // the set self-describingly, claim an ID with RegisterParams.
 func CustomRNS(name string, n int, moduli []uint32, sNum, sDen int64) (*Params, error) {
+	if len(moduli) < 2 {
+		// The basis would accept one prime, but the set would then be
+		// Custom's under another name, with IsRNS false.
+		return nil, fmt.Errorf("ringlwe: CustomRNS needs 2–4 moduli, got %d; use Custom for a single modulus", len(moduli))
+	}
 	p, err := core.NewRNSParams(name, n, moduli, sNum, sDen, 90)
 	if err != nil {
 		return nil, err
@@ -130,12 +137,7 @@ func (p *Params) Moduli() []uint32 {
 
 // QBits returns the bit length of the coefficient modulus — the composite
 // product for RNS sets (87 for B1), the single prime's length otherwise.
-func (p *Params) QBits() int {
-	if p.inner.IsRNS() {
-		return p.inner.Basis.QBits
-	}
-	return int(p.inner.Mod.BitLen())
-}
+func (p *Params) QBits() int { return p.inner.Basis.QBits }
 
 // Sigma returns the Gaussian standard deviation.
 func (p *Params) Sigma() float64 { return p.inner.Sigma }
