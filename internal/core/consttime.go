@@ -72,13 +72,16 @@ func AddEncodedConstantTime(p *Params, dst ntt.Poly, msg []byte) {
 		half := b.HalfQRes(i)
 		q := uint64(qi)
 		row := p.row(dst, i)
-		for j := range row {
-			bit := uint32(msg[j/8]>>(j%8)) & 1
-			s := uint64(row[j]) + uint64(half&-bit)
-			// Reduce s into [0, q): subtract q when s ≥ q, branchlessly.
-			// ge = 1 iff s ≥ q (s < 2q here, so one conditional subtract).
-			ge := 1 - (s-q)>>63
-			row[j] = uint32(s - q*ge)
+		for k, m := range msg {
+			c := row[8*k : 8*k+8]
+			for j := range c {
+				bit := uint32(m>>j) & 1
+				s := uint64(c[j]) + uint64(half&-bit)
+				// Reduce s into [0, q): subtract q when s ≥ q, branchlessly.
+				// ge = 1 iff s ≥ q (s < 2q here, so one conditional subtract).
+				ge := 1 - (s-q)>>63
+				c[j] = uint32(s - q*ge)
+			}
 		}
 	}
 }

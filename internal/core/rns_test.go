@@ -51,6 +51,50 @@ func TestB1Params(t *testing.T) {
 	}
 }
 
+// TestOneChannelBases pins the single ring path: the paper sets and A1
+// are one-channel bases whose Q/Mod/Tables are views of channel 0, B1
+// leaves those views empty, every workspace owns a Runner over the
+// scheme's engines, and schemes over one basis share its cached engines.
+func TestOneChannelBases(t *testing.T) {
+	for _, p := range []*Params{P1(), P2(), A1()} {
+		b := p.Basis
+		if p.K() != 1 || p.IsRNS() {
+			t.Fatalf("%s: K = %d, IsRNS = %v, want one channel", p.Name, p.K(), p.IsRNS())
+		}
+		if p.Q != b.Moduli[0] || p.Mod != b.Mods[0] || p.Tables != b.Tables[0] {
+			t.Errorf("%s: Q/Mod/Tables are not views of channel 0", p.Name)
+		}
+		if p.PolyBytes() != p.rowBytes(0) || p.CoeffBits() != p.Mod.BitLen() {
+			t.Errorf("%s: one-row layout differs from the channel's packing", p.Name)
+		}
+	}
+	if p := B1(); p.Q != 0 || p.Mod != nil || p.Tables != nil {
+		t.Errorf("B1: Q/Mod/Tables = %d/%v/%v, want empty views", p.Q, p.Mod, p.Tables)
+	}
+	for _, p := range []*Params{P1(), B1()} {
+		s1, err := New(p, rng.NewXorshift128(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := New(p, rng.NewXorshift128(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range s1.engs {
+			if s1.engs[i] != s2.engs[i] {
+				t.Errorf("%s channel %d: schemes over one basis hold different engines", p.Name, i)
+			}
+		}
+		w, err := s1.NewWorkspace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.runner == nil || w.runner.K() != p.K() {
+			t.Errorf("%s: workspace runner missing or not over K = %d channels", p.Name, p.K())
+		}
+	}
+}
+
 // TestB1EndToEnd drives keygen → encrypt → decrypt over B1, then checks
 // that a decrypted ciphertext's pre-decode polynomial CRT-reconstructs to
 // m̄ + small noise against a math/big oracle: each coefficient must lie

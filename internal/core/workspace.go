@@ -198,15 +198,19 @@ func (w *Workspace) GenerateKeysShared(a ntt.Poly) (*PublicKey, *PrivateKey, err
 
 // addEncoded adds ⌊q/2⌋ to every coefficient whose message bit is set, as
 // its residue in each channel — the Encode step fused into the e3 error
-// polynomial, allocation-free.
+// polynomial, allocation-free. Byte k of msg covers coefficients
+// [8k, 8k+8) of every row.
 func addEncoded(p *Params, dst ntt.Poly, msg []byte) {
 	b := p.Basis
 	for i, mod := range b.Mods {
 		half := b.HalfQRes(i)
 		row := p.row(dst, i)
-		for j := range row {
-			if msg[j/8]>>(j%8)&1 == 1 {
-				row[j] = mod.Add(row[j], half)
+		for k, m := range msg {
+			c := row[8*k : 8*k+8]
+			for j := range c {
+				if m>>j&1 == 1 {
+					c[j] = mod.Add(c[j], half)
+				}
 			}
 		}
 	}

@@ -4,9 +4,9 @@
 // independent single-modulus operations on the existing engines — one per
 // residue channel, schedulable in parallel — and the only big-integer
 // arithmetic left is the CRT reconstruction at decode time, done in a
-// 128-bit accumulator. This is the gateway from the paper's word-sized
-// parameter sets (P1/P2/A1) to parameter sets with ≥60-bit q and
-// aggregation budgets in the thousands.
+// 128-bit accumulator. Every parameter set runs over a Basis: the paper's
+// word-sized sets (P1/P2/A1) are one-channel bases, and k > 1 reaches
+// ≥60-bit q and aggregation budgets in the thousands.
 package rns
 
 import (
@@ -191,8 +191,8 @@ func (b *Basis) CoeffBig(p []uint32, j int) *big.Int {
 }
 
 // ResolveEngines returns one engine per channel for the named backend,
-// resolving "" / "auto" by the same rule as the single-modulus scheme
-// (ntt.ResolveEngine over every channel's tables). Results are cached per
+// resolving "" / "auto" by ntt.ResolveEngine over every channel's tables
+// (every channel gets the same backend). Results are cached per
 // resolved name, so every scheme over this basis shares the same
 // immutable engine instances.
 func (b *Basis) ResolveEngines(name string) ([]ntt.Engine, error) {
