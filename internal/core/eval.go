@@ -101,7 +101,7 @@ func (s *Scheme) EvalScalarMulInto(dst, a *Ciphertext, k uint32) error {
 		return err
 	}
 	p := s.Params
-	// A word-sized k wraps only when q itself fits in a word.
+	// k < 2³², so only a composite q below 2⁶⁴ can reduce it.
 	q := p.Basis.Q128()
 	kr := rns.Uint128{Lo: uint64(k)}
 	if q.Hi == 0 {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"ringlwe/internal/cacheline"
 	"ringlwe/internal/par"
 )
 
@@ -74,8 +75,11 @@ func (j *allJob) Run() {
 
 // Runner schedules ring operations across the residue channels of flat RNS
 // polynomials (length k·n, row i at [i·n, (i+1)·n)). Not safe for
-// concurrent use — one Runner per goroutine/workspace.
+// concurrent use — one Runner per goroutine/workspace. Every call writes
+// its job slots, so the fields sit between cache-line pads (see package
+// cacheline).
 type Runner struct {
+	_    cacheline.Pad
 	engs []Engine
 	n    int
 	jobs [MaxChannels]allJob
@@ -90,6 +94,8 @@ type Runner struct {
 	// picks correctly there.
 	ForceParallel bool
 	ForceSerial   bool
+
+	_ cacheline.Pad
 }
 
 // NewRunner builds a schedule over one engine per residue channel. All
