@@ -15,16 +15,16 @@ import (
 // paper's observation that coefficients fit in half words. A polynomial
 // serializes as its residue rows in channel order, each byte-aligned, so
 // every row is independently parseable and range-checked; a one-channel
-// set's body is its single row. A one-byte header tags
-// the parameter set so mismatches fail loudly instead of decrypting noise.
+// set's body is its single row. A one-byte header tags the parameter set
+// so mismatches fail loudly instead of decrypting noise.
 //
 // The wire layout is fixed; only the loops that move it are tuned. Like
 // the paper's half-word stores, packPoly and unpackPolyInto move a machine
 // word per coefficient rather than a bit: a 64-bit accumulator flushed as
 // whole bytes on the way out, one 64-bit load shifted and masked on the
 // way in. Every path — appendPolys, MarshalInto and the streaming
-// chunks — runs through these two functions, and the tests
-// check them byte for byte against the original bit-at-a-time loops.
+// chunks — runs through these two functions, and the tests check them
+// byte for byte against the original bit-at-a-time loops.
 
 // LegacyTag returns the one-byte parameter tag the legacy tagged format
 // (Bytes/Parse*) opens with: 1 for P1, 2 for P2, 0 for custom sets. The
@@ -299,10 +299,11 @@ func ParseCiphertextBodyInto(ct *Ciphertext, body []byte) error {
 }
 
 // Streaming body I/O. The packed format groups eight coefficients of a
-// row into width whole bytes, so any multiple of eight coefficients starts
-// on a byte boundary; the writers and readers below exploit that to move bodies
-// through a small stack chunk instead of materializing the whole blob —
-// the seam behind the public io.WriterTo/io.ReaderFrom implementations.
+// row into width whole bytes, so any multiple of eight coefficients
+// starts on a byte boundary; the writers and readers below exploit that
+// to move bodies through a small stack chunk instead of materializing the
+// whole blob — the seam behind the public io.WriterTo/io.ReaderFrom
+// implementations.
 
 // streamChunkCoeffs is the number of coefficients packed per streaming
 // chunk. It is a multiple of 8 so every chunk begins byte-aligned, and
