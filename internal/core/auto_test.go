@@ -44,7 +44,7 @@ func TestAutoResolution(t *testing.T) {
 			if got := s.Engine(); got != "vector" {
 				t.Errorf("%s Options{%q}: engine %q, want vector", p.Name, name, got)
 			}
-			for i, e := range s.engs {
+			for i, e := range s.runner.Engines() {
 				if e.Name() != "vector" {
 					t.Errorf("%s channel %d: engine %q, want vector", p.Name, i, e.Name())
 				}

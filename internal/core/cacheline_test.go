@@ -24,9 +24,8 @@ func fieldLines(p unsafe.Pointer, t reflect.Type) (lo, hi uintptr) {
 }
 
 // TestWorkspacesShareNoCacheLine checks that the state a workspace writes
-// on every operation, its own fields, its uniform bit pool and its
-// Runner's job slots, shares no cache line with another workspace's,
-// wherever the allocator puts them.
+// on every operation, its own fields and its uniform bit pool, shares no
+// cache line with another workspace's, wherever the allocator puts them.
 func TestWorkspacesShareNoCacheLine(t *testing.T) {
 	s := newScheme(t, P1(), 1)
 	type span struct {
@@ -42,8 +41,6 @@ func TestWorkspacesShareNoCacheLine(t *testing.T) {
 		lo, hi := fieldLines(unsafe.Pointer(w), reflect.TypeOf(*w))
 		spans = append(spans, span{i, lo, hi})
 		lo, hi = fieldLines(unsafe.Pointer(w.uniform), reflect.TypeOf(*w.uniform))
-		spans = append(spans, span{i, lo, hi})
-		lo, hi = fieldLines(unsafe.Pointer(w.runner), reflect.TypeOf(w.runner).Elem())
 		spans = append(spans, span{i, lo, hi})
 	}
 	for i, a := range spans {

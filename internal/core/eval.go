@@ -60,11 +60,8 @@ func (s *Scheme) EvalAddInto(dst, a, b *Ciphertext) error {
 	if units > uint64(s.Params.maxAddends) {
 		return ErrNoiseBudget
 	}
-	p := s.Params
-	for i, eng := range s.engs {
-		eng.Add(p.row(dst.C1, i), p.row(a.C1, i), p.row(b.C1, i))
-		eng.Add(p.row(dst.C2, i), p.row(a.C2, i), p.row(b.C2, i))
-	}
+	s.runner.AddAll(dst.C1, a.C1, b.C1)
+	s.runner.AddAll(dst.C2, a.C2, b.C2)
 	dst.Addends = units
 	return nil
 }
@@ -80,11 +77,8 @@ func (s *Scheme) EvalSubInto(dst, a, b *Ciphertext) error {
 	if units > uint64(s.Params.maxAddends) {
 		return ErrNoiseBudget
 	}
-	p := s.Params
-	for i, eng := range s.engs {
-		eng.Sub(p.row(dst.C1, i), p.row(a.C1, i), p.row(b.C1, i))
-		eng.Sub(p.row(dst.C2, i), p.row(a.C2, i), p.row(b.C2, i))
-	}
+	s.runner.SubAll(dst.C1, a.C1, b.C1)
+	s.runner.SubAll(dst.C2, a.C2, b.C2)
 	dst.Addends = units
 	return nil
 }
@@ -122,17 +116,14 @@ func (s *Scheme) EvalScalarMulInto(dst, a *Ciphertext, k uint32) error {
 	if units > maxU {
 		return ErrNoiseBudget
 	}
-	for i, eng := range s.engs {
-		ki := k % p.Basis.Moduli[i]
-		eng.ScalarMul(p.row(dst.C1, i), p.row(a.C1, i), ki)
-		eng.ScalarMul(p.row(dst.C2, i), p.row(a.C2, i), ki)
-	}
+	s.runner.ScalarMulAll(dst.C1, a.C1, k)
+	s.runner.ScalarMulAll(dst.C2, a.C2, k)
 	dst.Addends = units
 	return nil
 }
 
 // EvalAddInto on a workspace delegates to the scheme: evaluation ops touch
-// only the immutable engine and tables, so they are concurrency-safe either
+// only the scheme's immutable Runner, so they are concurrency-safe either
 // way, but the workspace form keeps call sites uniform with Encrypt/Decrypt.
 func (w *Workspace) EvalAddInto(dst, a, b *Ciphertext) error {
 	return w.scheme.EvalAddInto(dst, a, b)

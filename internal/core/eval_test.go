@@ -266,7 +266,7 @@ func TestEvalXORAcrossEngines(t *testing.T) {
 		for _, smpName := range sampler.Names() {
 			name := engName + "/" + smpName
 			t.Run(name, func(t *testing.T) {
-				s, err := NewWithEngines(p, rng.NewXorshift128(906), engName, smpName)
+				s, err := NewWithOptions(p, rng.NewXorshift128(906), Options{Engine: engName, Sampler: smpName})
 				if err != nil {
 					t.Skipf("backend unavailable: %v", err)
 				}

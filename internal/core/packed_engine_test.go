@@ -56,21 +56,3 @@ func (e *packedTestEngine) ForwardThree(a, b, c ntt.Poly) {
 	copy(b, e.t.Unpack(pb))
 	copy(c, e.t.Unpack(pc))
 }
-
-func (e *packedTestEngine) ForwardInto(dst, src ntt.Poly) {
-	copy(dst, src)
-	e.Forward(dst)
-}
-
-func (e *packedTestEngine) InverseInto(dst, src ntt.Poly) {
-	copy(dst, src)
-	e.Inverse(dst)
-}
-
-func (e *packedTestEngine) MulInto(dst, a, b, scratch ntt.Poly) {
-	copy(scratch, b)
-	e.ForwardInto(dst, a)
-	e.Forward(scratch)
-	e.PointwiseMul(dst, dst, scratch)
-	e.Inverse(dst)
-}

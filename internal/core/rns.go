@@ -7,11 +7,11 @@ import "ringlwe/internal/ntt"
 // three 29-bit channels. A polynomial is stored flat — K stride-contiguous
 // residue rows of N coefficients, row i reduced mod qᵢ — and each ring
 // operation is K independent single-modulus operations, one per channel,
-// scheduled by the workspace's ntt.Runner (inline for K = 1). Sampling,
-// encoding, serialization and range checks all walk the rows; the one
-// place the channel count steers the code is decoding, where K = 1 keeps
-// the word-sized threshold test and K > 1 CRT-reconstructs each
-// coefficient in a 128-bit accumulator.
+// run in turn by the scheme's one ntt.Runner (one engine call for K = 1).
+// Sampling, encoding, serialization and range checks all walk the rows;
+// the one place the channel count steers the code is decoding, where
+// K = 1 keeps the word-sized threshold test and K > 1 CRT-reconstructs
+// each coefficient in a 128-bit accumulator.
 
 // IsRNS reports whether the parameter set has more than one residue
 // channel, i.e. a composite modulus that overflows a word.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"reflect"
 	"testing"
 
+	"ringlwe/internal/ntt"
 	"ringlwe/internal/rng"
 )
 
@@ -53,8 +55,8 @@ func TestB1Params(t *testing.T) {
 
 // TestOneChannelBases pins the single ring path: the paper sets and A1
 // are one-channel bases whose Q/Mod/Tables are views of channel 0, B1
-// leaves those views empty, every workspace owns a Runner over the
-// scheme's engines, and schemes over one basis share its cached engines.
+// leaves those views empty, every workspace runs on its scheme's one
+// Runner, and schemes over one basis share its cached engines.
 func TestOneChannelBases(t *testing.T) {
 	for _, p := range []*Params{P1(), P2(), A1()} {
 		b := p.Basis
@@ -80,17 +82,32 @@ func TestOneChannelBases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range s1.engs {
-			if s1.engs[i] != s2.engs[i] {
+		if s1.runner.K() != p.K() {
+			t.Errorf("%s: scheme Runner has %d channels, want %d", p.Name, s1.runner.K(), p.K())
+		}
+		for i, e := range s1.runner.Engines() {
+			if e != s2.runner.Engines()[i] {
 				t.Errorf("%s channel %d: schemes over one basis hold different engines", p.Name, i)
 			}
 		}
+		// Workspaces reach the Runner only through their scheme, so the
+		// default, forked and pooled ones all run on s1.runner.
 		w, err := s1.NewWorkspace()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.runner == nil || w.runner.K() != p.K() {
-			t.Errorf("%s: workspace runner missing or not over K = %d channels", p.Name, p.K())
+		pooled := s1.Acquire()
+		for _, w := range []*Workspace{s1.def, w, pooled} {
+			if w.scheme != s1 {
+				t.Errorf("%s: a workspace is bound to another scheme's Runner", p.Name)
+			}
+		}
+		s1.Release(pooled)
+	}
+	wt := reflect.TypeOf(Workspace{})
+	for i := 0; i < wt.NumField(); i++ {
+		if f := wt.Field(i); f.Type == reflect.TypeOf((*ntt.Runner)(nil)) {
+			t.Errorf("Workspace field %s holds a Runner of its own", f.Name)
 		}
 	}
 }

@@ -58,17 +58,18 @@ type aggStats struct {
 // concurrent use — one mutex serializes them on that workspace — but they
 // contend. For parallel throughput, create explicit workspaces with
 // NewWorkspace (or borrow pooled ones via Acquire/Release) — those never
-// contend: tables are shared read-only, and each workspace owns its
-// sampler state, bit pools and scratch.
+// contend: tables and the Runner are shared read-only, and each workspace
+// owns its sampler state, bit pools and scratch.
 type Scheme struct {
 	Params *Params
 
-	// engs holds the NTT backend of each residue channel, resolved and
-	// cached by the basis, so every scheme and every workspace Runner over
-	// one basis shares the same immutable instances. All registered
-	// engines produce bit-identical results (the KATs hold under any of
-	// them); they differ in speed and allocation behaviour.
-	engs []ntt.Engine
+	// runner runs every ring operation of the scheme and of all its
+	// workspaces over the residue channels. Its per-channel engines are
+	// resolved and cached by the basis, so every scheme over one basis
+	// shares the same immutable instances. All registered engines produce
+	// bit-identical results (the KATs hold under any of them); they differ
+	// in speed and allocation behaviour.
+	runner *ntt.Runner
 
 	// smp is the registry name of the Gaussian sampler backend every
 	// workspace of this scheme instantiates. Unlike the NTT engines,
@@ -109,33 +110,20 @@ type Scheme struct {
 // every transform through the default NTT engine (ntt.ResolveEngine: the
 // vector kernels wherever they accept the tables, shoup elsewhere).
 func New(params *Params, src rng.Source) (*Scheme, error) {
-	return NewWithEngine(params, src, "")
-}
-
-// NewWithEngine is New with an explicit NTT backend selected by registry
-// name (see ntt.EngineNames). Engine choice never changes results — only
-// how fast they are computed.
-func NewWithEngine(params *Params, src rng.Source, engine string) (*Scheme, error) {
-	return NewWithEngines(params, src, engine, sampler.Default)
-}
-
-// NewWithEngines is New with both pluggable backends chosen explicitly:
-// the NTT engine by ntt registry name and the Gaussian sampler by sampler
-// registry name (see sampler.Names). The NTT choice never changes bits;
-// the sampler choice changes how randomness is spent, so non-default
-// samplers yield different — equally valid and equally distributed —
-// keys and ciphertexts from the same seed.
-func NewWithEngines(params *Params, src rng.Source, engine, smp string) (*Scheme, error) {
-	return NewWithOptions(params, src, Options{Engine: engine, Sampler: smp})
+	return NewWithOptions(params, src, Options{})
 }
 
 // Options is the resolved construction configuration of a Scheme: both
 // pluggable backend names plus the orthogonal hardening switches. It is
 // the seam the public security profiles compile down to.
 type Options struct {
-	// Engine is the NTT backend registry name (ntt.EngineNames).
+	// Engine is the NTT backend registry name (ntt.EngineNames). Engine
+	// choice never changes results — only how fast they are computed.
 	Engine string
 	// Sampler is the Gaussian sampler backend registry name (sampler.Names).
+	// Sampler choice changes how randomness is spent, so non-default
+	// samplers yield different — equally valid and equally distributed —
+	// keys and ciphertexts from the same seed.
 	Sampler string
 	// ConstantTimeDecode routes every message encode/decode through the
 	// branchless codecs of consttime.go. Bit-identical to the branching
@@ -154,13 +142,17 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	runner, err := ntt.NewRunner(engs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	smpName := opts.Sampler
 	if smpName == "" || smpName == "auto" {
 		smpName = sampler.Default
 	}
 	s := &Scheme{
 		Params:   params,
-		engs:     engs,
+		runner:   runner,
 		smp:      smpName,
 		ctDecode: opts.ConstantTimeDecode,
 		src:      rng.NewLockedSource(src),
@@ -183,7 +175,7 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 
 // Engine returns the registry name of the NTT backend this scheme runs on
 // (shared by every residue channel).
-func (s *Scheme) Engine() string { return s.engs[0].Name() }
+func (s *Scheme) Engine() string { return s.runner.Engines()[0].Name() }
 
 // Sampler returns the registry name of the Gaussian sampler backend this
 // scheme's workspaces draw error polynomials from.

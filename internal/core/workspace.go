@@ -29,11 +29,6 @@ type Workspace struct {
 	sampler sampler.Engine
 	uniform *rng.BitPool
 
-	// runner schedules every ring operation over the residue channels
-	// (inline for one channel; its job slots and WaitGroup are
-	// single-caller state, hence per workspace).
-	runner *ntt.Runner
-
 	// Scratch polynomials: the three error polynomials of one encryption.
 	// DecryptInto reuses e1 as its accumulator.
 	e1, e2, e3 ntt.Poly
@@ -54,16 +49,11 @@ func newWorkspace(s *Scheme, src rng.Source) (*Workspace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	runner, err := ntt.NewRunner(s.engs)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	p := s.Params
 	return &Workspace{
 		scheme:  s,
 		sampler: smp,
 		uniform: rng.NewBitPool(src),
-		runner:  runner,
 		e1:      p.newPoly(),
 		e2:      p.newPoly(),
 		e3:      p.newPoly(),
@@ -178,7 +168,7 @@ func (w *Workspace) GenerateKeysShared(a ntt.Poly) (*PublicKey, *PrivateKey, err
 	if len(a) != p.polyLen() {
 		return nil, nil, fmt.Errorf("core: ã has %d coefficients, want %d", len(a), p.polyLen())
 	}
-	r := w.runner
+	r := w.scheme.runner
 
 	r1 := w.e1 // scratch: consumed by the p̃ computation below
 	w.errorPolyInto(r1)
@@ -232,7 +222,7 @@ func (w *Workspace) EncryptInto(ct *Ciphertext, pk *PublicKey, msg []byte) error
 	if len(msg) != p.MessageBytes() {
 		return errMessageSize(p, len(msg))
 	}
-	r := w.runner
+	r := w.scheme.runner
 
 	w.errorPolyInto(w.e1)
 	w.errorPolyInto(w.e2)
@@ -282,7 +272,7 @@ func (w *Workspace) DecryptInto(dst []byte, sk *PrivateKey, ct *Ciphertext) erro
 	if len(dst) != p.MessageBytes() {
 		return fmt.Errorf("core: message buffer is %d bytes, want %d", len(dst), p.MessageBytes())
 	}
-	r := w.runner
+	r := w.scheme.runner
 	m := w.e1
 	r.MulAll(m, ct.C1, sk.R2)
 	r.AddAll(m, m, ct.C2)

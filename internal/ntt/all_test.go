@@ -2,6 +2,7 @@ package ntt
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ringlwe/internal/zq"
@@ -70,78 +71,108 @@ func randResidues(rng *rand.Rand, r *Runner) Poly {
 	return p
 }
 
-// TestRunnerMatchesPerChannel checks every Runner operation, in both the
-// serial and forced-parallel schedules, against direct per-channel engine
-// calls: the schedule must be pure plumbing with bit-identical results.
+// runnerOps applies every Runner operation to copies of a, b, c and
+// returns the results keyed by operation name. With perChannel set it
+// makes the same calls on each channel's engine directly instead, which is
+// the reference the Runner must match bit for bit.
+func runnerOps(r *Runner, a, b, c Poly, s uint32, perChannel bool) map[string]Poly {
+	k, n := r.K(), r.N()
+	fa, fb, fc := clonePoly(a), clonePoly(b), clonePoly(c)
+	mul, add, sub, sc := make(Poly, k*n), make(Poly, k*n), make(Poly, k*n), make(Poly, k*n)
+	rt := clonePoly(a)
+	if perChannel {
+		for i, eng := range r.Engines() {
+			row := func(p Poly) Poly { return p[i*n : (i+1)*n] }
+			eng.ForwardThree(row(fa), row(fb), row(fc))
+			eng.PointwiseMul(row(mul), row(fa), row(fb))
+			eng.Add(row(add), row(fa), row(fb))
+			eng.Sub(row(sub), row(fa), row(fb))
+			eng.ScalarMul(row(sc), row(fa), s)
+			eng.Inverse(row(fc))
+			eng.Forward(row(rt))
+		}
+	} else {
+		r.ForwardThreeAll(fa, fb, fc)
+		r.MulAll(mul, fa, fb)
+		r.AddAll(add, fa, fb)
+		r.SubAll(sub, fa, fb)
+		r.ScalarMulAll(sc, fa, s)
+		r.InverseAll(fc)
+		r.ForwardAll(rt)
+	}
+	return map[string]Poly{
+		"ForwardThreeAll/a": fa,
+		"ForwardThreeAll/b": fb,
+		"MulAll":            mul,
+		"AddAll":            add,
+		"SubAll":            sub,
+		"ScalarMulAll":      sc,
+		"InverseAll":        fc,
+		"ForwardAll":        rt,
+	}
+}
+
+// TestRunnerMatchesPerChannel checks every Runner operation against direct
+// per-channel engine calls: the Runner must be pure plumbing with
+// bit-identical results.
 func TestRunnerMatchesPerChannel(t *testing.T) {
 	const n = 64
 	for _, k := range []int{1, 2, 3, 4} {
 		r := testRunner(t, n, k)
 		rng := rand.New(rand.NewSource(int64(42 + k)))
-		for _, force := range []bool{false, true} {
-			r.ForceParallel = force
+		a := randResidues(rng, r)
+		b := randResidues(rng, r)
+		c := randResidues(rng, r)
+		// A full-width scalar, so every engine has to reduce it mod its q.
+		s := rng.Uint32()
 
-			a := randResidues(rng, r)
-			b := randResidues(rng, r)
-			c := randResidues(rng, r)
-			scalars := make([]uint32, k)
-			for i := range scalars {
-				scalars[i] = rng.Uint32() % r.Engines()[i].Tables().M.Q
-			}
-
-			// Reference: per-channel engine calls on copies.
-			refA, refB, refC := clonePoly(a), clonePoly(b), clonePoly(c)
-			refMul := make(Poly, k*n)
-			refAdd := make(Poly, k*n)
-			refSub := make(Poly, k*n)
-			refSc := make(Poly, k*n)
-			for i := 0; i < k; i++ {
-				eng := r.Engines()[i]
-				ra, rb, rc := refA[i*n:(i+1)*n], refB[i*n:(i+1)*n], refC[i*n:(i+1)*n]
-				eng.ForwardThree(ra, rb, rc)
-				eng.PointwiseMul(refMul[i*n:(i+1)*n], ra, rb)
-				eng.Add(refAdd[i*n:(i+1)*n], ra, rb)
-				eng.Sub(refSub[i*n:(i+1)*n], ra, rb)
-				eng.ScalarMul(refSc[i*n:(i+1)*n], ra, scalars[i])
-				eng.Inverse(rc)
-			}
-
-			// Runner path on the originals.
-			gotA, gotB, gotC := clonePoly(a), clonePoly(b), clonePoly(c)
-			r.ForwardThreeAll(gotA, gotB, gotC)
-			gotMul := make(Poly, k*n)
-			r.MulAll(gotMul, gotA, gotB)
-			gotAdd := make(Poly, k*n)
-			r.AddAll(gotAdd, gotA, gotB)
-			gotSub := make(Poly, k*n)
-			r.SubAll(gotSub, gotA, gotB)
-			gotSc := make(Poly, k*n)
-			r.ScalarMulAll(gotSc, gotA, scalars)
-			r.InverseAll(gotC)
-
-			for name, pair := range map[string][2]Poly{
-				"ForwardThreeAll/a": {gotA, refA},
-				"ForwardThreeAll/b": {gotB, refB},
-				"MulAll":            {gotMul, refMul},
-				"AddAll":            {gotAdd, refAdd},
-				"SubAll":            {gotSub, refSub},
-				"ScalarMulAll":      {gotSc, refSc},
-				"InverseAll":        {gotC, refC},
-			} {
-				if !equalPoly(pair[0], pair[1]) {
-					t.Errorf("k=%d force=%v: %s mismatch", k, force, name)
-				}
-			}
-
-			// Forward/Inverse round trip through the schedule.
-			rt := clonePoly(a)
-			r.ForwardAll(rt)
-			r.InverseAll(rt)
-			if !equalPoly(rt, a) {
-				t.Errorf("k=%d force=%v: ForwardAll/InverseAll round trip mismatch", k, force)
+		want := runnerOps(r, a, b, c, s, true)
+		for name, got := range runnerOps(r, a, b, c, s, false) {
+			if !equalPoly(got, want[name]) {
+				t.Errorf("k=%d: %s mismatch", k, name)
 			}
 		}
+
+		// Forward/Inverse round trip through the Runner.
+		rt := clonePoly(a)
+		r.ForwardAll(rt)
+		r.InverseAll(rt)
+		if !equalPoly(rt, a) {
+			t.Errorf("k=%d: ForwardAll/InverseAll round trip mismatch", k)
+		}
 	}
+}
+
+// TestRunnerConcurrentShared has eight goroutines share one Runner over
+// k=3 channels at n=256, each on its own polynomials, and checks every
+// operation against direct per-channel engine calls. Run under -race it
+// pins that a Runner holds no per-call state, so one Runner can serve
+// every workspace of a scheme.
+func TestRunnerConcurrentShared(t *testing.T) {
+	r := testRunner(t, 256, 3)
+	const workers, rounds = 8, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for round := 0; round < rounds; round++ {
+				a := randResidues(rng, r)
+				b := randResidues(rng, r)
+				c := randResidues(rng, r)
+				s := rng.Uint32()
+				want := runnerOps(r, a, b, c, s, true)
+				for name, got := range runnerOps(r, a, b, c, s, false) {
+					if !equalPoly(got, want[name]) {
+						t.Errorf("worker %d round %d: %s mismatch", w, round, name)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func clonePoly(a Poly) Poly {
@@ -162,24 +193,20 @@ func equalPoly(a, b Poly) bool {
 	return true
 }
 
-// TestRunnerZeroAlloc pins both dispatch schedules at zero steady-state
-// allocations: the forced-parallel path must reuse the Runner's fixed job
-// slots and the shared pool's buffered queue, never boxing per call.
+// TestRunnerZeroAlloc pins the Runner's channel loops at zero
+// steady-state allocations.
 func TestRunnerZeroAlloc(t *testing.T) {
 	r := testRunner(t, 256, 3)
 	rng := rand.New(rand.NewSource(11))
 	a := randResidues(rng, r)
 	b := randResidues(rng, r)
 	c := make(Poly, len(a))
-	for _, force := range []bool{false, true} {
-		r.ForceParallel = force
-		if n := testing.AllocsPerRun(50, func() {
-			r.ForwardAll(a)
-			r.MulAll(c, a, b)
-			r.AddAll(c, c, b)
-			r.InverseAll(a)
-		}); n != 0 {
-			t.Errorf("force=%v: schedule allocates %v times per op, want 0", force, n)
-		}
+	if n := testing.AllocsPerRun(50, func() {
+		r.ForwardAll(a)
+		r.MulAll(c, a, b)
+		r.AddAll(c, c, b)
+		r.InverseAll(a)
+	}); n != 0 {
+		t.Errorf("Runner allocates %v times per op, want 0", n)
 	}
 }

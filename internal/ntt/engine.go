@@ -37,8 +37,6 @@ type Engine interface {
 
 	// PointwiseMul sets c = a ∘ b; aliasing among arguments is allowed.
 	PointwiseMul(c, a, b Poly)
-	// PointwiseMulAdd sets acc += a ∘ b.
-	PointwiseMulAdd(acc, a, b Poly)
 
 	// Add sets c = a + b coefficient-wise; aliasing is allowed. Because
 	// the NTT is linear, adding transform-domain polynomials adds the
@@ -49,14 +47,6 @@ type Engine interface {
 	// ScalarMul sets c = s·a for a scalar s (reduced mod q); aliasing of
 	// c and a is allowed.
 	ScalarMul(c, a Poly, s uint32)
-
-	// ForwardInto sets dst = NTT(src) without modifying src (dst may alias src).
-	ForwardInto(dst, src Poly)
-	// InverseInto sets dst = INTT(src) without modifying src (dst may alias src).
-	InverseInto(dst, src Poly)
-	// MulInto sets dst = a·b in Z_q[x]/(x^n+1) using scratch as the second
-	// transform buffer; scratch must not alias any other argument.
-	MulInto(dst, a, b, scratch Poly)
 }
 
 // EngineFactory builds an engine over precomputed tables. Construction may
@@ -138,20 +128,12 @@ func init() {
 // differentially tested against.
 type barrettEngine struct{ t *Tables }
 
-func (e *barrettEngine) Name() string              { return "barrett" }
-func (e *barrettEngine) Tables() *Tables           { return e.t }
-func (e *barrettEngine) Forward(a Poly)            { e.t.Forward(a) }
-func (e *barrettEngine) Inverse(a Poly)            { e.t.Inverse(a) }
-func (e *barrettEngine) ForwardThree(a, b, c Poly) { e.t.ForwardThree(a, b, c) }
-func (e *barrettEngine) PointwiseMul(c, a, b Poly) { e.t.PointwiseMul(c, a, b) }
-func (e *barrettEngine) PointwiseMulAdd(acc, a, b Poly) {
-	e.t.PointwiseMulAdd(acc, a, b)
-}
+func (e *barrettEngine) Name() string                  { return "barrett" }
+func (e *barrettEngine) Tables() *Tables               { return e.t }
+func (e *barrettEngine) Forward(a Poly)                { e.t.Forward(a) }
+func (e *barrettEngine) Inverse(a Poly)                { e.t.Inverse(a) }
+func (e *barrettEngine) ForwardThree(a, b, c Poly)     { e.t.ForwardThree(a, b, c) }
+func (e *barrettEngine) PointwiseMul(c, a, b Poly)     { e.t.PointwiseMul(c, a, b) }
 func (e *barrettEngine) Add(c, a, b Poly)              { e.t.Add(c, a, b) }
 func (e *barrettEngine) Sub(c, a, b Poly)              { e.t.Sub(c, a, b) }
 func (e *barrettEngine) ScalarMul(c, a Poly, s uint32) { e.t.ScalarMul(c, a, s) }
-func (e *barrettEngine) ForwardInto(dst, src Poly)     { e.t.ForwardInto(dst, src) }
-func (e *barrettEngine) InverseInto(dst, src Poly)     { e.t.InverseInto(dst, src) }
-func (e *barrettEngine) MulInto(dst, a, b, scratch Poly) {
-	e.t.MulInto(dst, a, b, scratch)
-}

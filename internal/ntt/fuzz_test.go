@@ -22,7 +22,8 @@ func fuzzPoly(data []byte, off, n int, q uint32) Poly {
 }
 
 // FuzzEngineMulDifferential drives two fuzzer-chosen polynomials through
-// every engine's full multiplication pipeline (both vector kernels) and
+// every engine's Forward → PointwiseMul → Inverse pipeline (both vector
+// kernels) and
 // cross-checks each result against the O(n²) schoolbook oracle, on every
 // engineTestSets entry. Any disagreement — between an engine and the oracle, or between
 // two engines — is a bug in a butterfly, a twiddle table or a reduction
@@ -53,13 +54,8 @@ func FuzzEngineMulDifferential(f *testing.F) {
 			a := fuzzPoly(data, 0, n, q)
 			b := fuzzPoly(data, 2*n, n, q)
 			want := s.tab.Naive(a, b)
-			dst := make(Poly, n)
-			scratch := make(Poly, n)
 			for _, e := range s.engines {
-				for i := range dst {
-					dst[i] = 0
-				}
-				e.MulInto(dst, a, b, scratch)
+				dst := engineMul(e, a, b)
 				for i := range dst {
 					if dst[i] != want[i] {
 						t.Fatalf("engine %s n=%d q=%d: coeff %d = %d, oracle %d",

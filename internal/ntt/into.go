@@ -7,8 +7,7 @@ package ntt
 // into their arguments; these cover the remaining out-of-place cases.
 
 // prepInto validates both lengths and copies src into dst (skipped when
-// they alias), readying dst for an in-place transform. Shared by every
-// Into-variant across the Tables methods and the engine backends.
+// they alias), readying dst for an in-place transform.
 func prepInto(t *Tables, dst, src Poly, what string) {
 	if len(dst) != t.N || len(src) != t.N {
 		panic("ntt: " + what + " length mismatch")

@@ -36,8 +36,7 @@ import (
 // ShoupEngine is the Shoup-multiplied lazy-reduction backend. Construct
 // with NewShoupEngine (or via the "shoup" registry entry); immutable after
 // construction and safe for concurrent use. Beyond the Engine interface it
-// exposes the fused lazy pointwise variants and the stage-level transform
-// helpers the bound tests exercise.
+// exposes the stage-level transform helpers the bound tests exercise.
 type ShoupEngine struct {
 	t *Tables
 
@@ -267,28 +266,6 @@ func (e *ShoupEngine) PointwiseMul(c, a, b Poly) {
 	}
 }
 
-// PointwiseMulAdd implements Engine: acc += a ∘ b, with the same fused
-// lazy-operand handling as PointwiseMul. acc enters and leaves canonical.
-func (e *ShoupEngine) PointwiseMulAdd(acc, a, b Poly) {
-	n := e.t.N
-	if len(a) != n || len(b) != n || len(acc) != n {
-		panic("ntt: PointwiseMulAdd length mismatch")
-	}
-	m := e.t.M
-	q := e.q
-	for i := range acc {
-		x := a[i]
-		if x >= q {
-			x -= q
-		}
-		s := acc[i] + m.Reduce(uint64(x)*uint64(b[i]))
-		if s >= q {
-			s -= q
-		}
-		acc[i] = s
-	}
-}
-
 // Add implements Engine: c = a + b with a single conditional subtraction
 // per coefficient — the sum of two canonical residues is below 2q, so no
 // reduction chain is needed.
@@ -340,35 +317,4 @@ func (e *ShoupEngine) ScalarMul(c, a Poly, s uint32) {
 	for i := range c {
 		c[i] = m.MulShoup(a[i], s, sh)
 	}
-}
-
-// ForwardInto implements Engine.
-func (e *ShoupEngine) ForwardInto(dst, src Poly) {
-	prepInto(e.t, dst, src, "ForwardInto")
-	e.Forward(dst)
-}
-
-// InverseInto implements Engine.
-func (e *ShoupEngine) InverseInto(dst, src Poly) {
-	prepInto(e.t, dst, src, "InverseInto")
-	e.Inverse(dst)
-}
-
-// MulInto implements Engine with the fully lazy pipeline: both forward
-// transforms skip their normalization sweeps, the fused pointwise product
-// absorbs the lazy operands, and the inverse ends canonical through the
-// n⁻¹ scaling — exactly one normalization in the whole multiplication.
-func (e *ShoupEngine) MulInto(dst, a, b, scratch Poly) {
-	n := e.t.N
-	if len(dst) != n || len(a) != n || len(b) != n || len(scratch) != n {
-		panic("ntt: MulInto length mismatch")
-	}
-	copy(scratch, b)
-	if &dst[0] != &a[0] {
-		copy(dst, a)
-	}
-	e.forwardLazy(dst)
-	e.forwardLazy(scratch)
-	e.PointwiseMul(dst, dst, scratch)
-	e.Inverse(dst)
 }

@@ -484,21 +484,6 @@ func (e *VectorEngine) PointwiseMul(c, a, b Poly) {
 	}
 }
 
-// PointwiseMulAdd implements Engine: acc += a ∘ b with branchless folds;
-// acc enters and leaves canonical.
-func (e *VectorEngine) PointwiseMulAdd(acc, a, b Poly) {
-	n := e.t.N
-	if len(a) != n || len(b) != n || len(acc) != n {
-		panic("ntt: PointwiseMulAdd length mismatch")
-	}
-	m := e.t.M
-	q := e.q
-	for i := range acc {
-		s := acc[i] + m.Reduce(uint64(zq.CondSub(a[i], q))*uint64(b[i]))
-		acc[i] = zq.CondSub(s, q)
-	}
-}
-
 // Add implements Engine: branchless per-coefficient add, one sign-bit fold
 // per coefficient and no data-dependent branch.
 func (e *VectorEngine) Add(c, a, b Poly) {
@@ -541,33 +526,4 @@ func (e *VectorEngine) ScalarMul(c, a Poly, s uint32) {
 	for i := range c {
 		c[i] = zq.CondSub(m.MulShoupLazy(a[i], s, sh), q)
 	}
-}
-
-// ForwardInto implements Engine.
-func (e *VectorEngine) ForwardInto(dst, src Poly) {
-	prepInto(e.t, dst, src, "ForwardInto")
-	e.Forward(dst)
-}
-
-// InverseInto implements Engine.
-func (e *VectorEngine) InverseInto(dst, src Poly) {
-	prepInto(e.t, dst, src, "InverseInto")
-	e.Inverse(dst)
-}
-
-// MulInto implements Engine: two flat forward kernels (canonical out, via
-// their fused normalization), the fused pointwise product, one inverse.
-func (e *VectorEngine) MulInto(dst, a, b, scratch Poly) {
-	n := e.t.N
-	if len(dst) != n || len(a) != n || len(b) != n || len(scratch) != n {
-		panic("ntt: MulInto length mismatch")
-	}
-	copy(scratch, b)
-	if &dst[0] != &a[0] {
-		copy(dst, a)
-	}
-	vecForward(e, dst)
-	vecForward(e, scratch)
-	e.PointwiseMul(dst, dst, scratch)
-	e.Inverse(dst)
 }

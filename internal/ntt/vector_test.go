@@ -147,10 +147,8 @@ func TestVectorMinimumDimension(t *testing.T) {
 				t.Fatalf("trial %d: Inverse mismatch at n=%d", trial, n)
 			}
 			b := randPoly(r, tab)
-			dst, scratch := tab.NewPoly(), tab.NewPoly()
-			vec.MulInto(dst, a, b, scratch)
-			if naive := tab.Naive(a, b); !reflect.DeepEqual(dst, naive) {
-				t.Fatalf("trial %d: MulInto disagrees with Naive at n=%d", trial, n)
+			if got := engineMul(vec, a, b); !reflect.DeepEqual(got, tab.Naive(a, b)) {
+				t.Fatalf("trial %d: Forward→PointwiseMul→Inverse disagrees with Naive at n=%d", trial, n)
 			}
 		}
 	}
@@ -163,7 +161,7 @@ func TestVectorZeroAlloc(t *testing.T) {
 	tab := manyTestTables(t)
 	a := randomPolys(tab, 1, 1)[0]
 	batch := randomPolys(tab, 3, 2)
-	dst, scratch := tab.NewPoly(), tab.NewPoly()
+	dst := tab.NewPoly()
 	for _, simd := range []bool{hasAVX2, false} {
 		e, err := newVectorEngine(tab, simd)
 		if err != nil {
@@ -177,7 +175,9 @@ func TestVectorZeroAlloc(t *testing.T) {
 			{"Inverse", func() { e.Inverse(a) }},
 			{"ForwardThree", func() { e.ForwardThree(batch[0], batch[1], batch[2]) }},
 			{"PointwiseMul", func() { e.PointwiseMul(dst, a, batch[0]) }},
-			{"MulInto", func() { e.MulInto(dst, a, batch[0], scratch) }},
+			{"Add", func() { e.Add(dst, a, batch[0]) }},
+			{"Sub", func() { e.Sub(dst, a, batch[0]) }},
+			{"ScalarMul", func() { e.ScalarMul(dst, a, 3) }},
 		} {
 			if allocs := testing.AllocsPerRun(20, op.fn); allocs != 0 {
 				t.Errorf("simd=%v: %s allocates %.1f/op, want 0", simd, op.name, allocs)

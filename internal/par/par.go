@@ -1,10 +1,8 @@
-// Package par holds the process-wide parallel-execution primitives shared
-// by the layers that fan work out over cores: the bounded index-stealing
-// ParallelFor behind every batch API (extracted from internal/core so the
-// transform layer can schedule residue channels without an import cycle),
-// and a persistent worker Pool whose submission path allocates nothing —
-// the property the RNS channel-parallel NTT schedule needs to keep
-// encrypt/decrypt at zero allocations per operation.
+// Package par holds the bounded index-stealing ParallelFor behind every
+// batch API, shared by internal/core and the public package. Parallelism
+// lives at that level — one workspace per worker, whole operations per
+// item — and never inside a single ring operation: the residue-channel
+// loops of ntt.Runner run serially on the calling goroutine.
 package par
 
 import (
@@ -67,69 +65,4 @@ func ParallelFor(n, workers int, startWorker func() (do func(i int) error, done 
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// Task is one unit of work submitted to the persistent Pool. Implementors
-// are long-lived structs (a Runner's preallocated job slots), so the
-// interface value carries a pointer and a Submit allocates nothing.
-type Task interface {
-	Run()
-}
-
-// submission pairs a task with the WaitGroup its completion signals. It
-// travels through the pool's channel by value.
-type submission struct {
-	task Task
-	wg   *sync.WaitGroup
-}
-
-// Pool is a fixed set of persistent worker goroutines fed through one
-// buffered channel. Unlike ParallelFor — which spawns goroutines per call
-// and is therefore free to run arbitrary closures — the Pool trades
-// flexibility for a zero-allocation submission path: tasks are pointers
-// into caller-owned slots and the signalling WaitGroup is caller-owned
-// too, so nothing escapes per submission.
-type Pool struct {
-	tasks chan submission
-}
-
-// NewPool starts a pool of `workers` goroutines (≤ 0 means GOMAXPROCS).
-// The workers live for the life of the process; pools are meant to be
-// created once and shared (see Shared).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{tasks: make(chan submission, 4*workers)}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *Pool) worker() {
-	for s := range p.tasks {
-		s.task.Run()
-		s.wg.Done()
-	}
-}
-
-// Submit enqueues a task; wg.Done is called when it completes. The caller
-// must wg.Add before submitting and wg.Wait to join. Allocation-free.
-func (p *Pool) Submit(t Task, wg *sync.WaitGroup) {
-	p.tasks <- submission{task: t, wg: wg}
-}
-
-var (
-	sharedOnce sync.Once
-	shared     *Pool
-)
-
-// Shared returns the process-wide pool, starting its GOMAXPROCS workers on
-// first use. All channel-parallel transform schedules share it, so the
-// total transform concurrency is bounded by core count no matter how many
-// schemes or workspaces exist.
-func Shared() *Pool {
-	sharedOnce.Do(func() { shared = NewPool(0) })
-	return shared
 }

@@ -3,7 +3,6 @@ package par
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -81,30 +80,5 @@ func TestParallelForWorkers(t *testing.T) {
 		if s, d := int(started.Load()), int(done.Load()); s != tc.want || d != tc.want {
 			t.Errorf("n %d workers %d: started %d, done %d, want %d each", tc.n, tc.workers, s, d, tc.want)
 		}
-	}
-}
-
-type countTask struct{ runs atomic.Int64 }
-
-func (c *countTask) Run() { c.runs.Add(1) }
-
-// Submit runs every task once and allocates nothing.
-func TestPoolSubmitZeroAlloc(t *testing.T) {
-	p := NewPool(2)
-	var task countTask
-	var wg sync.WaitGroup
-	const perRun = 8
-	allocs := testing.AllocsPerRun(100, func() {
-		wg.Add(perRun)
-		for i := 0; i < perRun; i++ {
-			p.Submit(&task, &wg)
-		}
-		wg.Wait()
-	})
-	if allocs != 0 {
-		t.Errorf("Pool.Submit: %v allocs/op, want 0", allocs)
-	}
-	if got := task.runs.Load(); got != 101*perRun {
-		t.Errorf("tasks ran %d times, want %d", got, 101*perRun)
 	}
 }

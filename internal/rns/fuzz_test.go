@@ -119,13 +119,10 @@ func FuzzRNSRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Scalar mul (per-channel residues of one big scalar).
-		scalars := make([]uint32, b.K)
-		for i, qi := range b.Moduli {
-			scalars[i] = uint32(new(big.Int).Mod(scalar, big.NewInt(int64(qi))).Uint64())
-		}
+		// Scalar mul: every fuzz basis has q < 2³², so the scalar is one
+		// word that each channel reduces mod its own prime.
 		sc := b.NewPoly()
-		r.ScalarMulAll(ntt.Poly(sc), ntt.Poly(ap), scalars)
+		r.ScalarMulAll(ntt.Poly(sc), ntt.Poly(ap), uint32(scalar.Uint64()))
 		for j, got := range b.Reconstruct(sc) {
 			want := new(big.Int).Mul(aBig[j], scalar)
 			want.Mod(want, b.QBig)
@@ -134,12 +131,15 @@ func FuzzRNSRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Negacyclic mul: per-channel NTT MulInto vs the schoolbook oracle.
-		prod := b.NewPoly()
-		scratch := make(ntt.Poly, b.N)
-		for i := 0; i < b.K; i++ {
-			r.Engines()[i].MulInto(b.Row(prod, i), b.Row(ap, i), b.Row(bp, i), scratch)
-		}
+		// Negacyclic mul: Forward → pointwise → Inverse over every channel
+		// vs the schoolbook oracle.
+		prod, fb := b.NewPoly(), b.NewPoly()
+		copy(prod, ap)
+		copy(fb, bp)
+		r.ForwardAll(ntt.Poly(prod))
+		r.ForwardAll(ntt.Poly(fb))
+		r.MulAll(ntt.Poly(prod), ntt.Poly(prod), ntt.Poly(fb))
+		r.InverseAll(ntt.Poly(prod))
 		oracle := negacyclicMulBig(aBig, bBig, b.QBig)
 		for j, got := range b.Reconstruct(prod) {
 			if got.Cmp(oracle[j]) != 0 {

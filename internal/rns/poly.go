@@ -13,7 +13,7 @@ import (
 // a Poly is memory-compatible with ntt.Poly of length k·N, so the core
 // scheme's existing key/ciphertext containers carry RNS polynomials
 // without new struct shapes — only the interpretation (and the Runner
-// scheduling the rows) changes.
+// looping over the rows) changes.
 type Poly []uint32
 
 // NewPoly allocates a zero polynomial for the basis.
