@@ -12,8 +12,7 @@ import (
 //
 //	/metrics      Prometheus text exposition of the metrics registry —
 //	              per-path handshake counters and latency histograms,
-//	              failure reasons, record/byte counters, batcher queue
-//	              depth and batch sizes
+//	              failure reasons, record/byte counters
 //	/debug/vars   expvar-style JSON: the Stats() snapshot plus every
 //	              registry metric (histograms as count/sum/max/mean and
 //	              p50/p90/p99)

@@ -99,7 +99,6 @@ func TestDebugHandlerSmoke(t *testing.T) {
 		`rlwe_ticket_fallbacks_total{params="P1"} 1`,
 		"# TYPE rlwe_handshake_duration_us histogram",
 		"rlwe_records_total",
-		"rlwe_decap_batch_size",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -47,13 +47,12 @@
 // bit-identical to older clients and servers.
 //
 // Handshakes borrow a pooled per-goroutine workspace from the shared
-// Scheme for all KEM work, so any number of connections may handshake
-// concurrently against one Scheme and one long-term key pair without
-// contention or per-message garbage. The Server type serves several
-// parameter sets at once — one Scheme and key pair per registered set —
-// across shard-per-core accept lanes with per-shard workspaces, burst
-// decapsulation batching, and lock-free merged stats (see server.go and
-// shard.go).
+// Scheme for all KEM work, on the connection's own goroutine, so any
+// number of connections may handshake concurrently against one Scheme
+// and one long-term key pair without contention or per-message garbage.
+// The Server type serves several parameter sets at once — one Scheme and
+// key pair per registered set — across shard-per-core accept lanes with
+// lock-free merged per-shard stats (see server.go).
 package protocol
 
 import (

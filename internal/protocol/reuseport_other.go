@@ -9,7 +9,7 @@ import (
 
 // reuseportAvailable reports that this platform cannot shard accepts via
 // SO_REUSEPORT; Listen falls back to one listener whose accept loop
-// round-robins connections across the shard dispatchers.
+// tags connections with shards round-robin.
 const reuseportAvailable = false
 
 func listenReuseport(network, addr string, n int) ([]net.Listener, error) {

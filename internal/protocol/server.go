@@ -138,14 +138,11 @@ func newTenantMetrics(reg *obs.Registry, params string, shards int) *tenantMetri
 }
 
 // serverMetrics is the tenant-independent instrumentation: hellos that
-// died before a tenant was resolved, accept-loop health and the shard
-// batcher's queue behavior.
+// died before a tenant was resolved and accept-loop health.
 type serverMetrics struct {
-	rejected      *obs.Counter   // hellos rejected before tenant resolution
-	acceptRetries *obs.Counter   // accept-loop temporary-error backoff retries
-	timeouts      *obs.Counter   // handshakes that hit the handshake deadline (all tenants + pre-tenant)
-	queueDepth    *obs.Gauge     // pending first-flight decapsulations across shard batchers
-	batchSize     *obs.Histogram // decapsulation burst size per batcher run
+	rejected      *obs.Counter // hellos rejected before tenant resolution
+	acceptRetries *obs.Counter // accept-loop temporary-error backoff retries
+	timeouts      *obs.Counter // handshakes that hit the handshake deadline (all tenants + pre-tenant)
 }
 
 func newServerMetrics(reg *obs.Registry, shards int) serverMetrics {
@@ -153,8 +150,6 @@ func newServerMetrics(reg *obs.Registry, shards int) serverMetrics {
 		rejected:      reg.Counter("rlwe_rejected_hellos_total", "hellos rejected before a tenant was resolved", nil, shards),
 		acceptRetries: reg.Counter("rlwe_accept_retries_total", "accept-loop temporary-error backoff retries", nil, 1),
 		timeouts:      reg.Counter("rlwe_handshake_timeouts_total", "handshakes that hit the handshake deadline", nil, shards),
-		queueDepth:    reg.Gauge("rlwe_decap_queue_depth", "first-flight decapsulations queued on shard batchers", nil, shards),
-		batchSize:     reg.Histogram("rlwe_decap_batch_size", "decapsulation burst sizes per batcher run", nil, shards),
 	}
 }
 
@@ -167,15 +162,6 @@ type tenant struct {
 	sk     *ringlwe.PrivateKey
 
 	m *tenantMetrics
-}
-
-// shardIndex maps a serving shard to its metric slot (slot 0 for direct
-// Handshake calls outside the serving loops).
-func shardIndex(sh *shard) int {
-	if sh == nil {
-		return 0
-	}
-	return sh.id
 }
 
 // connTrace carries one connection's tracing identity through the
@@ -212,11 +198,12 @@ func (ct *connTrace) span(p obs.Phase, start time.Time, err error) {
 // Server is a multi-tenant sharded secure-channel endpoint: it holds one
 // Scheme and long-term key pair per registered parameter set and serves
 // v2 (negotiated, resumable) and v1 (legacy tagged) clients of any of
-// them. Serving is split into N shards — with SO_REUSEPORT, N kernel-fed
-// accept loops; otherwise one accept loop round-robining into N
-// dispatchers — each owning a private workspace, a decapsulation batcher
-// that fans accept bursts through DecapsulateBatch, and its own slice of
-// every metric's per-shard slots, merged lock-free by Stats and scrapes.
+// them. Every connection runs on its own goroutine, which does the
+// connection's KEM work itself on a workspace borrowed from the tenant's
+// pool. Serving is split into N shards — with SO_REUSEPORT, N kernel-fed
+// accept loops; otherwise one accept loop tagging connections round-robin
+// — and a shard is just a slot in every metric, merged lock-free by Stats
+// and scrapes.
 //
 // Completed v2 handshakes can mint encrypted session-resumption tickets
 // (AES-GCM under a rotating server key, see internal/ticket); a
@@ -253,10 +240,6 @@ type Server struct {
 	tenants   map[uint16]*tenant
 	defaultID uint16
 
-	shards    []*shard
-	loopOnce  sync.Once
-	loopStop  chan struct{}
-	stopOnce  sync.Once
 	nextShard atomic.Uint64
 
 	connMu  sync.Mutex
@@ -301,8 +284,8 @@ func WithTracer(t obs.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = t }
 }
 
-// WithShards sets the number of serving shards (accept lanes, workspace
-// owners, metric slots). Default GOMAXPROCS; values below 1 become 1.
+// WithShards sets the number of serving shards (SO_REUSEPORT accept
+// lanes and metric slots). Default GOMAXPROCS; values below 1 become 1.
 func WithShards(n int) ServerOption {
 	return func(s *Server) {
 		if n < 1 {
@@ -341,7 +324,6 @@ func NewServer(opts ...ServerOption) *Server {
 		ticketLifetime: time.Hour,
 		tenants:        make(map[uint16]*tenant),
 		conns:          make(map[net.Conn]struct{}),
-		loopStop:       make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -350,14 +332,10 @@ func NewServer(opts ...ServerOption) *Server {
 	s.sm = newServerMetrics(s.reg, s.numShards)
 	if s.ticketLifetime > 0 {
 		// One locked CTR DRBG feeds ticket-key rotation and the per-
-		// resumption server randoms from every shard.
+		// resumption server randoms from every connection.
 		s.rand = rng.NewLockedReader(rng.NewCTRReaderOS())
 		s.keeper = ticket.NewKeeper(s.rand, s.ticketLifetime)
 		s.replay = ticket.NewReplayCache(nil)
-	}
-	s.shards = make([]*shard, s.numShards)
-	for i := range s.shards {
-		s.shards[i] = newShard(i, s)
 	}
 	return s
 }
@@ -459,22 +437,13 @@ func (s *Server) tenantByLegacyTag(tag byte) *tenant {
 	return nil
 }
 
-// decapsulate runs one handshake decapsulation. Inside the serving loops
-// it goes through the shard's batcher, so simultaneous first flights on
-// one shard share a DecapsulateBatch call; direct Handshake callers (no
-// shard) borrow a pooled workspace as before.
-func (s *Server) decapsulate(sh *shard, t *tenant, blob ringlwe.EncapsulatedKey) ([ringlwe.SharedKeySize]byte, error) {
-	if sh == nil {
-		ws := t.scheme.AcquireWorkspace()
-		key, err := ws.Decapsulate(t.sk, blob)
-		t.scheme.ReleaseWorkspace(ws)
-		return key, err
-	}
-	req := &decapReq{t: t, blob: blob, done: make(chan decapRes, 1)}
-	s.sm.queueDepth.Inc(sh.id)
-	sh.decapQ <- req
-	res := <-req.done
-	return res.key, res.err
+// decapsulate runs one handshake decapsulation on the calling
+// connection's goroutine, on a workspace borrowed from the tenant's pool.
+func (s *Server) decapsulate(t *tenant, blob ringlwe.EncapsulatedKey) ([ringlwe.SharedKeySize]byte, error) {
+	ws := t.scheme.AcquireWorkspace()
+	key, err := ws.Decapsulate(t.sk, blob)
+	t.scheme.ReleaseWorkspace(ws)
+	return key, err
 }
 
 // ticketsEnabled reports whether the server mints resumption tickets.
@@ -483,7 +452,7 @@ func (s *Server) ticketsEnabled() bool { return s.keeper != nil }
 // issueTicket writes the ticket blob that follows a handshake which
 // requested one: a fresh single-use ticket when issuance is enabled, a
 // zero-length blob otherwise.
-func (s *Server) issueTicket(rw io.Writer, sh *shard, ct *connTrace, t *tenant, epoch uint32, secret [32]byte) error {
+func (s *Server) issueTicket(rw io.Writer, shard int, ct *connTrace, t *tenant, epoch uint32, secret [32]byte) error {
 	if !s.ticketsEnabled() {
 		return writeTicketBlob(rw, time.Time{}, nil)
 	}
@@ -495,7 +464,7 @@ func (s *Server) issueTicket(rw io.Writer, sh *shard, ct *connTrace, t *tenant, 
 	if err != nil {
 		return err
 	}
-	t.m.ticketsIssued.Inc(shardIndex(sh))
+	t.m.ticketsIssued.Inc(shard)
 	return nil
 }
 
@@ -503,52 +472,52 @@ func (s *Server) issueTicket(rw io.Writer, sh *shard, ct *connTrace, t *tenant, 
 // reliable byte stream, auto-detecting the protocol generation from the
 // first flight and dispatching to the tenant the client names. It is the
 // seam the serving loops drive per connection, exported so channels can
-// be established over in-memory pipes and custom transports (without a
-// shard, decapsulations run on pooled workspaces directly).
+// be established over in-memory pipes and custom transports. Its metrics
+// land in shard slot 0.
 func (s *Server) Handshake(rw io.ReadWriter) (*Channel, error) {
-	ch, _, err := s.handshake(rw, nil)
+	ch, _, err := s.handshake(rw, 0)
 	return ch, err
 }
 
 // handshake implements Handshake, also returning the tenant for the
 // serving layer's accounting.
-func (s *Server) handshake(rw io.ReadWriter, sh *shard) (*Channel, *tenant, error) {
+func (s *Server) handshake(rw io.ReadWriter, shard int) (*Channel, *tenant, error) {
 	ct := newConnTrace(s.tracer)
 	t0 := ct.start()
 	var hello [helloV1Len]byte
 	if _, err := io.ReadFull(rw, hello[:]); err != nil {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		err = fmt.Errorf("protocol: hello: %w", err)
 		ct.span(obs.PhaseHello, t0, err)
 		return nil, nil, err
 	}
 	if binary.BigEndian.Uint16(hello[:2]) != helloMagic {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		err := fmt.Errorf("%w: bad magic", errBadHello)
 		ct.span(obs.PhaseHello, t0, err)
 		return nil, nil, err
 	}
 	ct.span(obs.PhaseHello, t0, nil)
 	if hello[2] == helloV2Marker {
-		return s.handshakeV2(rw, sh, ct, hello)
+		return s.handshakeV2(rw, shard, ct, hello)
 	}
-	return s.handshakeV1(rw, sh, ct, hello)
+	return s.handshakeV1(rw, shard, ct, hello)
 }
 
 // handshakeV2 answers a negotiated hello: resolve the tenant by the
 // requested parameter-set ID and run either the resumption path (the
 // hello carries a ticket) or the full KEM flight.
-func (s *Server) handshakeV2(rw io.ReadWriter, sh *shard, ct *connTrace, hello [helloV1Len]byte) (*Channel, *tenant, error) {
+func (s *Server) handshakeV2(rw io.ReadWriter, shard int, ct *connTrace, hello [helloV1Len]byte) (*Channel, *tenant, error) {
 	t0 := ct.start()
 	if hello[3] != protocolV2 {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		err := fmt.Errorf("%w: unsupported protocol version %d", errBadHello, hello[3])
 		ct.span(obs.PhaseNegotiate, t0, err)
 		return nil, nil, err
 	}
 	var rest [helloV2Len - helloV1Len]byte
 	if _, err := io.ReadFull(rw, rest[:]); err != nil {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		err = fmt.Errorf("protocol: hello: %w", err)
 		ct.span(obs.PhaseNegotiate, t0, err)
 		return nil, nil, err
@@ -557,11 +526,11 @@ func (s *Server) handshakeV2(rw io.ReadWriter, sh *shard, ct *connTrace, hello [
 	flags := rest[2]
 	if flags&helloFlagResume != 0 {
 		ct.span(obs.PhaseNegotiate, t0, nil)
-		return s.handshakeResume(rw, sh, ct, id)
+		return s.handshakeResume(rw, shard, ct, id)
 	}
 	t := s.tenantByID(id)
 	if t == nil {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		// Tell the client before closing so it fails with a diagnosis
 		// instead of an EOF.
 		rw.Write([]byte{statusReject})
@@ -570,7 +539,7 @@ func (s *Server) handshakeV2(rw io.ReadWriter, sh *shard, ct *connTrace, hello [
 		return nil, nil, err
 	}
 	ct.span(obs.PhaseNegotiate, t0, nil)
-	return s.serverKEMFlight(rw, sh, ct, t, statusOK, flags&helloFlagTicket != 0)
+	return s.serverKEMFlight(rw, shard, ct, t, statusOK, flags&helloFlagTicket != 0)
 }
 
 // serverKEMFlight runs the responder's full v2 flight against a resolved
@@ -578,14 +547,14 @@ func (s *Server) handshakeV2(rw io.ReadWriter, sh *shard, ct *connTrace, hello [
 // or statusFallback when downgrading a refused resumption), the streamed
 // public key, the decapsulation loop, and — when the client asked for
 // one — the session ticket.
-func (s *Server) serverKEMFlight(rw io.ReadWriter, sh *shard, ct *connTrace, t *tenant, firstStatus byte, wantTicket bool) (*Channel, *tenant, error) {
+func (s *Server) serverKEMFlight(rw io.ReadWriter, shard int, ct *connTrace, t *tenant, firstStatus byte, wantTicket bool) (*Channel, *tenant, error) {
 	t0 := ct.start()
-	ch, tn, err := s.serverKEMFlightInner(rw, sh, ct, t, firstStatus, wantTicket)
+	ch, tn, err := s.serverKEMFlightInner(rw, shard, ct, t, firstStatus, wantTicket)
 	ct.span(obs.PhaseKEMFlight, t0, err)
 	return ch, tn, err
 }
 
-func (s *Server) serverKEMFlightInner(rw io.ReadWriter, sh *shard, ct *connTrace, t *tenant, firstStatus byte, wantTicket bool) (*Channel, *tenant, error) {
+func (s *Server) serverKEMFlightInner(rw io.ReadWriter, shard int, ct *connTrace, t *tenant, firstStatus byte, wantTicket bool) (*Channel, *tenant, error) {
 	params := t.scheme.Params()
 	if _, err := rw.Write([]byte{firstStatus}); err != nil {
 		return nil, t, fmt.Errorf("protocol: sending hello status: %w", err)
@@ -609,9 +578,9 @@ func (s *Server) serverKEMFlightInner(rw io.ReadWriter, sh *shard, ct *connTrace
 			return nil, t, fmt.Errorf("protocol: encapsulation is %s, negotiated %s: %w",
 				ekParams.Name(), params.Name(), ringlwe.ErrParamsMismatch)
 		}
-		key, err := s.decapsulate(sh, t, ek)
+		key, err := s.decapsulate(t, ek)
 		if errors.Is(err, ringlwe.ErrDecapsulation) {
-			t.m.retries.Inc(shardIndex(sh))
+			t.m.retries.Inc(shard)
 			if _, werr := rw.Write([]byte{statusRetry}); werr != nil {
 				return nil, t, fmt.Errorf("protocol: sending retry: %w", werr)
 			}
@@ -624,7 +593,7 @@ func (s *Server) serverKEMFlightInner(rw io.ReadWriter, sh *shard, ct *connTrace
 			return nil, t, fmt.Errorf("protocol: sending ok: %w", err)
 		}
 		if wantTicket {
-			if err := s.issueTicket(rw, sh, ct, t, 0, resumeMasterSecret(params, key)); err != nil {
+			if err := s.issueTicket(rw, shard, ct, t, 0, resumeMasterSecret(params, key)); err != nil {
 				return nil, t, fmt.Errorf("protocol: sending ticket: %w", err)
 			}
 		}
@@ -632,7 +601,7 @@ func (s *Server) serverKEMFlightInner(rw io.ReadWriter, sh *shard, ct *connTrace
 		if firstStatus == statusFallback {
 			path = pathFallback
 		}
-		ch := s.newServerChannel(rw, sh, ct, t, path)
+		ch := s.newServerChannel(rw, shard, ct, t, path)
 		ch.Retries = attempt
 		ch.deriveKeysV2(key, 0, false)
 		return ch, t, nil
@@ -642,17 +611,17 @@ func (s *Server) serverKEMFlightInner(rw io.ReadWriter, sh *shard, ct *connTrace
 
 // newServerChannel builds the server side of an established channel,
 // wired to the tenant's record-layer metrics and the connection trace.
-func (s *Server) newServerChannel(rw io.ReadWriter, sh *shard, ct *connTrace, t *tenant, path hsPath) *Channel {
-	m, idx := t.m, shardIndex(sh)
+func (s *Server) newServerChannel(rw io.ReadWriter, shard int, ct *connTrace, t *tenant, path hsPath) *Channel {
+	m := t.m
 	return &Channel{
 		rw:      rw,
 		version: protocolV2,
 		scheme:  t.scheme,
 		localSK: t.sk,
-		onRekey: func() { m.rekeys.Inc(idx) },
+		onRekey: func() { m.rekeys.Inc(shard) },
 		path:    path,
 		m:       m,
-		shard:   idx,
+		shard:   shard,
 		ct:      ct,
 	}
 }
@@ -663,20 +632,20 @@ func (s *Server) newServerChannel(rw io.ReadWriter, sh *shard, ct *connTrace, t 
 // else (garbage, expired, replayed, rotated-away key, tickets disabled,
 // unknown tenant) transparently downgrades to a full handshake on the
 // same connection.
-func (s *Server) handshakeResume(rw io.ReadWriter, sh *shard, ct *connTrace, helloID uint16) (*Channel, *tenant, error) {
+func (s *Server) handshakeResume(rw io.ReadWriter, shard int, ct *connTrace, helloID uint16) (*Channel, *tenant, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(rw, hdr[:]); err != nil {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		return nil, nil, fmt.Errorf("protocol: resume hello: %w", err)
 	}
 	n := int(binary.BigEndian.Uint16(hdr[:]))
 	if n == 0 || n > maxTicketWire {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		return nil, nil, fmt.Errorf("%w: resume ticket length %d out of range", errBadHello, n)
 	}
 	ext := make([]byte, n+randomLen)
 	if _, err := io.ReadFull(rw, ext); err != nil {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		return nil, nil, fmt.Errorf("protocol: resume hello: %w", err)
 	}
 	tkt := ext[:n]
@@ -703,7 +672,7 @@ func (s *Server) handshakeResume(rw io.ReadWriter, sh *shard, ct *connTrace, hel
 				fallbackReason = "replayed"
 			default:
 				ct.span(obs.PhaseTicketOpen, t0, nil)
-				return s.resumeChannel(rw, sh, ct, t, st, clientRand)
+				return s.resumeChannel(rw, shard, ct, t, st, clientRand)
 			}
 		}
 		ct.span(obs.PhaseTicketOpen, t0, fmt.Errorf("protocol: ticket refused: %s", fallbackReason))
@@ -713,20 +682,20 @@ func (s *Server) handshakeResume(rw io.ReadWriter, sh *shard, ct *connTrace, hel
 	// client clearly wants tickets, so the downgrade reissues one.
 	t := s.tenantByID(helloID)
 	if t == nil {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		rw.Write([]byte{statusReject})
 		return nil, nil, fmt.Errorf("protocol: no tenant serves parameter-set ID %d: %w", helloID, ringlwe.ErrParamsMismatch)
 	}
-	t.m.ticketFallbacks.Inc(shardIndex(sh))
+	t.m.ticketFallbacks.Inc(shard)
 	s.log(slog.LevelInfo, "ticket fallback",
 		"params", t.scheme.Params().Name(), "reason", fallbackReason)
-	return s.serverKEMFlight(rw, sh, ct, t, statusFallback, true)
+	return s.serverKEMFlight(rw, shard, ct, t, statusFallback, true)
 }
 
 // resumeChannel completes an accepted resumption: fresh server random,
 // reissued single-use ticket, and a key schedule derived from the
 // ticket's master secret plus both randoms.
-func (s *Server) resumeChannel(rw io.ReadWriter, sh *shard, ct *connTrace, t *tenant, st ticket.State, clientRand [randomLen]byte) (*Channel, *tenant, error) {
+func (s *Server) resumeChannel(rw io.ReadWriter, shard int, ct *connTrace, t *tenant, st ticket.State, clientRand [randomLen]byte) (*Channel, *tenant, error) {
 	var serverRand [randomLen]byte
 	if _, err := io.ReadFull(s.rand, serverRand[:]); err != nil {
 		return nil, t, fmt.Errorf("protocol: server random: %w", err)
@@ -737,10 +706,10 @@ func (s *Server) resumeChannel(rw io.ReadWriter, sh *shard, ct *connTrace, t *te
 	if _, err := rw.Write(resp); err != nil {
 		return nil, t, fmt.Errorf("protocol: sending resume status: %w", err)
 	}
-	if err := s.issueTicket(rw, sh, ct, t, st.Epoch, st.Secret); err != nil {
+	if err := s.issueTicket(rw, shard, ct, t, st.Epoch, st.Secret); err != nil {
 		return nil, t, fmt.Errorf("protocol: reissuing ticket: %w", err)
 	}
-	ch := s.newServerChannel(rw, sh, ct, t, pathResumed)
+	ch := s.newServerChannel(rw, shard, ct, t, pathResumed)
 	ch.resumed = true
 	shared := resumedShared(t.scheme.Params().Name(), st.Epoch, st.Secret, clientRand, serverRand)
 	ch.deriveKeysV2(shared, 0, false)
@@ -749,23 +718,23 @@ func (s *Server) resumeChannel(rw io.ReadWriter, sh *shard, ct *connTrace, t *te
 
 // handshakeV1 answers a legacy tagged hello exactly as the original
 // single-tenant server did, dispatching on the one-byte tag.
-func (s *Server) handshakeV1(rw io.ReadWriter, sh *shard, ct *connTrace, hello [helloV1Len]byte) (*Channel, *tenant, error) {
+func (s *Server) handshakeV1(rw io.ReadWriter, shard int, ct *connTrace, hello [helloV1Len]byte) (*Channel, *tenant, error) {
 	if hello[3] != 0 {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		return nil, nil, fmt.Errorf("%w: malformed v1 hello", errBadHello)
 	}
 	t := s.tenantByLegacyTag(hello[2])
 	if t == nil {
-		s.sm.rejected.Inc(shardIndex(sh))
+		s.sm.rejected.Inc(shard)
 		return nil, nil, fmt.Errorf("protocol: no tenant serves v1 parameter tag %d: %w", hello[2], ringlwe.ErrParamsMismatch)
 	}
 	t0 := ct.start()
-	ch, tn, err := s.v1KEMFlight(rw, sh, ct, t)
+	ch, tn, err := s.v1KEMFlight(rw, shard, ct, t)
 	ct.span(obs.PhaseKEMFlight, t0, err)
 	return ch, tn, err
 }
 
-func (s *Server) v1KEMFlight(rw io.ReadWriter, sh *shard, ct *connTrace, t *tenant) (*Channel, *tenant, error) {
+func (s *Server) v1KEMFlight(rw io.ReadWriter, shard int, ct *connTrace, t *tenant) (*Channel, *tenant, error) {
 	params := t.scheme.Params()
 	if _, err := rw.Write(t.pk.Bytes()); err != nil {
 		return nil, t, fmt.Errorf("protocol: sending public key: %w", err)
@@ -778,9 +747,9 @@ func (s *Server) v1KEMFlight(rw io.ReadWriter, sh *shard, ct *connTrace, t *tena
 		if _, err := io.ReadFull(rw, blob); err != nil {
 			return nil, t, fmt.Errorf("protocol: reading encapsulation: %w", err)
 		}
-		key, err := s.decapsulate(sh, t, ringlwe.EncapsulatedKey(blob))
+		key, err := s.decapsulate(t, ringlwe.EncapsulatedKey(blob))
 		if errors.Is(err, ringlwe.ErrDecapsulation) {
-			t.m.retries.Inc(shardIndex(sh))
+			t.m.retries.Inc(shard)
 			if _, werr := rw.Write([]byte{statusRetry}); werr != nil {
 				return nil, t, fmt.Errorf("protocol: sending retry: %w", werr)
 			}
@@ -792,7 +761,7 @@ func (s *Server) v1KEMFlight(rw io.ReadWriter, sh *shard, ct *connTrace, t *tena
 		if _, err := rw.Write([]byte{statusOK}); err != nil {
 			return nil, t, fmt.Errorf("protocol: sending ok: %w", err)
 		}
-		ch := s.newServerChannel(rw, sh, ct, t, pathFull)
+		ch := s.newServerChannel(rw, shard, ct, t, pathFull)
 		ch.version = protocolV1
 		ch.onRekey = nil // v1 channels cannot rekey
 		ch.Retries = attempt
@@ -800,22 +769,6 @@ func (s *Server) v1KEMFlight(rw io.ReadWriter, sh *shard, ct *connTrace, t *tena
 		return ch, t, nil
 	}
 	return nil, t, errTooManyRetries
-}
-
-// startLoops launches the per-shard dispatcher and decapsulation-batcher
-// goroutines, once, on first serve.
-func (s *Server) startLoops() {
-	s.loopOnce.Do(func() {
-		for _, sh := range s.shards {
-			go sh.dispatch(s.loopStop)
-			go sh.batchDecaps(s.loopStop)
-		}
-	})
-}
-
-// stopLoops ends the shard goroutines after the last connection unwinds.
-func (s *Server) stopLoops() {
-	s.stopOnce.Do(func() { close(s.loopStop) })
 }
 
 // acceptLoop accepts until the listener dies or the server closes,
@@ -852,17 +805,16 @@ func (s *Server) acceptLoop(ln net.Listener, dispatch func(net.Conn)) error {
 
 // Serve accepts connections on ln until the listener fails or
 // Shutdown/Close is called, in which case it returns ErrServerClosed. The
-// single accept loop feeds connections round-robin into the shard
-// dispatchers; for kernel-sharded accepts use Listen + ServeListeners.
+// single accept loop tags connections with shards round-robin; for
+// kernel-sharded accepts use Listen + ServeListeners.
 func (s *Server) Serve(ln net.Listener) error {
 	s.connMu.Lock()
 	s.lns = append(s.lns, ln)
 	s.connMu.Unlock()
-	s.startLoops()
 	return s.acceptLoop(ln, func(conn net.Conn) {
-		sh := s.shards[int(s.nextShard.Add(1))%len(s.shards)]
+		shard := int(s.nextShard.Add(1) % uint64(s.numShards))
 		s.wg.Add(1)
-		sh.queue <- conn
+		go s.serveConn(conn, shard)
 	})
 }
 
@@ -888,8 +840,8 @@ func (s *Server) Listen(network, addr string) (net.Addr, error) {
 
 // ServeListeners runs the accept loops bound by Listen until shutdown
 // (returning ErrServerClosed) or a listener failure. With reuseport
-// listeners each accept loop feeds its own shard directly; with a single
-// listener it degrades to Serve's round-robin dispatch.
+// listeners each accept loop counts its connections in its own shard;
+// with a single listener it degrades to Serve's round-robin shard tags.
 func (s *Server) ServeListeners() error {
 	s.connMu.Lock()
 	lns := append([]net.Listener(nil), s.lns...)
@@ -900,16 +852,15 @@ func (s *Server) ServeListeners() error {
 	if len(lns) == 1 {
 		return s.Serve(lns[0])
 	}
-	s.startLoops()
 	errc := make(chan error, len(lns))
 	for i, ln := range lns {
-		sh := s.shards[i%len(s.shards)]
-		go func(ln net.Listener, sh *shard) {
+		shard := i % s.numShards
+		go func() {
 			errc <- s.acceptLoop(ln, func(conn net.Conn) {
 				s.wg.Add(1)
-				go s.serveConn(conn, sh)
+				go s.serveConn(conn, shard)
 			})
-		}(ln, sh)
+		}()
 	}
 	first := <-errc
 	// One lane failing (or shutdown) brings the rest down too.
@@ -929,10 +880,10 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.ServeListeners()
 }
 
-// serveConn runs one connection on its shard: handshake under the
-// handshake deadline, per-path latency and counter accounting, then the
-// handler.
-func (s *Server) serveConn(conn net.Conn, sh *shard) {
+// serveConn runs one connection, counting it in metric slot shard:
+// handshake under the handshake deadline, per-path latency and counter
+// accounting, then the handler.
+func (s *Server) serveConn(conn net.Conn, shard int) {
 	defer s.wg.Done()
 	defer conn.Close()
 	s.trackConn(conn, true)
@@ -942,20 +893,19 @@ func (s *Server) serveConn(conn net.Conn, sh *shard) {
 		conn.SetDeadline(time.Now().Add(s.hsTimeout))
 	}
 	start := time.Now()
-	ch, t, err := s.handshake(conn, sh)
+	ch, t, err := s.handshake(conn, shard)
 	if err != nil {
-		s.recordHandshakeFailure(conn, sh, t, err)
+		s.recordHandshakeFailure(conn, shard, t, err)
 		return
 	}
 	if s.hsTimeout > 0 {
 		conn.SetDeadline(time.Time{})
 	}
-	idx := shardIndex(sh)
 	m := t.m
-	m.paths[ch.path].Inc(idx)
-	m.hsDur[ch.path].ObserveDuration(idx, time.Since(start))
-	m.active.Inc(idx)
-	defer m.active.Dec(idx)
+	m.paths[ch.path].Inc(shard)
+	m.hsDur[ch.path].ObserveDuration(shard, time.Since(start))
+	m.active.Inc(shard)
+	defer m.active.Dec(shard)
 	if s.handler != nil {
 		s.handler(ch)
 	}
@@ -964,15 +914,14 @@ func (s *Server) serveConn(conn net.Conn, sh *shard) {
 // recordHandshakeFailure classifies and counts one failed handshake
 // (per-reason tenant counters when one was resolved, the shared timeout
 // counter always) and logs it.
-func (s *Server) recordHandshakeFailure(conn net.Conn, sh *shard, t *tenant, err error) {
-	idx := shardIndex(sh)
+func (s *Server) recordHandshakeFailure(conn net.Conn, shard int, t *tenant, err error) {
 	reason := failureReason(err)
 	if reason == reasonTimeout {
-		s.sm.timeouts.Inc(idx)
+		s.sm.timeouts.Inc(shard)
 	}
 	params := "unresolved"
 	if t != nil {
-		t.m.reasons[reason].Inc(idx)
+		t.m.reasons[reason].Inc(shard)
 		params = t.scheme.Params().Name()
 	}
 	s.log(slog.LevelWarn, "handshake failed",
@@ -1021,7 +970,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.stopLoops()
 		return nil
 	case <-ctx.Done():
 		s.connMu.Lock()
@@ -1030,7 +978,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.connMu.Unlock()
 		<-done
-		s.stopLoops()
 		return ctx.Err()
 	}
 }

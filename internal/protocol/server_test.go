@@ -145,6 +145,78 @@ func TestServerMixedParamsConcurrent(t *testing.T) {
 	}
 }
 
+// TestServerBurstOneShard lands a burst of simultaneous full handshakes on
+// a one-shard Serve loop: every connection decapsulates on its own
+// goroutine, so the burst needs no queue between the accept loop and the
+// KEM. Run under -race in CI.
+func TestServerBurstOneShard(t *testing.T) {
+	srv := NewServer(WithShards(1), WithHandler(echoHandler))
+	if err := srv.AddParams(ringlwe.P1()); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+
+	const clients = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer conn.Close()
+			ch, err := Client(conn, ringlwe.NewDeterministic(ringlwe.P1(), 6300+uint64(i)))
+			if err != nil {
+				errs <- fmt.Errorf("client %d: %w", i, err)
+				return
+			}
+			msg := []byte(fmt.Sprintf("burst-%d", i))
+			if err := ch.Send(msg); err != nil {
+				errs <- fmt.Errorf("client %d send: %w", i, err)
+				return
+			}
+			back, err := ch.Recv()
+			if err != nil {
+				errs <- fmt.Errorf("client %d recv: %w", i, err)
+				return
+			}
+			if string(back) != string(msg) {
+				errs <- fmt.Errorf("client %d: echoed %q", i, back)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	if got := srv.Stats().PerParams["P1"].Handshakes; got != clients {
+		t.Errorf("P1 handshakes %d, want %d", got, clients)
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	if err := <-serveDone; err != ErrServerClosed {
+		t.Errorf("Serve returned %v, want ErrServerClosed", err)
+	}
+	if got := srv.Stats().PerParams["P1"].ActiveChannels; got != 0 {
+		t.Errorf("%d channels active after Close", got)
+	}
+}
+
 // TestServerAddParamsCTREntropy drives the AddParams convenience path
 // (per-scheme AES-CTR DRBG entropy) through a real handshake.
 func TestServerAddParamsCTREntropy(t *testing.T) {

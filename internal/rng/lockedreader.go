@@ -8,9 +8,8 @@ import (
 // LockedReader serializes access to an underlying io.Reader stream. The
 // CTR and hash DRBGs are single-stream generators whose Read mutates
 // internal state, so a reader shared by several goroutines — the ticket
-// keeper drawing rotation keys from shard goroutines, a server minting
-// nonces — must be locked. Forked children (ForkReader) remain lock-free
-// and exclusively owned by their caller, exactly as with LockedSource.
+// keeper drawing rotation keys from connection goroutines, a server
+// minting nonces — must be locked.
 type LockedReader struct {
 	mu sync.Mutex
 	r  io.Reader
@@ -27,21 +26,4 @@ func (l *LockedReader) Read(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.r.Read(p)
-}
-
-// ForkReader derives an independent child stream under the lock: a
-// wrapped reader that forks natively (CTRReader) yields an unlocked child
-// of its own kind; any other reader seeds a fresh CTR child from 32 bytes
-// of parent output.
-func (l *LockedReader) ForkReader() io.Reader {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if f, ok := l.r.(readerForker); ok {
-		return f.ForkReader()
-	}
-	var seed [32]byte
-	if _, err := io.ReadFull(l.r, seed[:]); err != nil {
-		panic("rng: randomness reader failed: " + err.Error())
-	}
-	return NewCTRReader(seed[:])
 }

@@ -24,8 +24,7 @@ func TestLockedReaderStream(t *testing.T) {
 }
 
 // TestLockedReaderConcurrent drives one LockedReader from many goroutines
-// under -race: every read must succeed and forked children must be
-// independent lock-free streams.
+// under -race: every read must succeed.
 func TestLockedReaderConcurrent(t *testing.T) {
 	lr := NewLockedReader(NewCTRReader([]byte("concurrent")))
 	var wg sync.WaitGroup
@@ -40,29 +39,7 @@ func TestLockedReaderConcurrent(t *testing.T) {
 					return
 				}
 			}
-			child := lr.ForkReader()
-			if _, err := child.Read(buf); err != nil {
-				t.Error(err)
-			}
 		}()
 	}
 	wg.Wait()
-}
-
-// TestLockedReaderForkFallback covers the non-forking underlying reader:
-// the child must be a working CTR stream distinct from the parent's.
-func TestLockedReaderForkFallback(t *testing.T) {
-	lr := NewLockedReader(bytes.NewReader(make([]byte, 4096)))
-	child := lr.ForkReader()
-	a := make([]byte, 32)
-	b := make([]byte, 32)
-	if _, err := io.ReadFull(child, a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(lr, b); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(a, b) {
-		t.Fatal("forked child repeats parent stream")
-	}
 }
