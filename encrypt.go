@@ -27,10 +27,11 @@ func (s *Scheme) Encrypt(pk *PublicKey, msg []byte) (*Ciphertext, error) {
 	return &Ciphertext{params: s.params, inner: ct}, nil
 }
 
-// Decrypt opens ct with sk under the scheme's profile (the ConstantTime
-// profile decodes branchlessly). Note the scheme's intrinsic failure rate;
-// use the KEM interface when transporting keys. Decryption consumes no
-// randomness, so unlike the other one-shot methods it takes no lock.
+// Decrypt opens ct with sk on the scheme's NTT engines and under its
+// profile (the ConstantTime profile decodes branchlessly). Note the
+// scheme's intrinsic failure rate; use the KEM interface when transporting
+// keys. Decryption consumes no randomness, so unlike the other one-shot
+// methods it takes no lock.
 func (s *Scheme) Decrypt(sk *PrivateKey, ct *Ciphertext) ([]byte, error) {
 	if sk.params.inner != s.params.inner {
 		return nil, paramsMismatch("private key")
@@ -38,16 +39,17 @@ func (s *Scheme) Decrypt(sk *PrivateKey, ct *Ciphertext) ([]byte, error) {
 	if ct.params.inner != s.params.inner {
 		return nil, paramsMismatch("ciphertext")
 	}
-	if s.inner.ConstantTimeDecode() {
-		return sk.inner.DecryptConstantTime(ct.inner)
+	out := make([]byte, s.params.MessageSize())
+	if err := s.inner.DecryptInto(out, sk.inner, ct.inner); err != nil {
+		return nil, err
 	}
-	return sk.inner.Decrypt(ct.inner)
+	return out, nil
 }
 
 // Decrypt opens ct directly with the private key (no Scheme needed:
-// decryption consumes no randomness), always via the branching decoder —
-// route through Scheme.Decrypt or a Workspace to honour a constant-time
-// profile.
+// decryption consumes no randomness) on the default NTT engines, always
+// via the branching decoder — route through Scheme.Decrypt or a Workspace
+// to honour a constant-time profile.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) ([]byte, error) {
 	if ct.params.inner != sk.params.inner {
 		return nil, paramsMismatch("ciphertext")

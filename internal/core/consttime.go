@@ -1,44 +1,25 @@
 package core
 
-import (
-	"fmt"
-
-	"ringlwe/internal/ntt"
-)
+import "ringlwe/internal/ntt"
 
 // Constant-time message codec — the paper's future-work item ("we further
 // intend to extend our scheme to allow for constant-time execution", §V).
-// Encode/Decode are the scheme steps that touch plaintext bits directly,
-// so they are the first candidates for hardening; these variants use only
-// branchless arithmetic with no secret-dependent control flow or memory
-// indexing. The remaining variable-time components are the Knuth-Yao
-// sampler (inherently input-dependent; the constant-time CDT sampler in
-// internal/gauss is the drop-in alternative) and Go's own scheduler noise.
+// Encoding and decoding are the scheme steps that touch plaintext bits
+// directly, so they are the first candidates for hardening; these variants
+// use only branchless arithmetic with no secret-dependent control flow or
+// memory indexing. A scheme built with ConstantTimeDecode runs them on
+// encryption and on every decryption (one-shot, workspace and batch: all go
+// through decryptInto); the scheme-less PrivateKey.Decrypt always decodes
+// with branches. The remaining variable-time components are the Knuth-Yao
+// sampler (inherently input-dependent; the cdt backend is the constant-time
+// alternative), which the CCA KEM's FO re-encryption uses under every
+// profile, and Go's own scheduler noise.
 
-// EncodeConstantTime is Encode without secret-dependent branches: the
-// message bit selects 0 or ⌊q/2⌋ through a mask (AddEncodedConstantTime
-// onto the zero polynomial).
-func EncodeConstantTime(p *Params, msg []byte) (ntt.Poly, error) {
-	if len(msg) != p.MessageBytes() {
-		return nil, errMessageSize(p, len(msg))
-	}
-	out := p.newPoly()
-	AddEncodedConstantTime(p, out, msg)
-	return out, nil
-}
-
-// DecodeConstantTime is Decode without secret-dependent branches: the
-// threshold test q/4 < c < 3q/4 becomes two borrow extractions.
-func DecodeConstantTime(p *Params, m ntt.Poly) []byte {
-	out := make([]byte, p.MessageBytes())
-	DecodeConstantTimeInto(out, p, m)
-	return out
-}
-
-// DecodeConstantTimeInto is DecodeConstantTime writing into a caller-owned
-// MessageBytes buffer, allocating nothing — the decoder the ConstantTime
-// profile's workspaces run, so the hardened decrypt path stays at zero
-// allocations like the branching one.
+// DecodeConstantTimeInto is DecodeInto without secret-dependent branches:
+// the threshold test q/4 < c < 3q/4 becomes two borrow extractions. It
+// writes into a caller-owned MessageBytes buffer and allocates nothing, so
+// the hardened decrypt path stays at zero allocations like the branching
+// one.
 func DecodeConstantTimeInto(dst []byte, p *Params, m ntt.Poly) {
 	if p.K() > 1 {
 		// The CRT decoder's borrow-based threshold test is already
@@ -84,19 +65,4 @@ func AddEncodedConstantTime(p *Params, dst ntt.Poly, msg []byte) {
 			}
 		}
 	}
-}
-
-// DecryptConstantTime is PrivateKey.Decrypt with the branchless decoder —
-// the one-shot path of the ConstantTime profile (the zero-allocation
-// workspace path selects the decoder via the scheme's options instead).
-func (sk *PrivateKey) DecryptConstantTime(ct *Ciphertext) ([]byte, error) {
-	m, err := sk.DecryptToPoly(ct)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeConstantTime(sk.Params, m), nil
-}
-
-func errMessageSize(p *Params, got int) error {
-	return fmt.Errorf("core: message is %d bytes, want %d", got, p.MessageBytes())
 }

@@ -2,6 +2,11 @@ package core
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ringlwe/internal/ntt"
@@ -13,6 +18,7 @@ import (
 func TestDecodeConstantTimeExhaustive(t *testing.T) {
 	for _, p := range []*Params{P1(), P2()} {
 		poly := make(ntt.Poly, p.N)
+		a, b := make([]byte, p.MessageBytes()), make([]byte, p.MessageBytes())
 		for c := uint32(0); c < p.Q; c += uint32(p.N) {
 			// Fill the polynomial with a window of consecutive values so
 			// each pass covers N coefficients.
@@ -23,8 +29,8 @@ func TestDecodeConstantTimeExhaustive(t *testing.T) {
 				}
 				poly[i] = v
 			}
-			a := Decode(p, poly)
-			b := DecodeConstantTime(p, poly)
+			DecodeInto(a, p, poly)
+			DecodeConstantTimeInto(b, p, poly)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("%s: decoders disagree in window starting at %d", p.Name, c)
 			}
@@ -37,19 +43,23 @@ func TestEncodeConstantTimeMatchesEncode(t *testing.T) {
 	src := rng.NewXorshift128(77)
 	for trial := 0; trial < 100; trial++ {
 		msg := randMessage(src, p.MessageBytes())
-		a, err := Encode(p, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := EncodeConstantTime(p, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, b := p.newPoly(), p.newPoly()
+		addEncoded(p, a, msg)
+		AddEncodedConstantTime(p, b, msg)
 		if !equalPoly(a, b) {
 			t.Fatal("encoders disagree")
 		}
 	}
-	if _, err := EncodeConstantTime(p, make([]byte, 3)); err == nil {
+	// The message length is checked where encryption takes the message.
+	s, err := NewWithOptions(p, rng.NewXorshift128(78), Options{ConstantTimeDecode: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, _, err := s.GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Encrypt(pk, make([]byte, 3)); err == nil {
 		t.Fatal("short message accepted")
 	}
 }
@@ -68,12 +78,10 @@ func TestConstantTimeDecodeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mprime, err := sk.DecryptToPoly(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := DecodeConstantTime(p, mprime)
-	want := Decode(p, mprime)
+	mprime := prePoly(s, sk, ct)
+	got, want := make([]byte, p.MessageBytes()), make([]byte, p.MessageBytes())
+	DecodeConstantTimeInto(got, p, mprime)
+	DecodeInto(want, p, mprime)
 	if !bytes.Equal(got, want) {
 		t.Fatal("constant-time decode diverges from reference on a real decryption")
 	}
@@ -85,9 +93,10 @@ func BenchmarkDecodeBranchy(b *testing.B) {
 	for i := range poly {
 		poly[i] = uint32(i*29) % p.Q
 	}
+	dst := make([]byte, p.MessageBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Decode(p, poly)
+		DecodeInto(dst, p, poly)
 	}
 }
 
@@ -97,8 +106,50 @@ func BenchmarkDecodeConstantTime(b *testing.B) {
 	for i := range poly {
 		poly[i] = uint32(i*29) % p.Q
 	}
+	dst := make([]byte, p.MessageBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DecodeConstantTime(p, poly)
+		DecodeConstantTimeInto(dst, p, poly)
+	}
+}
+
+// TestDecoderChosenOnce pins that the message decoder is picked in one
+// place: across the package's non-test files, DecodeInto and
+// DecodeConstantTimeInto are each called from decryptInto and nowhere
+// else, so every decryption path honours the scheme's ConstantTimeDecode.
+func TestDecoderChosenOnce(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers := map[string]map[string]bool{"DecodeInto": {}, "DecodeConstantTimeInto": {}}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && callers[id.Name] != nil {
+						callers[id.Name][fn.Name.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for decoder, fns := range callers {
+		if len(fns) != 1 || !fns["decryptInto"] {
+			t.Errorf("%s is called from %v, want only decryptInto", decoder, fns)
+		}
 	}
 }

@@ -78,14 +78,8 @@ func TestEvalLinearIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m1, err := sk.DecryptToPoly(ct1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m2, err := sk.DecryptToPoly(ct2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m1 := prePoly(s, sk, ct1)
+			m2 := prePoly(s, sk, ct2)
 			mod := p.Mod
 
 			sum := NewCiphertext(p)
@@ -95,10 +89,7 @@ func TestEvalLinearIdentity(t *testing.T) {
 			if sum.Addends != 2 {
 				t.Fatalf("sum.Addends = %d, want 2", sum.Addends)
 			}
-			mSum, err := sk.DecryptToPoly(sum)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mSum := prePoly(s, sk, sum)
 			for i := range mSum {
 				if want := mod.Add(m1[i], m2[i]); mSum[i] != want {
 					t.Fatalf("add: coeff %d = %d, want %d", i, mSum[i], want)
@@ -109,10 +100,7 @@ func TestEvalLinearIdentity(t *testing.T) {
 			if err := s.EvalSubInto(diff, ct1, ct2); err != nil {
 				t.Fatal(err)
 			}
-			mDiff, err := sk.DecryptToPoly(diff)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mDiff := prePoly(s, sk, diff)
 			for i := range mDiff {
 				if want := mod.Sub(m1[i], m2[i]); mDiff[i] != want {
 					t.Fatalf("sub: coeff %d = %d, want %d", i, mDiff[i], want)
@@ -131,10 +119,7 @@ func TestEvalLinearIdentity(t *testing.T) {
 				if err := s.EvalScalarMulInto(scaled, ct1, k); err != nil {
 					t.Fatalf("scalar %d: %v", k, err)
 				}
-				mScaled, err := sk.DecryptToPoly(scaled)
-				if err != nil {
-					t.Fatal(err)
-				}
+				mScaled := prePoly(s, sk, scaled)
 				for i := range mScaled {
 					if want := mod.Mul(m1[i], k%p.Q); mScaled[i] != want {
 						t.Fatalf("scalar %d: coeff %d = %d, want %d", k, i, mScaled[i], want)

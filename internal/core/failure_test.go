@@ -86,10 +86,7 @@ func TestDecryptionNoiseMoments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp, err := sk.DecryptToPoly(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mp := prePoly(s, sk, ct)
 		for _, c := range mp {
 			v := centerLift(c, p.Q)
 			sum += v

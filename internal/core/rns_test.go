@@ -141,10 +141,7 @@ func TestB1EndToEnd(t *testing.T) {
 
 	// Oracle check on the pre-decode polynomial: reconstruct each
 	// coefficient with math/big and verify |c − bit·⌊q/2⌋| < q/4 (mod q).
-	m, err := sk.DecryptToPoly(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := prePoly(s, sk, ct)
 	b := p.Basis
 	q := b.QBig
 	quarter := new(big.Int).Rsh(q, 2)

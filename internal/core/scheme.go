@@ -56,10 +56,11 @@ type aggStats struct {
 // internal default workspace bound directly to the base source, preserving
 // the historical single-threaded behaviour bit for bit. They are safe for
 // concurrent use — one mutex serializes them on that workspace — but they
-// contend. For parallel throughput, create explicit workspaces with
-// NewWorkspace (or borrow pooled ones via Acquire/Release) — those never
-// contend: tables and the Runner are shared read-only, and each workspace
-// owns its sampler state, bit pools and scratch.
+// contend. DecryptInto, which draws no randomness, takes no lock. For
+// parallel throughput, create explicit workspaces with NewWorkspace (or
+// borrow pooled ones via Acquire/Release) — those never contend: tables
+// and the Runner are shared read-only, and each workspace owns its sampler
+// state, bit pools and scratch.
 type Scheme struct {
 	Params *Params
 
@@ -84,14 +85,16 @@ type Scheme struct {
 	// never changes results — only whether plaintext bits steer branches.
 	ctDecode bool
 
-	// src is the base randomness source behind a mutex: the one-shot path
-	// draws from it and workspace forking may consume its state, possibly
-	// from different goroutines.
-	src *rng.LockedSource
+	// src is the base randomness source. The default workspace draws from
+	// it directly and NewWorkspace forks it (forking may consume its
+	// state); both happen under defMu, so src needs no lock of its own.
+	src rng.Source
 
-	// def serves the legacy one-shot API on the unforked base source;
-	// defMu serializes every call into it, since its sampler, bit pools
-	// and scratch are single-goroutine state.
+	// def serves the legacy one-shot API on the unforked base source.
+	// defMu serializes every call into def and every fork of src, since
+	// def's sampler, bit pools and scratch are single-goroutine state. No
+	// method that holds defMu may fork: NewWorkspace, and Acquire on a pool
+	// miss, would deadlock on it.
 	defMu sync.Mutex
 	def   *Workspace
 
@@ -155,7 +158,7 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 		runner:   runner,
 		smp:      smpName,
 		ctDecode: opts.ConstantTimeDecode,
-		src:      rng.NewLockedSource(src),
+		src:      src,
 	}
 	def, err := newWorkspace(s, s.src)
 	if err != nil {
@@ -187,10 +190,13 @@ func (s *Scheme) ConstantTimeDecode() bool { return s.ctDecode }
 
 // NewWorkspace forks an independent per-goroutine workspace off the
 // scheme's base randomness source. Safe to call concurrently with any
-// other scheme or workspace operation (the base source is locked); the
-// returned workspace itself is single-goroutine.
+// other scheme or workspace operation (the fork holds defMu); the returned
+// workspace itself is single-goroutine.
 func (s *Scheme) NewWorkspace() (*Workspace, error) {
-	return newWorkspace(s, rng.ForkSource(s.src))
+	s.defMu.Lock()
+	src := rng.ForkSource(s.src)
+	s.defMu.Unlock()
+	return newWorkspace(s, src)
 }
 
 // Acquire borrows a workspace from the scheme's internal pool, forking a
@@ -230,29 +236,11 @@ func (s *Scheme) GenerateKeysShared(a ntt.Poly) (*PublicKey, *PrivateKey, error)
 	return s.def.GenerateKeysShared(a)
 }
 
-// Encode maps a message of MessageBytes bytes to the polynomial m̄ whose
-// coefficient i is ⌊q/2⌋·bit_i (bit i = bit i%8 of byte i/8).
-// For K > 1 the offset is added as its residue in every channel.
-func Encode(p *Params, msg []byte) (ntt.Poly, error) {
-	if len(msg) != p.MessageBytes() {
-		return nil, errMessageSize(p, len(msg))
-	}
-	out := p.newPoly()
-	addEncoded(p, out, msg)
-	return out, nil
-}
-
-// Decode inverts Encode with the threshold test: coefficient c decodes to 1
-// iff q/4 < c < 3q/4, i.e. iff c is closer to q/2 than to 0 (mod q).
-func Decode(p *Params, m ntt.Poly) []byte {
-	out := make([]byte, p.MessageBytes())
-	DecodeInto(out, p, m)
-	return out
-}
-
-// DecodeInto is Decode writing into a caller-owned MessageBytes buffer.
-// A one-channel set tests the word-sized coefficient directly; K > 1
-// CRT-reconstructs each coefficient first.
+// DecodeInto decodes m into the caller-owned MessageBytes buffer dst with
+// the threshold test: coefficient c decodes to 1 iff q/4 < c < 3q/4, i.e.
+// iff c is closer to q/2 than to 0 (mod q). A one-channel set tests the
+// word-sized coefficient directly; K > 1 CRT-reconstructs each coefficient
+// first.
 func DecodeInto(dst []byte, p *Params, m ntt.Poly) {
 	if p.K() > 1 {
 		crtDecodeInto(dst, p, m)
@@ -276,33 +264,68 @@ func (s *Scheme) Encrypt(pk *PublicKey, msg []byte) (*Ciphertext, error) {
 	return s.def.Encrypt(pk, msg)
 }
 
-// Decrypt recovers the message: decode(INTT(c̃1 ∘ r̃2 + c̃2)). Wrong keys
-// yield random-looking plaintext, not an error; authenticity requires an
-// outer integrity layer (see the hybrid KEM example).
-func (sk *PrivateKey) Decrypt(ct *Ciphertext) ([]byte, error) {
-	m, err := sk.DecryptToPoly(ct)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(sk.Params, m), nil
+// DecryptInto decrypts on the scheme's Runner and decoder into the
+// caller-owned MessageBytes buffer dst, with freshly allocated scratch: the
+// one-shot decryption. Decryption consumes no randomness, so it takes no
+// lock and borrows no pooled workspace, whose pool miss would fork the base
+// source and move a deterministic scheme's stream.
+func (s *Scheme) DecryptInto(dst []byte, sk *PrivateKey, ct *Ciphertext) error {
+	return decryptInto(s.Params, s.runner, s.ctDecode, dst, s.Params.newPoly(), sk, ct)
 }
 
-// DecryptToPoly returns the pre-decoding polynomial m' = m̄ + noise; the
-// failure-rate experiment inspects it directly.
-func (sk *PrivateKey) DecryptToPoly(ct *Ciphertext) (ntt.Poly, error) {
+// Decrypt recovers the message: decode(INTT(c̃1 ∘ r̃2 + c̃2)). It needs no
+// Scheme, so it runs on the basis's default engines and always decodes
+// with the branching decoder; Scheme.DecryptInto and Workspace.DecryptInto
+// honour a constant-time profile. Wrong keys yield random-looking
+// plaintext, not an error; authenticity requires an outer integrity layer
+// (see the hybrid KEM example).
+func (sk *PrivateKey) Decrypt(ct *Ciphertext) ([]byte, error) {
 	p := sk.Params
+	engs, err := p.Basis.ResolveEngines("")
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	r, err := ntt.NewRunner(engs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	out := make([]byte, p.MessageBytes())
+	if err := decryptInto(p, r, false, out, p.newPoly(), sk, ct); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decryptInto is the one decryption routine behind every decrypt and
+// decapsulation: it checks the parameters, computes the pre-decoding
+// polynomial into scratch on runner r, and decodes it into dst with the
+// branchless decoder when ctDecode is set, the branching one otherwise.
+func decryptInto(p *Params, r *ntt.Runner, ctDecode bool, dst []byte, scratch ntt.Poly, sk *PrivateKey, ct *Ciphertext) error {
+	if sk.Params != p {
+		return errors.New("core: private key parameter set mismatch")
+	}
 	if ct.Params != p {
-		return nil, errors.New("core: ciphertext parameter set mismatch")
+		return errors.New("core: ciphertext parameter set mismatch")
 	}
-	// Engine-less: the basis tables' reference kernels, channel by channel.
-	m := p.newPoly()
-	for i, t := range p.Basis.Tables {
-		row := p.row(m, i)
-		t.PointwiseMul(row, p.row(ct.C1, i), p.row(sk.R2, i))
-		t.Add(row, row, p.row(ct.C2, i))
-		t.Inverse(row)
+	if len(dst) != p.MessageBytes() {
+		return fmt.Errorf("core: message buffer is %d bytes, want %d", len(dst), p.MessageBytes())
 	}
-	return m, nil
+	decryptPoly(r, scratch, sk, ct)
+	// The branch is on the scheme's configuration, never on message bits.
+	if ctDecode {
+		DecodeConstantTimeInto(dst, p, scratch)
+	} else {
+		DecodeInto(dst, p, scratch)
+	}
+	return nil
+}
+
+// decryptPoly writes the pre-decoding polynomial m' = INTT(c̃1 ∘ r̃2 + c̃2),
+// the encoded message plus noise, into m.
+func decryptPoly(r *ntt.Runner, m ntt.Poly, sk *PrivateKey, ct *Ciphertext) {
+	r.MulAll(m, ct.C1, sk.R2)
+	r.AddAll(m, m, ct.C2)
+	r.InverseAll(m)
 }
 
 // SamplerStats exposes the scheme's Gaussian sampler counters, aggregated

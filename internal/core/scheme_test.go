@@ -19,6 +19,14 @@ func newScheme(t testing.TB, p *Params, seed uint64) *Scheme {
 	return s
 }
 
+// prePoly returns ct's pre-decoding polynomial m' = m̄ + noise, computed on
+// s's Runner by the ring half of every decryption.
+func prePoly(s *Scheme, sk *PrivateKey, ct *Ciphertext) ntt.Poly {
+	m := s.Params.newPoly()
+	decryptPoly(s.runner, m, sk, ct)
+	return m
+}
+
 func randMessage(src *rng.Xorshift128, n int) []byte {
 	msg := make([]byte, n)
 	for i := range msg {
@@ -190,22 +198,27 @@ func TestWrongKeyFailsToDecrypt(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	p := P1()
 	src := rng.NewXorshift128(8)
+	got := make([]byte, p.MessageBytes())
 	for trial := 0; trial < 50; trial++ {
 		msg := randMessage(src, p.MessageBytes())
-		enc, err := Encode(p, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := p.newPoly()
+		addEncoded(p, enc, msg)
 		for _, c := range enc {
 			if c != 0 && c != p.Q/2 {
 				t.Fatalf("encode produced %d", c)
 			}
 		}
-		if got := Decode(p, enc); !bytes.Equal(got, msg) {
+		if DecodeInto(got, p, enc); !bytes.Equal(got, msg) {
 			t.Fatal("encode/decode mismatch")
 		}
 	}
-	if _, err := Encode(p, make([]byte, 5)); err == nil {
+	// The message length is checked where encryption takes the message.
+	s := newScheme(t, p, 8)
+	pk, _, err := s.GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Encrypt(pk, make([]byte, 5)); err == nil {
 		t.Fatal("short message accepted")
 	}
 }
@@ -224,9 +237,11 @@ func TestDecodeThresholds(t *testing.T) {
 		uint32(3 * q / 4): 1, // 4·5760 = 23040 < 23043 → 1
 		p.Q - 1:           0,
 	}
+	dst := make([]byte, p.MessageBytes())
 	for c, want := range cases {
 		poly[0] = c
-		got := Decode(p, poly)[0] & 1
+		DecodeInto(dst, p, poly)
+		got := dst[0] & 1
 		if got != want {
 			t.Errorf("Decode(%d) = %d, want %d", c, got, want)
 		}
@@ -241,11 +256,9 @@ func TestDecryptToPolyNoiseIsSmall(t *testing.T) {
 	pk, sk, _ := s.GenerateKeys()
 	msg := randMessage(rng.NewXorshift128(10), p.MessageBytes())
 	ct, _ := s.Encrypt(pk, msg)
-	mprime, err := sk.DecryptToPoly(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, _ := Encode(p, msg)
+	mprime := prePoly(s, sk, ct)
+	enc := p.newPoly()
+	addEncoded(p, enc, msg)
 	maxNoise := 0
 	for i := range mprime {
 		d := int(mprime[i]) - int(enc[i])

@@ -220,7 +220,7 @@ func (w *Workspace) EncryptInto(ct *Ciphertext, pk *PublicKey, msg []byte) error
 		return errors.New("core: ciphertext buffer parameter set mismatch")
 	}
 	if len(msg) != p.MessageBytes() {
-		return errMessageSize(p, len(msg))
+		return fmt.Errorf("core: message is %d bytes, want %d", len(msg), p.MessageBytes())
 	}
 	r := w.scheme.runner
 
@@ -262,25 +262,6 @@ func (w *Workspace) Encrypt(pk *PublicKey, msg []byte) (*Ciphertext, error) {
 // no randomness; the workspace only supplies scratch, so this too is
 // allocation-free.
 func (w *Workspace) DecryptInto(dst []byte, sk *PrivateKey, ct *Ciphertext) error {
-	p := w.scheme.Params
-	if sk.Params != p {
-		return errors.New("core: private key parameter set mismatch")
-	}
-	if ct.Params != p {
-		return errors.New("core: ciphertext parameter set mismatch")
-	}
-	if len(dst) != p.MessageBytes() {
-		return fmt.Errorf("core: message buffer is %d bytes, want %d", len(dst), p.MessageBytes())
-	}
-	r := w.scheme.runner
-	m := w.e1
-	r.MulAll(m, ct.C1, sk.R2)
-	r.AddAll(m, m, ct.C2)
-	r.InverseAll(m)
-	if w.scheme.ctDecode {
-		DecodeConstantTimeInto(dst, p, m)
-	} else {
-		DecodeInto(dst, p, m)
-	}
-	return nil
+	s := w.scheme
+	return decryptInto(s.Params, s.runner, s.ctDecode, dst, w.e1, sk, ct)
 }

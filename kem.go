@@ -5,6 +5,8 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+
+	"ringlwe/internal/core"
 )
 
 // Key encapsulation over the encryption scheme. The random session key is
@@ -69,19 +71,36 @@ func (s *Scheme) Encapsulate(pk *PublicKey) (EncapsulatedKey, [SharedKeySize]byt
 // Decapsulate recovers the session key from an encapsulation blob,
 // verifying the confirmation tag. It returns ErrDecapsulation when the
 // plaintext does not confirm — either wrong key material or an intrinsic
-// decryption failure; the peer should encapsulate again.
+// decryption failure; the peer should encapsulate again. It decrypts
+// under the scheme's profile.
 func (s *Scheme) Decapsulate(sk *PrivateKey, blob EncapsulatedKey) ([SharedKeySize]byte, error) {
+	return decapsulate(s.params, s.inner, sk, blob,
+		core.NewCiphertext(s.params.inner), make([]byte, s.params.MessageSize()))
+}
+
+// decrypter is the decryption both decapsulation paths share:
+// *core.Scheme for the one-shot call, *core.Workspace for the
+// allocation-free one.
+type decrypter interface {
+	DecryptInto(dst []byte, sk *core.PrivateKey, ct *core.Ciphertext) error
+}
+
+// decapsulate is the body of Scheme.Decapsulate and Workspace.Decapsulate:
+// it parses blob's ciphertext into ct, decrypts it with d into seed and
+// checks the confirmation tag.
+func decapsulate(p *Params, d decrypter, sk *PrivateKey, blob EncapsulatedKey, ct *core.Ciphertext, seed []byte) ([SharedKeySize]byte, error) {
 	var zero [SharedKeySize]byte
-	ctLen := s.params.CiphertextSize()
+	if sk.params.inner != p.inner {
+		return zero, paramsMismatch("private key")
+	}
+	ctLen := p.CiphertextSize()
 	if len(blob) != ctLen+confirmTagSize {
 		return zero, fmt.Errorf("ringlwe: encapsulation blob is %d bytes, want %d", len(blob), ctLen+confirmTagSize)
 	}
-	ct, err := ParseCiphertext(s.params, blob[:ctLen])
-	if err != nil {
-		return zero, err
+	if err := core.ParseCiphertextInto(ct, blob[:ctLen]); err != nil {
+		return zero, fmt.Errorf("ringlwe: %w", err)
 	}
-	seed, err := sk.Decrypt(ct)
-	if err != nil {
+	if err := d.DecryptInto(seed, sk.inner, ct); err != nil {
 		return zero, err
 	}
 	tag := kemTag(seed)

@@ -63,10 +63,16 @@ func deriveCoins(pkDigest [32]byte, m []byte) []byte {
 }
 
 // encryptDerand encrypts m under pk with coins-derived randomness; the
-// same (pk, m) always yields the same ciphertext.
-func encryptDerand(p *Params, pk *PublicKey, m, coins []byte) (*Ciphertext, error) {
-	drbg := rng.NewHashDRBG(coins)
-	enc, err := core.New(p.inner, drbg)
+// same (pk, m) always yields the same ciphertext. It runs on the scheme's
+// NTT engine and codec, which never change the result, and always samples
+// with knuth-yao: both FO sides must draw the same error polynomials from
+// the coins, whatever their profile or sampler.Default.
+func (s *Scheme) encryptDerand(pk *PublicKey, m, coins []byte) (*Ciphertext, error) {
+	enc, err := core.NewWithOptions(s.params.inner, rng.NewHashDRBG(coins), core.Options{
+		Engine:             s.inner.Engine(),
+		Sampler:            "knuth-yao",
+		ConstantTimeDecode: s.inner.ConstantTimeDecode(),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +80,7 @@ func encryptDerand(p *Params, pk *PublicKey, m, coins []byte) (*Ciphertext, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Ciphertext{params: p, inner: ct}, nil
+	return &Ciphertext{params: s.params, inner: ct}, nil
 }
 
 func ccaKey(label string, secret, ctDigest []byte) [SharedKeySize]byte {
@@ -97,7 +103,7 @@ func (s *Scheme) EncapsulateCCA(pk *PublicKey) ([]byte, [SharedKeySize]byte, err
 	m := make([]byte, s.params.MessageSize())
 	s.fillRandom(m)
 	pkDigest := sha256.Sum256(pk.Bytes())
-	ct, err := encryptDerand(s.params, pk, m, deriveCoins(pkDigest, m))
+	ct, err := s.encryptDerand(pk, m, deriveCoins(pkDigest, m))
 	if err != nil {
 		return nil, zero, err
 	}
@@ -119,11 +125,11 @@ func (s *Scheme) DecapsulateCCA(kp *CCAKeyPair, blob []byte) ([SharedKeySize]byt
 	if err != nil {
 		return zero, err
 	}
-	m, err := kp.Private.Decrypt(ct)
-	if err != nil {
+	m := make([]byte, s.params.MessageSize())
+	if err := s.inner.DecryptInto(m, kp.Private.inner, ct.inner); err != nil {
 		return zero, err
 	}
-	reEnc, err := encryptDerand(s.params, kp.Public, m, deriveCoins(kp.pkDigest, m))
+	reEnc, err := s.encryptDerand(kp.Public, m, deriveCoins(kp.pkDigest, m))
 	if err != nil {
 		return zero, err
 	}

@@ -34,6 +34,47 @@ func TestCCAKEMRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCCACrossProfile encapsulates under one profile and decapsulates under
+// the other, both ways, on P1 and B1. The FO re-encryption samples with
+// knuth-yao and its engine and codec never change the result, so the
+// decapsulator's re-encryption must match a blob from either profile.
+func TestCCACrossProfile(t *testing.T) {
+	for _, p := range []*Params{P1(), B1()} {
+		def := NewDeterministic(p, 7010)
+		ct := NewDeterministic(p, 7011, ConstantTime())
+		for _, dir := range []struct {
+			name     string
+			enc, dec *Scheme
+		}{{"constant-time→default", ct, def}, {"default→constant-time", def, ct}} {
+			kp, err := dir.dec.GenerateCCAKeys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			matched := 0
+			const trials = 8
+			for trial := 0; trial < trials; trial++ {
+				blob, keyA, err := dir.enc.EncapsulateCCA(kp.Public)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keyB, err := dir.dec.DecapsulateCCA(kp, blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if keyA == keyB {
+					matched++
+				}
+			}
+			// An intrinsic decryption failure (≈0.8% at P1) lands in
+			// implicit rejection; a re-encryption mismatch rejects every
+			// trial.
+			if matched < trials-1 {
+				t.Errorf("%s %s: %d of %d keys agree", p.Name(), dir.name, matched, trials)
+			}
+		}
+	}
+}
+
 // Derandomized encryption must be deterministic: identical coins yield the
 // identical ciphertext; different coins differ.
 func TestDerandomizedEncryptionDeterminism(t *testing.T) {
@@ -45,18 +86,18 @@ func TestDerandomizedEncryptionDeterminism(t *testing.T) {
 	}
 	m := make([]byte, p.MessageSize())
 	m[3] = 0x5A
-	a, err := encryptDerand(p, pk, m, []byte("coins-1"))
+	a, err := s.encryptDerand(pk, m, []byte("coins-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := encryptDerand(p, pk, m, []byte("coins-1"))
+	b, err := s.encryptDerand(pk, m, []byte("coins-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("same coins produced different ciphertexts")
 	}
-	c, err := encryptDerand(p, pk, m, []byte("coins-2"))
+	c, err := s.encryptDerand(pk, m, []byte("coins-2"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package ringlwe
 
 import (
-	"crypto/subtle"
-	"fmt"
-
 	"ringlwe/internal/cacheline"
 	"ringlwe/internal/core"
 )
@@ -135,25 +132,7 @@ func (w *Workspace) Encapsulate(pk *PublicKey) (EncapsulatedKey, [SharedKeySize]
 // — wrong key material or an intrinsic LPR decryption failure; the peer
 // should encapsulate again.
 func (w *Workspace) Decapsulate(sk *PrivateKey, blob EncapsulatedKey) ([SharedKeySize]byte, error) {
-	var zero [SharedKeySize]byte
-	if sk.params.inner != w.params.inner {
-		return zero, paramsMismatch("private key")
-	}
-	ctLen := w.params.CiphertextSize()
-	if len(blob) != ctLen+confirmTagSize {
-		return zero, fmt.Errorf("ringlwe: encapsulation blob is %d bytes, want %d", len(blob), ctLen+confirmTagSize)
-	}
-	if err := core.ParseCiphertextInto(w.ctScratch, blob[:ctLen]); err != nil {
-		return zero, fmt.Errorf("ringlwe: %w", err)
-	}
-	if err := w.inner.DecryptInto(w.msgBuf, sk.inner, w.ctScratch); err != nil {
-		return zero, err
-	}
-	tag := kemTag(w.msgBuf)
-	if subtle.ConstantTimeCompare(tag[:], blob[ctLen:]) != 1 {
-		return zero, ErrDecapsulation
-	}
-	return kemKey(w.msgBuf), nil
+	return decapsulate(w.params, w.inner, sk, blob, w.ctScratch, w.msgBuf)
 }
 
 // GenerateKeys creates a key pair from the workspace's randomness stream.

@@ -385,7 +385,7 @@ func TestConcurrentBatchAndDecapsulate(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLegacyOpsConcurrentWithForking pins the locked-base-source fix: the
+// TestLegacyOpsConcurrentWithForking pins that forking holds defMu: the
 // one-shot API draws from the base source while other goroutines fork
 // workspaces off it (deterministic sources consume parent state when
 // forking), which must not race. Run with `go test -race`.
