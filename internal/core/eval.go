@@ -121,20 +121,3 @@ func (s *Scheme) EvalScalarMulInto(dst, a *Ciphertext, k uint32) error {
 	dst.Addends = units
 	return nil
 }
-
-// EvalAddInto on a workspace delegates to the scheme: evaluation ops touch
-// only the scheme's immutable Runner, so they are concurrency-safe either
-// way, but the workspace form keeps call sites uniform with Encrypt/Decrypt.
-func (w *Workspace) EvalAddInto(dst, a, b *Ciphertext) error {
-	return w.scheme.EvalAddInto(dst, a, b)
-}
-
-// EvalSubInto delegates to the scheme; see Scheme.EvalSubInto.
-func (w *Workspace) EvalSubInto(dst, a, b *Ciphertext) error {
-	return w.scheme.EvalSubInto(dst, a, b)
-}
-
-// EvalScalarMulInto delegates to the scheme; see Scheme.EvalScalarMulInto.
-func (w *Workspace) EvalScalarMulInto(dst, a *Ciphertext, k uint32) error {
-	return w.scheme.EvalScalarMulInto(dst, a, k)
-}

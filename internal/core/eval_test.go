@@ -286,7 +286,7 @@ func TestEvalXORAcrossEngines(t *testing.T) {
 									errCh <- err
 									return
 								}
-								if err := w.EvalAddInto(acc, acc, ct); err != nil {
+								if err := s.EvalAddInto(acc, acc, ct); err != nil {
 									errCh <- err
 									return
 								}
@@ -351,7 +351,7 @@ func TestDecryptionFailureSweep(t *testing.T) {
 			if err := w.EncryptInto(ct, pk, msg); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.EvalAddInto(acc, acc, ct); err != nil {
+			if err := s.EvalAddInto(acc, acc, ct); err != nil {
 				t.Fatalf("fold %d/%d: %v", j, k, err)
 			}
 			for i := range msg {
@@ -372,7 +372,7 @@ func TestDecryptionFailureSweep(t *testing.T) {
 
 		// The very next fold must refuse: the sweep proves the boundary is
 		// exactly where the model says, not one past it.
-		if err := w.EvalAddInto(acc, acc, ct); !errors.Is(err, ErrNoiseBudget) {
+		if err := s.EvalAddInto(acc, acc, ct); !errors.Is(err, ErrNoiseBudget) {
 			t.Fatalf("fold past budget: err = %v, want ErrNoiseBudget", err)
 		}
 	}

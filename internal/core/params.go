@@ -69,9 +69,6 @@ type Params struct {
 	// noise model; for k > 1 it overflows uint32 by design.
 	qFloat float64
 
-	lut1, lut2 []uint8
-	maxFailD   int
-
 	// maxAddends is the homomorphic-addition budget: the largest number of
 	// fresh-ciphertext noise units whose sum still decrypts with
 	// per-coefficient failure probability at most evalPerCoeffTarget under
@@ -109,21 +106,16 @@ func NewRNSParams(name string, n int, moduli []uint32, sNum, sDen int64, lambda 
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	lut1, maxD, err := gauss.BuildLUT1(mat)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	lut2, err := gauss.BuildLUT2(mat, maxD)
+	cfg, err := sampler.NewConfig(mat)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	p := &Params{
 		Name: name, N: n,
 		SNum: sNum, SDen: sDen, Sigma: sigma,
-		Matrix: mat,
-		Basis:  basis,
-		lut1:   lut1, lut2: lut2, maxFailD: maxD,
-		samplerCfg: &sampler.Config{Matrix: mat, LUT1: lut1, LUT2: lut2, MaxFailD: maxD},
+		Matrix:     mat,
+		Basis:      basis,
+		samplerCfg: cfg,
 	}
 	if basis.K == 1 {
 		p.Q, p.Mod, p.Tables = moduli[0], basis.Mods[0], basis.Tables[0]
@@ -140,8 +132,8 @@ func (p *Params) SamplerConfig() *sampler.Config { return p.samplerCfg }
 // NewSampler returns a fresh Knuth-Yao sampler (full paper configuration:
 // LUTs plus clz scanning) drawing from src, reusing the precomputed tables.
 func (p *Params) NewSampler(src rng.Source) (*gauss.Sampler, error) {
-	return gauss.NewSampler(p.Matrix, src,
-		gauss.WithPrebuiltLUTs(p.lut1, p.lut2, p.maxFailD))
+	c := p.samplerCfg
+	return gauss.NewSampler(p.Matrix, src, gauss.WithPrebuiltLUTs(c.LUT1, c.LUT2, c.MaxFailD))
 }
 
 // CoeffBits returns the serialized width of the widest residue row (13

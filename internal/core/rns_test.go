@@ -82,8 +82,8 @@ func TestOneChannelBases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s1.runner.K() != p.K() {
-			t.Errorf("%s: scheme Runner has %d channels, want %d", p.Name, s1.runner.K(), p.K())
+		if len(s1.runner.Engines()) != p.K() {
+			t.Errorf("%s: scheme Runner has %d channels, want %d", p.Name, len(s1.runner.Engines()), p.K())
 		}
 		for i, e := range s1.runner.Engines() {
 			if e != s2.runner.Engines()[i] {

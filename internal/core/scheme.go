@@ -52,7 +52,7 @@ type aggStats struct {
 // NTT tables, sampler tables — all in Params) plus a base randomness source
 // from which per-goroutine Workspaces are forked.
 //
-// The one-shot methods (GenerateKeys, Encrypt, UniformPoly, …) run on an
+// The one-shot methods (GenerateKeys, Encrypt, FillRandom, …) run on an
 // internal default workspace bound directly to the base source, preserving
 // the historical single-threaded behaviour bit for bit. They are safe for
 // concurrent use — one mutex serializes them on that workspace — but they
@@ -211,29 +211,12 @@ func (s *Scheme) Release(w *Workspace) {
 	}
 }
 
-// UniformPoly samples a polynomial with independent uniform coefficients in
-// [0, q) by rejection from CoeffBits-bit strings (no modulo bias).
-func (s *Scheme) UniformPoly() ntt.Poly {
-	s.defMu.Lock()
-	defer s.defMu.Unlock()
-	return s.def.UniformPoly()
-}
-
 // GenerateKeys creates a key pair under a freshly sampled global polynomial
-// ã. The paper's KeyGeneration(ã) flow with ã as a shared system parameter
-// is available via GenerateKeysShared.
+// ã.
 func (s *Scheme) GenerateKeys() (*PublicKey, *PrivateKey, error) {
 	s.defMu.Lock()
 	defer s.defMu.Unlock()
 	return s.def.GenerateKeys()
-}
-
-// GenerateKeysShared creates a key pair under the given NTT-domain ã:
-// r̃1 = NTT(r1), r̃2 = NTT(r2), p̃ = r̃1 − ã ∘ r̃2.
-func (s *Scheme) GenerateKeysShared(a ntt.Poly) (*PublicKey, *PrivateKey, error) {
-	s.defMu.Lock()
-	defer s.defMu.Unlock()
-	return s.def.GenerateKeysShared(a)
 }
 
 // DecodeInto decodes m into the caller-owned MessageBytes buffer dst with
@@ -335,15 +318,6 @@ func decryptPoly(r *ntt.Runner, m ntt.Poly, sk *PrivateKey, ct *Ciphertext) {
 func (s *Scheme) SamplerStats() (samples, lut1, lut2, scans uint64) {
 	return s.stats.samples.Load(), s.stats.lut1.Load(),
 		s.stats.lut2.Load(), s.stats.scans.Load()
-}
-
-// UniformRandom16 returns 16 uniform random bits from the scheme's uniform
-// bit pool; higher layers use it for session-key seeds so that one
-// randomness source feeds the whole context.
-func (s *Scheme) UniformRandom16() uint16 {
-	s.defMu.Lock()
-	defer s.defMu.Unlock()
-	return s.def.UniformRandom16()
 }
 
 // FillRandom fills out with uniform random bytes from the scheme's uniform

@@ -144,12 +144,16 @@ func equalPoly(a, b ntt.Poly) bool {
 func TestSharedGlobalA(t *testing.T) {
 	p := P1()
 	s := newScheme(t, p, 4)
-	a := s.UniformPoly()
-	pk1, sk1, err := s.GenerateKeysShared(a)
+	w, err := s.NewWorkspace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk2, _, err := s.GenerateKeysShared(a)
+	a := w.UniformPoly()
+	pk1, sk1, err := w.GenerateKeysShared(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk2, _, err := w.GenerateKeysShared(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestSharedGlobalA(t *testing.T) {
 		t.Log("decryption failure (within LPR failure rate)")
 	}
 	// Wrong length ã is rejected.
-	if _, _, err := s.GenerateKeysShared(make(ntt.Poly, p.N-1)); err == nil {
+	if _, _, err := w.GenerateKeysShared(make(ntt.Poly, p.N-1)); err == nil {
 		t.Fatal("short ã accepted")
 	}
 }
@@ -286,11 +290,14 @@ func TestDecryptToPolyNoiseIsSmall(t *testing.T) {
 
 func TestUniformPolyDistribution(t *testing.T) {
 	p := P1()
-	s := newScheme(t, p, 11)
+	w, err := newScheme(t, p, 11).NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sum float64
 	const rounds = 40
 	for r := 0; r < rounds; r++ {
-		u := s.UniformPoly()
+		u := w.UniformPoly()
 		for _, c := range u {
 			if c >= p.Q {
 				t.Fatalf("coefficient %d out of range", c)
@@ -406,11 +413,10 @@ func benchDecrypt(b *testing.B, p *Params) {
 func TestOneShotConcurrent(t *testing.T) {
 	for _, p := range []*Params{A1(), B1()} {
 		s := newScheme(t, p, 41)
-		a := s.UniformPoly()
 		const workers, rounds = 8, 3
 		errs := make(chan error, workers)
 		for w := range workers {
-			go func() { errs <- oneShotRounds(s, a, rounds, uint64(w)) }()
+			go func() { errs <- oneShotRounds(s, rounds, uint64(w)) }()
 		}
 		for range workers {
 			if err := <-errs; err != nil {
@@ -420,38 +426,25 @@ func TestOneShotConcurrent(t *testing.T) {
 	}
 }
 
-func oneShotRounds(s *Scheme, a ntt.Poly, rounds int, seed uint64) error {
+func oneShotRounds(s *Scheme, rounds int, seed uint64) error {
 	msgSrc := rng.NewXorshift128(seed + 100)
 	for r := 0; r < rounds; r++ {
-		if len(s.UniformPoly()) != s.Params.polyLen() {
-			return errors.New("UniformPoly: wrong length")
-		}
-		_ = s.UniformRandom16()
 		s.FillRandom(make([]byte, 33))
 		pk, sk, err := s.GenerateKeys()
 		if err != nil {
 			return err
 		}
-		spk, ssk, err := s.GenerateKeysShared(a)
+		msg := randMessage(msgSrc, s.Params.MessageBytes())
+		ct, err := s.Encrypt(pk, msg)
 		if err != nil {
 			return err
 		}
-		for _, kp := range []struct {
-			pk *PublicKey
-			sk *PrivateKey
-		}{{pk, sk}, {spk, ssk}} {
-			msg := randMessage(msgSrc, s.Params.MessageBytes())
-			ct, err := s.Encrypt(kp.pk, msg)
-			if err != nil {
-				return err
-			}
-			got, err := kp.sk.Decrypt(ct)
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(got, msg) {
-				return errors.New("concurrent one-shot encryption does not decrypt")
-			}
+		got, err := sk.Decrypt(ct)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, msg) {
+			return errors.New("concurrent one-shot encryption does not decrypt")
 		}
 	}
 	return nil

@@ -60,9 +60,6 @@ func newWorkspace(s *Scheme, src rng.Source) (*Workspace, error) {
 	}, nil
 }
 
-// Params returns the workspace's parameter set.
-func (w *Workspace) Params() *Params { return w.scheme.Params }
-
 // flushStats folds the sampler-counter deltas since the last flush into the
 // owning Scheme's atomic aggregates. Called at the end of every sampling
 // operation, so Scheme.SamplerStats observes a consistent total without

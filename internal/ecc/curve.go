@@ -15,8 +15,6 @@
 package ecc
 
 import (
-	"fmt"
-
 	"ringlwe/internal/gf2"
 	"ringlwe/internal/rng"
 )
@@ -31,18 +29,6 @@ type Curve struct {
 // K233 returns the Koblitz-233 curve shape (a = 0, b = 1).
 func K233() *Curve {
 	return &Curve{A: 0, B: gf2.One()}
-}
-
-// NewCurve validates and returns a custom curve. b must be nonzero (the
-// curve would be singular otherwise).
-func NewCurve(a uint, b gf2.Elem) (*Curve, error) {
-	if a > 1 {
-		return nil, fmt.Errorf("ecc: a must be 0 or 1, got %d", a)
-	}
-	if b.IsZero() {
-		return nil, fmt.Errorf("ecc: b must be nonzero")
-	}
-	return &Curve{A: a, B: b}, nil
 }
 
 // Point is an affine point; Inf marks the point at infinity.

@@ -90,52 +90,6 @@ func (c *Curve) MulX(k *Scalar, x *gf2.Elem) (out gf2.Elem, ok bool) {
 	return out, true
 }
 
-// MulPoint computes k·P with full y-coordinate recovery (HMV Alg 3.40
-// step 10), used where a complete point is needed. ok = false for the
-// point at infinity.
-func (c *Curve) MulPoint(k *Scalar, p *Point) (Point, bool) {
-	if p.Inf || k.IsZero() || p.X.IsZero() {
-		return Infinity(), false
-	}
-	top := k.topBit()
-	X1 := p.X
-	Z1 := gf2.One()
-	var X2, Z2 gf2.Elem
-	Z2.Sqr(&p.X)
-	X2.Sqr(&Z2)
-	X2.Add(&X2, &c.B)
-	for i := top - 1; i >= 0; i-- {
-		c.ladderStep(&p.X, &X1, &Z1, &X2, &Z2, k[i/64]>>(i%64)&1)
-	}
-	if Z1.IsZero() {
-		return Infinity(), false
-	}
-	// Affine x-coordinates of kP and (k+1)P.
-	var x1, x2 gf2.Elem
-	x1.Div(&X1, &Z1)
-	if Z2.IsZero() {
-		// (k+1)P = ∞ means kP = −P = (x, x+y).
-		var y gf2.Elem
-		y.Add(&p.X, &p.Y)
-		return Point{X: p.X, Y: y}, true
-	}
-	x2.Div(&X2, &Z2)
-
-	// y1 = (x1+x)·[(x1+x)(x2+x) + x² + y]/x + y.
-	var t1, t2, num, y1 gf2.Elem
-	t1.Add(&x1, &p.X)
-	t2.Add(&x2, &p.X)
-	num.Mul(&t1, &t2)
-	var xx gf2.Elem
-	xx.Sqr(&p.X)
-	num.Add(&num, &xx)
-	num.Add(&num, &p.Y)
-	num.Mul(&num, &t1)
-	y1.Div(&num, &p.X)
-	y1.Add(&y1, &p.Y)
-	return Point{X: x1, Y: y1}, true
-}
-
 // RandomScalar draws a uniform nonzero ScalarBits-bit scalar.
 func RandomScalar(pool interface{ Bits(uint) uint32 }) Scalar {
 	for {

@@ -54,9 +54,6 @@ func NewCDTSampler(m *Matrix, src rng.Source) *CDTSampler {
 	return &CDTSampler{cum: NewCDTTable(m), pool: rng.NewBitPool(src)}
 }
 
-// TableBytes returns the table footprint for memory accounting.
-func (c *CDTSampler) TableBytes() int { return 8 * len(c.cum) }
-
 func (c *CDTSampler) uniform64() uint64 {
 	lo := uint64(c.pool.Bits(22))
 	mid := uint64(c.pool.Bits(21))
@@ -102,10 +99,4 @@ func (c *CDTSampler) SampleInt() int32 {
 		return -mag
 	}
 	return mag
-}
-
-// SampleMod returns one sample reduced into [0, q).
-func (c *CDTSampler) SampleMod(q uint32) uint32 {
-	mag := c.SampleMagnitude()
-	return CondNeg(mag, c.pool.Bit(), q)
 }

@@ -17,8 +17,8 @@ func TestCDTTableMonotone(t *testing.T) {
 	if c.cum[len(c.cum)-1] != ^uint64(0) {
 		t.Fatal("CDT not saturated")
 	}
-	if c.TableBytes() != 8*55 {
-		t.Fatalf("TableBytes = %d, want 440", c.TableBytes())
+	if len(c.cum) != 55 {
+		t.Fatalf("CDT has %d entries, want one per matrix row (55)", len(c.cum))
 	}
 }
 
@@ -107,29 +107,6 @@ func TestCDTMoments(t *testing.T) {
 	}
 	if math.Abs(std-mat.Sigma) > 0.03*mat.Sigma {
 		t.Errorf("std %v, want ≈ %v", std, mat.Sigma)
-	}
-}
-
-func TestCDTSampleMod(t *testing.T) {
-	a := NewCDTSampler(P1Matrix(), rng.NewXorshift128(6))
-	b := NewCDTSampler(P1Matrix(), rng.NewXorshift128(6))
-	const q = 7681
-	for i := 0; i < 100000; i++ {
-		v := a.SampleInt()
-		m := b.SampleMod(q)
-		var want uint32
-		if v < 0 {
-			want = q - uint32(-v)
-		} else {
-			want = uint32(v)
-		}
-		if m != want {
-			t.Fatalf("sample %d: %d vs %d", i, v, m)
-		}
-	}
-	// SampleMod draws the sign bit for magnitude 0 too.
-	if a.pool.Refills != b.pool.Refills || a.pool.Remaining() != b.pool.Remaining() {
-		t.Fatal("SampleMod and SampleInt consumed different amounts of randomness")
 	}
 }
 

@@ -198,10 +198,6 @@ func BuildLUT2(m *Matrix, maxFailD int) ([]uint8, error) {
 	return lut, nil
 }
 
-// LUTSizes reports the byte sizes of the two lookup tables (256 and 224 in
-// the paper) for the memory accounting; both are zero when LUTs are off.
-func (s *Sampler) LUTSizes() (lut1, lut2 int) { return len(s.lut1), len(s.lut2) }
-
 // SampleMagnitude runs the walk and returns |x|. It consumes level bits but
 // not the sign bit.
 func (s *Sampler) SampleMagnitude() uint32 {

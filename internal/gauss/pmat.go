@@ -85,36 +85,6 @@ func (m *Matrix) TrueProb(row int) float64 {
 	return f
 }
 
-// StoredProb returns the truncated probability encoded by row's matrix bits:
-// Σ_j bit(row,j)·2^(-j-1).
-func (m *Matrix) StoredProb(row int) float64 {
-	p := 0.0
-	for j := 0; j < m.Cols; j++ {
-		if m.Bit(row, j) == 1 {
-			p += math.Ldexp(1, -(j + 1))
-		}
-	}
-	return p
-}
-
-// TruncationLoss returns 1 − Σ_x p̂_x, the probability mass lost to
-// truncation; the Knuth-Yao walk resolves this mass to the paper's
-// "return 0" fallback. It must be below 2^-(Cols-log2(Rows)) by
-// construction and far below the target statistical distance.
-func (m *Matrix) TruncationLoss() float64 {
-	sum := new(big.Float).SetPrec(uint(m.Cols) + 64)
-	for row := 0; row < m.Rows; row++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.Bit(row, j) == 1 {
-				sum.Add(sum, new(big.Float).SetMantExp(big.NewFloat(1), -(j+1)))
-			}
-		}
-	}
-	loss := new(big.Float).Sub(big.NewFloat(1), sum)
-	f, _ := loss.Float64()
-	return f
-}
-
 // TerminationCDF returns, for every level x in 1..Cols, the probability that
 // the Knuth-Yao walk terminates within the first x levels: the paper's
 // Figure 2 series. Element [x-1] is P(level ≤ x) = Σ_{j<x} HW(j)·2^(-j-1).

@@ -105,9 +105,25 @@ func TestStoredProbTruncatesDownward(t *testing.T) {
 	}
 }
 
+// truncationLoss returns 1 − Σ_x p̂_x, the probability mass the matrix
+// rows lose to truncation; the Knuth-Yao walk resolves it to the paper's
+// "return 0" fallback.
+func truncationLoss(m *Matrix) float64 {
+	sum := new(big.Float).SetPrec(uint(m.Cols) + 64)
+	for row := 0; row < m.Rows; row++ {
+		for j := 0; j < m.Cols; j++ {
+			if m.Bit(row, j) == 1 {
+				sum.Add(sum, new(big.Float).SetMantExp(big.NewFloat(1), -(j+1)))
+			}
+		}
+	}
+	loss, _ := new(big.Float).Sub(big.NewFloat(1), sum).Float64()
+	return loss
+}
+
 func TestTruncationLossTiny(t *testing.T) {
 	m := P1Matrix()
-	loss := m.TruncationLoss()
+	loss := truncationLoss(m)
 	if loss < 0 {
 		t.Fatalf("negative truncation loss %v", loss)
 	}

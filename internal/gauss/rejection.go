@@ -74,20 +74,3 @@ func (r *RejectionSampler) SampleInt() int32 {
 		return mag
 	}
 }
-
-// SampleMod returns one sample reduced into [0, q).
-func (r *RejectionSampler) SampleMod(q uint32) uint32 {
-	v := r.SampleInt()
-	if v < 0 {
-		return q - uint32(-v)
-	}
-	return uint32(v)
-}
-
-// AcceptanceRate reports accepted/attempts so far.
-func (r *RejectionSampler) AcceptanceRate() float64 {
-	if r.Attempts == 0 {
-		return 0
-	}
-	return float64(r.Accepted) / float64(r.Attempts)
-}

@@ -60,24 +60,6 @@ func (e *Elem) Add(a, b *Elem) *Elem {
 	return e
 }
 
-// Degree returns the polynomial degree of e, or -1 for zero.
-func (e *Elem) Degree() int {
-	for i := Words - 1; i >= 0; i-- {
-		if e[i] != 0 {
-			return 64*i + bits.Len64(e[i]) - 1
-		}
-	}
-	return -1
-}
-
-// Bit returns coefficient i of e (i < 256).
-func (e *Elem) Bit(i int) uint64 {
-	return e[i/64] >> (i % 64) & 1
-}
-
-// SetBit sets coefficient i of e to 1.
-func (e *Elem) SetBit(i int) { e[i/64] |= 1 << (i % 64) }
-
 // String renders the element as big-endian hex.
 func (e Elem) String() string {
 	return fmt.Sprintf("%016x%016x%016x%016x", e[3], e[2], e[1], e[0])

@@ -10,45 +10,6 @@ import (
 // ForwardHalfword they let the scheme-level ablation quantify what the
 // paper's §III-C/D optimizations buy end to end.
 
-// InverseHalfword mirrors ntt.Tables.Inverse with halfword accesses.
-func InverseHalfword(m *Machine, t *ntt.Tables, a ntt.Poly) {
-	m.Call()
-	mod := t.M
-	step := 1
-	for half := t.N >> 1; half >= 1; half >>= 1 {
-		j1 := 0
-		m.chargeStageSetup()
-		for i := 0; i < half; i++ {
-			s := t.PsiInvRev[half+i]
-			m.chargeGroup()
-			for j := j1; j < j1+step; j++ {
-				u := a[j]
-				v := a[j+step]
-				a[j] = mod.Add(u, v)
-				a[j+step] = mod.Mul(mod.Sub(u, v), s)
-
-				m.Load(2)
-				m.ChargeAddRed()
-				m.ChargeSubRed()
-				m.ChargeMulRed()
-				m.Store(2)
-				m.ALU(2)
-				m.Loop()
-			}
-			j1 += 2 * step
-		}
-		step <<= 1
-	}
-	m.ALU(2)
-	for j := range a {
-		a[j] = mod.Mul(a[j], t.NInv)
-		m.Load(1)
-		m.ChargeMulRed()
-		m.Store(1)
-		m.Loop()
-	}
-}
-
 // PointwiseMulHalfword charges c = a ∘ b with per-coefficient accesses.
 func PointwiseMulHalfword(m *Machine, t *ntt.Tables, c, a, b ntt.Poly) {
 	m.Call()
@@ -100,29 +61,4 @@ func (s *Scheme) EncryptHalfword(pk *core.PublicKey, msg []byte) *core.Ciphertex
 	PointwiseMulHalfword(s.Mach, t, c2, pk.P, e1)
 	AddHalfword(s.Mach, t, c2, c2, e3)
 	return &core.Ciphertext{Params: p, C1: c1, C2: c2}
-}
-
-// DecryptHalfword is Decrypt on the unpacked pipeline.
-func (s *Scheme) DecryptHalfword(sk *core.PrivateKey, ct *core.Ciphertext) []byte {
-	p := s.Params
-	t := p.Tables
-	m := make(ntt.Poly, p.N)
-	PointwiseMulHalfword(s.Mach, t, m, ct.C1, sk.R2)
-	AddHalfword(s.Mach, t, m, m, ct.C2)
-	InverseHalfword(s.Mach, t, m)
-
-	out := make([]byte, p.MessageBytes())
-	for i := 0; i < p.N; i++ {
-		s.Mach.Load(1)
-		s.Mach.ALU(3)
-		s.Mach.Loop()
-		if i%8 == 7 {
-			s.Mach.Store(1)
-		}
-		c := uint64(m[i])
-		if 4*c > uint64(p.Q) && 4*c < 3*uint64(p.Q) {
-			out[i/8] |= 1 << (i % 8)
-		}
-	}
-	return out
 }

@@ -9,16 +9,23 @@ import (
 	"ringlwe/internal/gauss"
 	"ringlwe/internal/ntt"
 	"ringlwe/internal/rng"
-	"ringlwe/internal/zq"
 )
 
 func p1Tables(t testing.TB) *ntt.Tables {
 	t.Helper()
-	tab, err := ntt.NewTables(zq.MustModulus(7681), 256)
+	tab, err := ntt.NewTables(core.P1().Mod, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tab
+}
+
+// forwardPacked is the reference for the packed forward kernels:
+// Pack(Forward(a)), leaving a untouched.
+func forwardPacked(tab *ntt.Tables, a ntt.Poly) ntt.PackedPoly {
+	ref := append(ntt.Poly(nil), a...)
+	tab.Forward(ref)
+	return tab.Pack(ref)
 }
 
 func randPoly(rngv *rand.Rand, tab *ntt.Tables) ntt.Poly {
@@ -102,8 +109,7 @@ func TestForwardPackedEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5; trial++ {
 		a := randPoly(r, tab)
-		want := tab.Pack(a)
-		tab.ForwardPacked(want)
+		want := forwardPacked(tab, a)
 		got := tab.Pack(a)
 		m := New()
 		ForwardPacked(m, tab, got)
@@ -122,8 +128,9 @@ func TestInversePackedEquivalence(t *testing.T) {
 	tab := p1Tables(t)
 	r := rand.New(rand.NewSource(2))
 	a := randPoly(r, tab)
-	want := tab.Pack(a)
-	tab.InversePacked(want)
+	ref := append(ntt.Poly(nil), a...)
+	tab.Inverse(ref)
+	want := tab.Pack(ref)
 	got := tab.Pack(a)
 	InversePacked(New(), tab, got)
 	for i := range want {
@@ -137,10 +144,7 @@ func TestForwardThreePackedEquivalence(t *testing.T) {
 	tab := p1Tables(t)
 	r := rand.New(rand.NewSource(3))
 	a, b, c := randPoly(r, tab), randPoly(r, tab), randPoly(r, tab)
-	wa, wb, wc := tab.Pack(a), tab.Pack(b), tab.Pack(c)
-	tab.ForwardPacked(wa)
-	tab.ForwardPacked(wb)
-	tab.ForwardPacked(wc)
+	wa, wb, wc := forwardPacked(tab, a), forwardPacked(tab, b), forwardPacked(tab, c)
 	ga, gb, gc := tab.Pack(a), tab.Pack(b), tab.Pack(c)
 	ForwardThreePacked(New(), tab, ga, gb, gc)
 	for i := range wa {
@@ -472,7 +476,12 @@ func TestUniformPolyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Note: core.New seeds sampler first, uniform second — same as m4.
-	a := ref.UniformPoly()
+	// GenerateKeys draws ã as its first uniform polynomial.
+	pk, _, err := ref.GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := pk.A
 	b := got.UniformPoly()
 	for i := range a {
 		if a[i] != b[i] {

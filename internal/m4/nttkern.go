@@ -63,7 +63,7 @@ func (m *Machine) chargePeeledButterfly() {
 
 // ForwardPacked runs the packed negative-wrapped forward NTT (paper
 // Algorithm 4) on p, charging the machine. Results are identical to
-// ntt.Tables.ForwardPacked.
+// Pack(Forward(a)) for the unpacked a.
 func ForwardPacked(m *Machine, t *ntt.Tables, p ntt.PackedPoly) {
 	m.Call()
 	mod := t.M
@@ -102,7 +102,7 @@ func ForwardPacked(m *Machine, t *ntt.Tables, p ntt.PackedPoly) {
 
 // InversePacked runs the packed inverse transform with the final n⁻¹
 // scaling, charging the machine. Results are identical to
-// ntt.Tables.InversePacked.
+// Pack(Inverse(a)) for the unpacked a.
 func InversePacked(m *Machine, t *ntt.Tables, p ntt.PackedPoly) {
 	m.Call()
 	mod := t.M

@@ -33,7 +33,7 @@ func NewScheme(mach *Machine, params *core.Params, src rng.Source) (*Scheme, err
 	}, nil
 }
 
-// UniformPoly mirrors core.Scheme.UniformPoly with rejection-sampled
+// UniformPoly mirrors core.Workspace.UniformPoly with rejection-sampled
 // coefficients, charging the draw, compare and store of each.
 func (s *Scheme) UniformPoly() ntt.Poly {
 	p := s.Params
@@ -62,10 +62,10 @@ func (s *Scheme) errorPolyPacked() ntt.PackedPoly {
 	return s.Params.Tables.Pack(p)
 }
 
-// KeyGen mirrors core.Scheme.GenerateKeysShared under a freshly drawn ã:
-// two error polynomials, two forward NTTs (fused pairwise here would not
-// help; the paper fuses only the encryption-side three), one pointwise
-// multiply and one subtraction.
+// KeyGen mirrors core.Workspace.GenerateKeys: a freshly drawn ã, two
+// error polynomials, two forward NTTs (fused pairwise here would not help;
+// the paper fuses only the encryption-side three), one pointwise multiply
+// and one subtraction.
 func (s *Scheme) KeyGen() (*core.PublicKey, *core.PrivateKey) {
 	p := s.Params
 	t := p.Tables
@@ -184,16 +184,9 @@ func MeasureFootprint(p *core.Params) Footprint {
 	polyRAM := 2 * p.N // n halfwords
 	stageRoots := 4 * len(p.Tables.StageRoots)
 	pmat := 4 * p.Matrix.StoredWords()
-	lut1, maxD, err := gauss.BuildLUT1(p.Matrix)
-	if err != nil {
-		panic(err)
-	}
-	lut2, err := gauss.BuildLUT2(p.Matrix, maxD)
-	if err != nil {
-		panic(err)
-	}
+	cfg := p.SamplerConfig()
 	return Footprint{
-		FlashTables: stageRoots + pmat + len(lut1) + len(lut2),
+		FlashTables: stageRoots + pmat + len(cfg.LUT1) + len(cfg.LUT2),
 		// KeyGen: r1, r2, p̃ live simultaneously (ã is the caller's).
 		RAMKeyGen: 3 * polyRAM,
 		// Encrypt: e1, e2, e3, m̄, c̃1, c̃2 plus the message bytes.

@@ -3,15 +3,15 @@ package m4
 import (
 	"testing"
 
+	"ringlwe/internal/core"
 	"ringlwe/internal/ntt"
-	"ringlwe/internal/zq"
 )
 
 // Cost-model sensitivity: the modeled totals must respond to price changes
 // in the direction and rough magnitude theory predicts — this guards
 // against charge calls silently disappearing from a kernel.
 func TestCostModelSensitivity(t *testing.T) {
-	tab, err := ntt.NewTables(zq.MustModulus(7681), 256)
+	tab, err := ntt.NewTables(core.P1().Mod, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCostModelSensitivity(t *testing.T) {
 // Charged kernels must charge: every public kernel leaves a nonzero cycle
 // count even on degenerate (all-zero) inputs.
 func TestKernelsAlwaysCharge(t *testing.T) {
-	tab, err := ntt.NewTables(zq.MustModulus(7681), 256)
+	tab, err := ntt.NewTables(core.P1().Mod, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

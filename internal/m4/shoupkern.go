@@ -20,23 +20,18 @@ import "ringlwe/internal/ntt"
 // recomputes them (construction is not charged — tables are precomputed
 // offline, like the paper's flash-resident LUTs).
 type ShoupTables struct {
-	T              *ntt.Tables
-	PsiRevShoup    []uint32
-	PsiInvRevShoup []uint32
-	NInvShoup      uint32
+	T           *ntt.Tables
+	PsiRevShoup []uint32
 }
 
 // NewShoupTables precomputes Shoup companions for every twiddle in t.
 func NewShoupTables(t *ntt.Tables) *ShoupTables {
 	st := &ShoupTables{
-		T:              t,
-		PsiRevShoup:    make([]uint32, t.N),
-		PsiInvRevShoup: make([]uint32, t.N),
-		NInvShoup:      t.M.Shoup(t.NInv),
+		T:           t,
+		PsiRevShoup: make([]uint32, t.N),
 	}
 	for i := 0; i < t.N; i++ {
 		st.PsiRevShoup[i] = t.M.Shoup(t.PsiRev[i])
-		st.PsiInvRevShoup[i] = t.M.Shoup(t.PsiInvRev[i])
 	}
 	return st
 }
@@ -107,64 +102,6 @@ func ForwardShoup(m *Machine, st *ShoupTables, a ntt.Poly) {
 			a[j] = v - q
 		}
 		m.Load(1)
-		m.ChargeLazyFold()
-		m.Store(1)
-		m.Loop()
-	}
-}
-
-// InverseShoup runs the lazy inverse transform with Shoup butterflies and
-// the n⁻¹ scaling folded together with the final normalization, charging
-// the machine. Results are identical to the ntt "shoup" engine's Inverse.
-func InverseShoup(m *Machine, st *ShoupTables, a ntt.Poly) {
-	m.Call()
-	t := st.T
-	q := t.M.Q
-	twoQ := 2 * q
-	step := 1
-	for half := t.N >> 1; half >= 1; half >>= 1 {
-		m.chargeStageSetup()
-		j1 := 0
-		for i := 0; i < half; i++ {
-			w := t.PsiInvRev[half+i]
-			ws := st.PsiInvRevShoup[half+i]
-			m.chargeShoupGroup()
-			for j := j1; j < j1+step; j++ {
-				u := a[j]
-				v := a[j+step]
-				x := u + v
-				if x >= twoQ {
-					x -= twoQ
-				}
-				d := u - v + twoQ
-				a[j] = x
-				a[j+step] = d*w - uint32((uint64(d)*uint64(ws))>>32)*q
-
-				m.Load(2)
-				m.ALU(1) // x = u + v
-				m.ChargeLazyFold()
-				m.ALU(2) // d = u - v + 2q
-				m.ChargeMulShoup()
-				m.Store(2)
-				m.ALU(2)
-				m.Loop()
-			}
-			j1 += 2 * step
-		}
-		step <<= 1
-	}
-	// Folded n⁻¹ scaling: one Shoup product and one fold per coefficient —
-	// normalization costs nothing beyond the scaling the transform owes
-	// anyway.
-	nInv := t.NInv
-	for j, v := range a {
-		r := v*nInv - uint32((uint64(v)*uint64(st.NInvShoup))>>32)*q
-		if r >= q {
-			r -= q
-		}
-		a[j] = r
-		m.Load(1)
-		m.ChargeMulShoup()
 		m.ChargeLazyFold()
 		m.Store(1)
 		m.Loop()

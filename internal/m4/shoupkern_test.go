@@ -8,7 +8,7 @@ import (
 	"ringlwe/internal/ntt"
 )
 
-// The charged Shoup kernels must stay bit-exact with the plain engine: the
+// The charged Shoup kernel must stay bit-exact with the plain engine: the
 // model prices the computation, it never changes it.
 func TestShoupKernelsBitExact(t *testing.T) {
 	tab := p1Tables(t)
@@ -31,16 +31,6 @@ func TestShoupKernelsBitExact(t *testing.T) {
 		}
 		if m.Cycles == 0 {
 			t.Fatal("ForwardShoup charged nothing")
-		}
-
-		m.Reset()
-		InverseShoup(m, st, got)
-		eng.Inverse(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("InverseShoup diverges from the shoup engine")
-		}
-		if !reflect.DeepEqual(got, a) {
-			t.Fatal("Shoup kernel round trip failed")
 		}
 	}
 }

@@ -34,12 +34,6 @@ func NewRunner(engs []Engine) (*Runner, error) {
 	return &Runner{engs: engs, n: n}, nil
 }
 
-// K returns the number of residue channels.
-func (r *Runner) K() int { return len(r.engs) }
-
-// N returns the per-channel ring degree.
-func (r *Runner) N() int { return r.n }
-
 // Engines returns the per-channel engines (shared, immutable).
 func (r *Runner) Engines() []Engine { return r.engs }
 

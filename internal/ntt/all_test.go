@@ -60,10 +60,10 @@ func isPrime(q uint32) bool {
 }
 
 func randResidues(rng *rand.Rand, r *Runner) Poly {
-	p := make(Poly, r.K()*r.N())
-	for i := 0; i < r.K(); i++ {
+	p := make(Poly, len(r.engs)*r.n)
+	for i := 0; i < len(r.engs); i++ {
 		q := r.Engines()[i].Tables().M.Q
-		row := p[i*r.N() : (i+1)*r.N()]
+		row := p[i*r.n : (i+1)*r.n]
 		for j := range row {
 			row[j] = rng.Uint32() % q
 		}
@@ -76,7 +76,7 @@ func randResidues(rng *rand.Rand, r *Runner) Poly {
 // makes the same calls on each channel's engine directly instead, which is
 // the reference the Runner must match bit for bit.
 func runnerOps(r *Runner, a, b, c Poly, s uint32, perChannel bool) map[string]Poly {
-	k, n := r.K(), r.N()
+	k, n := len(r.engs), r.n
 	fa, fb, fc := clonePoly(a), clonePoly(b), clonePoly(c)
 	mul, add, sub, sc := make(Poly, k*n), make(Poly, k*n), make(Poly, k*n), make(Poly, k*n)
 	rt := clonePoly(a)

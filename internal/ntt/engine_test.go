@@ -63,7 +63,7 @@ func engineMul(e Engine, a, b Poly) Poly {
 
 // constPoly is the polynomial with every coefficient v.
 func constPoly(tab *Tables, v uint32) Poly {
-	p := tab.NewPoly()
+	p := make(Poly, tab.N)
 	for i := range p {
 		p[i] = v
 	}
@@ -129,7 +129,7 @@ func TestEnginesMatchBarrett(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(int64(set.q)))
-		zero, top := tab.NewPoly(), constPoly(tab, set.q-1)
+		zero, top := make(Poly, tab.N), constPoly(tab, set.q-1)
 		for _, ne := range testEngines(t, tab) {
 			name, eng := ne.name, ne.Engine
 			for trial := 0; trial < 10; trial++ {
@@ -169,7 +169,7 @@ func TestEnginesMatchBarrett(t *testing.T) {
 				}
 
 				// Pointwise ops.
-				gotP, wantP := tab.NewPoly(), tab.NewPoly()
+				gotP, wantP := make(Poly, tab.N), make(Poly, tab.N)
 				eng.PointwiseMul(gotP, a, b)
 				oracle.PointwiseMul(wantP, a, b)
 				if !reflect.DeepEqual(gotP, wantP) {
@@ -189,7 +189,7 @@ func TestEnginesMatchBarrett(t *testing.T) {
 // instead of silently truncating.
 func TestAddSubLengthPanics(t *testing.T) {
 	tab := engineTables(t, 7681, 256)
-	full := tab.NewPoly()
+	full := make(Poly, tab.N)
 	short := make(Poly, tab.N-1)
 	for _, tc := range []struct {
 		name string
@@ -258,7 +258,7 @@ func benchEngineInverse(b *testing.B, eng Engine) {
 
 func benchEnginePointwiseMul(b *testing.B, eng Engine) {
 	r := rand.New(rand.NewSource(1))
-	x, y, c := randPoly(r, eng.Tables()), randPoly(r, eng.Tables()), eng.Tables().NewPoly()
+	x, y, c := randPoly(r, eng.Tables()), randPoly(r, eng.Tables()), make(Poly, eng.Tables().N)
 	b.ReportAllocs()
 	for b.Loop() {
 		eng.PointwiseMul(c, x, y)

@@ -2,8 +2,6 @@ package ntt
 
 import (
 	"testing"
-
-	"ringlwe/internal/zq"
 )
 
 // evalOpsTables builds tables over both paper moduli so the lazy-domain
@@ -15,7 +13,7 @@ func evalOpsTables(t *testing.T) []*Tables {
 		q uint32
 		n int
 	}{{7681, 256}, {12289, 512}, {12289, 256}} {
-		tb, err := NewTables(zq.MustModulus(c.q), c.n)
+		tb, err := NewTables(mustModulus(c.q), c.n)
 		if err != nil {
 			t.Fatalf("NewTables(q=%d,n=%d): %v", c.q, c.n, err)
 		}

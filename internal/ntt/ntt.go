@@ -3,7 +3,7 @@
 // the DATE 2015 paper "Efficient Software Implementation of Ring-LWE
 // Encryption" (Algorithms 3 and 4) and its CHES 2014 antecedent.
 //
-// Four multiplication engines are provided:
+// The transforms provided:
 //
 //   - Naive: the O(n²) schoolbook negacyclic convolution, used as the
 //     correctness oracle in tests.
@@ -14,8 +14,9 @@
 //   - ForwardAlg3: a line-by-line transcription of the paper's Algorithm 3
 //     (explicit bit-reversal followed by butterflies whose twiddle starts at
 //     √ω_m), kept for fidelity and cross-checked against Forward.
-//   - Packed forward/inverse (packed.go): two 16-bit coefficients per 32-bit
-//     word, halving memory traffic exactly as the paper's Algorithm 4 does.
+//   - PackedPoly (packed.go): two 16-bit coefficients per 32-bit word, the
+//     layout of the paper's Algorithm 4; internal/m4 runs and costs the
+//     packed kernels over it.
 //   - ForwardThree (parallel.go): the paper's parallel-3 NTT, transforming
 //     the three encryption-side polynomials in one pass so that twiddle
 //     updates and loop overhead are paid once instead of three times.
@@ -106,9 +107,6 @@ func NewTables(m *zq.Modulus, n int) (*Tables, error) {
 	return t, nil
 }
 
-// NewPoly returns a zero polynomial of the tables' dimension.
-func (t *Tables) NewPoly() Poly { return make(Poly, t.N) }
-
 // Forward transforms a in place: natural coefficient order in, bit-reversed
 // spectral order out. This is the merged-ψ Cooley-Tukey NTT; it performs
 // (n/2)·log₂n butterflies, each costing one modular multiplication.
@@ -165,7 +163,7 @@ func (t *Tables) Inverse(a Poly) {
 // ForwardAlg3 is the paper's Algorithm 3 transcribed literally: bit-reverse
 // first, then log₂n Cooley-Tukey stages whose running twiddle w starts at
 // √ω_m and is multiplied by ω_m after each butterfly group. Output is the
-// same spectrum as Forward but in natural index order; see SpectrumAlg3ToCT.
+// same spectrum as Forward but in natural index order.
 func (t *Tables) ForwardAlg3(a Poly) {
 	if len(a) != t.N {
 		panic("ntt: ForwardAlg3 length mismatch")
@@ -189,17 +187,6 @@ func (t *Tables) ForwardAlg3(a Poly) {
 	}
 }
 
-// SpectrumAlg3ToCT converts a spectrum produced by ForwardAlg3 (natural
-// order) into the bit-reversed layout produced by Forward, so the two can be
-// compared or mixed.
-func (t *Tables) SpectrumAlg3ToCT(a Poly) Poly {
-	out := make(Poly, t.N)
-	for i := 0; i < t.N; i++ {
-		out[zq.BitReverse(uint32(i), t.LogN)] = a[i]
-	}
-	return out
-}
-
 // PointwiseMul sets c = a ∘ b (coefficient-wise product); any aliasing among
 // the arguments is allowed.
 func (t *Tables) PointwiseMul(c, a, b Poly) {
@@ -208,16 +195,6 @@ func (t *Tables) PointwiseMul(c, a, b Poly) {
 	}
 	for i := range c {
 		c[i] = t.M.Mul(a[i], b[i])
-	}
-}
-
-// PointwiseMulAdd sets acc += a ∘ b.
-func (t *Tables) PointwiseMulAdd(acc, a, b Poly) {
-	if len(a) != t.N || len(b) != t.N || len(acc) != t.N {
-		panic("ntt: PointwiseMulAdd length mismatch")
-	}
-	for i := range acc {
-		acc[i] = t.M.Add(acc[i], t.M.Mul(a[i], b[i]))
 	}
 }
 
@@ -258,19 +235,6 @@ func (t *Tables) ScalarMul(c, a Poly, s uint32) {
 	for i := range c {
 		c[i] = m.MulShoup(a[i], s, sh)
 	}
-}
-
-// Mul returns a·b in Z_q[x]/(x^n+1) via the full NTT pipeline (two forward
-// transforms, a pointwise product and one inverse transform). The inputs are
-// in natural coefficient order and are not modified.
-func (t *Tables) Mul(a, b Poly) Poly {
-	ah := append(Poly(nil), a...)
-	bh := append(Poly(nil), b...)
-	t.Forward(ah)
-	t.Forward(bh)
-	t.PointwiseMul(ah, ah, bh)
-	t.Inverse(ah)
-	return ah
 }
 
 // Naive returns a·b in Z_q[x]/(x^n+1) by schoolbook convolution with sign

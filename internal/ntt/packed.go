@@ -1,27 +1,13 @@
 package ntt
 
-// This file implements the paper's Algorithm 4 idea: because q fits in 13-14
-// bits, two coefficients fit in one 32-bit word, so every load or store can
-// move two coefficients at once and the butterfly loop can be unrolled by
-// two. On the Cortex-M4F a memory access costs 2 cycles whether it is a
-// halfword or a word, so packing halves the memory traffic and the loop
-// overhead of the transform (paper §III-C/D).
-//
-// The peeled stage: with Cooley-Tukey scheduling the two coefficients that
-// share a word are butterfly partners only in the stride-1 stage. The paper
-// (whose listing runs the stages in the mirrored order) peels that stage out
-// of the main loop and handles it with in-word butterflies; we do the same —
-// it is the final stage here — so the main loop always enjoys the
-// two-butterflies-per-word-pair pattern.
-
 // PackedPoly stores a dimension-n polynomial in n/2 32-bit words: coefficient
 // 2i lives in the low halfword of word i and coefficient 2i+1 in the high
-// halfword. Valid only for moduli with BitLen ≤ 16.
+// halfword. Valid only for moduli with BitLen ≤ 16. It is the paper's
+// Algorithm 4 layout (§III-C/D): every load or store moves two coefficients
+// and the butterfly loop unrolls by two. The packed kernels and their
+// Cortex-M4F cycle costs are in internal/m4; their reference is
+// Pack(Forward(a)).
 type PackedPoly []uint32
-
-const halfMask = 0xFFFF
-
-func packPair(lo, hi uint32) uint32 { return lo | hi<<16 }
 
 // Pack converts a natural-order polynomial into packed form.
 func (t *Tables) Pack(a Poly) PackedPoly {
@@ -33,7 +19,7 @@ func (t *Tables) Pack(a Poly) PackedPoly {
 	}
 	p := make(PackedPoly, t.N/2)
 	for i := range p {
-		p[i] = packPair(a[2*i], a[2*i+1])
+		p[i] = a[2*i] | a[2*i+1]<<16
 	}
 	return p
 }
@@ -45,113 +31,8 @@ func (t *Tables) Unpack(p PackedPoly) Poly {
 	}
 	a := make(Poly, t.N)
 	for i, w := range p {
-		a[2*i] = w & halfMask
+		a[2*i] = w & 0xFFFF
 		a[2*i+1] = w >> 16
 	}
 	return a
-}
-
-// ForwardPacked computes the same transform as Forward on a packed
-// polynomial: natural order in, bit-reversed spectral order out. Every main-
-// loop iteration loads two words (four coefficients), performs two
-// butterflies sharing one twiddle factor, and stores two words — the paper's
-// 50% memory-access reduction.
-func (t *Tables) ForwardPacked(p PackedPoly) {
-	if len(p) != t.N/2 {
-		panic("ntt: ForwardPacked length mismatch")
-	}
-	m := t.M
-	step := t.N
-	for half := 1; half < t.N/2; half <<= 1 {
-		step >>= 1
-		ws := step / 2 // stride in words
-		for i := 0; i < half; i++ {
-			j1 := i * step // word index of the group start (= 2*i*step/2)
-			s := t.PsiRev[half+i]
-			for j := j1; j < j1+ws; j++ {
-				wl := p[j]
-				wh := p[j+ws]
-				u1, u2 := wl&halfMask, wl>>16
-				v1 := m.Mul(wh&halfMask, s)
-				v2 := m.Mul(wh>>16, s)
-				p[j] = packPair(m.Add(u1, v1), m.Add(u2, v2))
-				p[j+ws] = packPair(m.Sub(u1, v1), m.Sub(u2, v2))
-			}
-		}
-	}
-	// Peeled stride-1 stage: butterfly partners share a word. One load and
-	// one store per butterfly instead of two of each.
-	halfN := t.N / 2
-	for i := 0; i < halfN; i++ {
-		s := t.PsiRev[halfN+i]
-		w := p[i]
-		u := w & halfMask
-		v := m.Mul(w>>16, s)
-		p[i] = packPair(m.Add(u, v), m.Sub(u, v))
-	}
-}
-
-// InversePacked mirrors Inverse on packed data: bit-reversed spectral order
-// in, natural coefficient order out, n⁻¹ scaling included. The stride-1
-// stage (first here) uses in-word butterflies; later stages move word pairs.
-func (t *Tables) InversePacked(p PackedPoly) {
-	if len(p) != t.N/2 {
-		panic("ntt: InversePacked length mismatch")
-	}
-	m := t.M
-	halfN := t.N / 2
-	// Peeled stride-1 stage.
-	for i := 0; i < halfN; i++ {
-		s := t.PsiInvRev[halfN+i]
-		w := p[i]
-		u := w & halfMask
-		v := w >> 16
-		p[i] = packPair(m.Add(u, v), m.Mul(m.Sub(u, v), s))
-	}
-	step := 2
-	for half := t.N >> 2; half >= 1; half >>= 1 {
-		ws := step / 2
-		j1 := 0
-		for i := 0; i < half; i++ {
-			s := t.PsiInvRev[half+i]
-			for j := j1; j < j1+ws; j++ {
-				wl := p[j]
-				wh := p[j+ws]
-				u1, u2 := wl&halfMask, wl>>16
-				v1, v2 := wh&halfMask, wh>>16
-				p[j] = packPair(m.Add(u1, v1), m.Add(u2, v2))
-				p[j+ws] = packPair(m.Mul(m.Sub(u1, v1), s), m.Mul(m.Sub(u2, v2), s))
-			}
-			j1 += 2 * ws
-		}
-		step <<= 1
-	}
-	for i := range p {
-		w := p[i]
-		p[i] = packPair(m.Mul(w&halfMask, t.NInv), m.Mul(w>>16, t.NInv))
-	}
-}
-
-// PointwiseMulPacked sets c = a ∘ b on packed operands.
-func (t *Tables) PointwiseMulPacked(c, a, b PackedPoly) {
-	if len(a) != t.N/2 || len(b) != t.N/2 || len(c) != t.N/2 {
-		panic("ntt: PointwiseMulPacked length mismatch")
-	}
-	m := t.M
-	for i := range c {
-		wa, wb := a[i], b[i]
-		c[i] = packPair(m.Mul(wa&halfMask, wb&halfMask), m.Mul(wa>>16, wb>>16))
-	}
-}
-
-// MulPacked returns a·b in Z_q[x]/(x^n+1) running the whole pipeline on
-// packed data. Inputs are natural-order polynomials and are not modified.
-func (t *Tables) MulPacked(a, b Poly) Poly {
-	pa := t.Pack(a)
-	pb := t.Pack(b)
-	t.ForwardPacked(pa)
-	t.ForwardPacked(pb)
-	t.PointwiseMulPacked(pa, pa, pb)
-	t.InversePacked(pa)
-	return t.Unpack(pa)
 }

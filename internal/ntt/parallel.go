@@ -45,43 +45,3 @@ func (t *Tables) ForwardMany(polys []Poly) {
 		}
 	}
 }
-
-// ForwardThreePacked is ForwardThree on packed polynomials, combining the
-// paper's two multiplier optimizations (two coefficients per word and the
-// fused triple transform).
-func (t *Tables) ForwardThreePacked(a, b, c PackedPoly) {
-	if len(a) != t.N/2 || len(b) != t.N/2 || len(c) != t.N/2 {
-		panic("ntt: ForwardThreePacked length mismatch")
-	}
-	m := t.M
-	step := t.N
-	for half := 1; half < t.N/2; half <<= 1 {
-		step >>= 1
-		ws := step / 2
-		for i := 0; i < half; i++ {
-			j1 := i * step
-			s := t.PsiRev[half+i]
-			for j := j1; j < j1+ws; j++ {
-				for _, p := range [3]PackedPoly{a, b, c} {
-					wl := p[j]
-					wh := p[j+ws]
-					u1, u2 := wl&halfMask, wl>>16
-					v1 := m.Mul(wh&halfMask, s)
-					v2 := m.Mul(wh>>16, s)
-					p[j] = packPair(m.Add(u1, v1), m.Add(u2, v2))
-					p[j+ws] = packPair(m.Sub(u1, v1), m.Sub(u2, v2))
-				}
-			}
-		}
-	}
-	halfN := t.N / 2
-	for i := 0; i < halfN; i++ {
-		s := t.PsiRev[halfN+i]
-		for _, p := range [3]PackedPoly{a, b, c} {
-			w := p[i]
-			u := w & halfMask
-			v := m.Mul(w>>16, s)
-			p[i] = packPair(m.Add(u, v), m.Sub(u, v))
-		}
-	}
-}

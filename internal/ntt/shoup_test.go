@@ -29,11 +29,11 @@ func TestShoupLazyDomainBounds(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			inputs = append(inputs, randPoly(r, tab))
 		}
-		worst := tab.NewPoly()
+		worst := make(Poly, tab.N)
 		for i := range worst {
 			worst[i] = set.q - 1
 		}
-		inputs = append(inputs, worst, tab.NewPoly()) // extremes: max and zero
+		inputs = append(inputs, worst, make(Poly, tab.N)) // extremes: max and zero
 
 		for _, a := range inputs {
 			lazy := append(Poly(nil), a...)
@@ -123,7 +123,7 @@ func TestShoupZeroAlloc(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(7))
 		a, b := randPoly(r, tab), randPoly(r, tab)
-		c := tab.NewPoly()
+		c := make(Poly, tab.N)
 		x, y, z := randPoly(r, tab), randPoly(r, tab), randPoly(r, tab)
 
 		cases := []struct {

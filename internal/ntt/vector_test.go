@@ -161,7 +161,7 @@ func TestVectorZeroAlloc(t *testing.T) {
 	tab := manyTestTables(t)
 	a := randomPolys(tab, 1, 1)[0]
 	batch := randomPolys(tab, 3, 2)
-	dst := tab.NewPoly()
+	dst := make(Poly, tab.N)
 	for _, simd := range []bool{hasAVX2, false} {
 		e, err := newVectorEngine(tab, simd)
 		if err != nil {

@@ -28,9 +28,9 @@ func Client(rw io.ReadWriter, scheme *ringlwe.Scheme, opts ...Option) (*Channel,
 // ClientAuto performs a v2 handshake without committing to a parameter set
 // up front: the hello requests the server's default set (ID 0), the
 // parameter set is recovered from the header of the server's public-key
-// blob via the registered-params table, and a fresh Scheme is constructed
-// for it (configure it with WithSchemeOptions). The negotiated set is
-// available afterwards as Channel.Params.
+// blob via the registered-params table, and a fresh Scheme with default
+// options is constructed for it. The negotiated set is available
+// afterwards as Channel.Params.
 func ClientAuto(rw io.ReadWriter, opts ...Option) (*Channel, error) {
 	return clientV2(rw, nil, 0, applyOptions(opts))
 }
@@ -84,7 +84,7 @@ func clientV2(rw io.ReadWriter, scheme *ringlwe.Scheme, id uint16, o options) (*
 		return nil, err
 	}
 	if scheme == nil {
-		scheme = ringlwe.New(pk.Params(), o.schemeOpts...)
+		scheme = ringlwe.New(pk.Params())
 	} else if pk.Params().WireID() != id {
 		err := fmt.Errorf("protocol: server key is %s (wire ID %d), requested ID %d: %w",
 			pk.Params().Name(), pk.Params().WireID(), id, ringlwe.ErrParamsMismatch)

@@ -116,7 +116,6 @@ type Option func(*options)
 
 type options struct {
 	rekeyAfter uint64
-	schemeOpts []ringlwe.Option
 	wantTicket bool
 	tracer     obs.Tracer
 }
@@ -136,14 +135,6 @@ func applyOptions(opts []Option) options {
 // need no option.
 func WithRekeyAfter(n uint64) Option {
 	return func(o *options) { o.rekeyAfter = n }
-}
-
-// WithSchemeOptions forwards scheme construction options (profiles,
-// WithRandom, …) to the Scheme a ClientAuto handshake builds for the
-// server-chosen parameter set. Ignored by handshakes given an explicit
-// Scheme.
-func WithSchemeOptions(opts ...ringlwe.Option) Option {
-	return func(o *options) { o.schemeOpts = opts }
 }
 
 // WithHandshakeTracer installs a client-side trace hook: the handshake

@@ -51,13 +51,6 @@ type Session struct {
 	expiry time.Time
 }
 
-// Params returns the parameter set the session was negotiated under.
-func (s *Session) Params() *ringlwe.Params { return s.scheme.Params() }
-
-// Expiry returns the instant after which the server will refuse the
-// ticket (resumption then falls back to a full handshake).
-func (s *Session) Expiry() time.Time { return s.expiry }
-
 // Valid reports whether the session still carries an unexpired ticket.
 func (s *Session) Valid() bool {
 	return s != nil && len(s.ticket) > 0 && time.Now().Before(s.expiry)

@@ -61,8 +61,8 @@ func TestResumeE2E(t *testing.T) {
 	if !ses.Valid() {
 		t.Fatal("full handshake with WithSessionTicket yielded no valid session")
 	}
-	if ses.Params().Name() != "P1" {
-		t.Fatalf("session params %s, want P1", ses.Params().Name())
+	if name := ses.scheme.Params().Name(); name != "P1" {
+		t.Fatalf("session params %s, want P1", name)
 	}
 	echo(t, full, "over the full handshake")
 
@@ -166,11 +166,11 @@ func TestResumeExpiredTicket(t *testing.T) {
 	echo(t, ch, "over the expiry-fallback channel")
 }
 
-// TestResumeTicketsDisabled pins the declined-issuance path: with
-// WithTicketLifetime(0) a client asking for a ticket gets a clean
-// handshake and a nil session, byte-compatible with the ticketless flow.
+// TestResumeTicketsDisabled pins the declined-issuance path: with a zero
+// ticket lifetime a client asking for a ticket gets a clean handshake and
+// a nil session, byte-compatible with the ticketless flow.
 func TestResumeTicketsDisabled(t *testing.T) {
-	srv := NewServer(WithTicketLifetime(0))
+	srv := NewServer(func(s *Server) { s.ticketLifetime = 0 })
 	scheme := ringlwe.NewDeterministic(ringlwe.P1(), 7301)
 	pk, sk, err := scheme.GenerateKeys()
 	if err != nil {

@@ -7,11 +7,9 @@ import (
 	"net"
 )
 
-// reuseportAvailable reports that this platform cannot shard accepts via
-// SO_REUSEPORT; Listen falls back to one listener whose accept loop
+// listenReuseport fails: this platform cannot shard accepts via
+// SO_REUSEPORT, so Listen falls back to one listener whose accept loop
 // tags connections with shards round-robin.
-const reuseportAvailable = false
-
 func listenReuseport(network, addr string, n int) ([]net.Listener, error) {
 	return nil, errors.New("protocol: SO_REUSEPORT unsupported on this platform")
 }

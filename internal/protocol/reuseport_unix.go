@@ -8,11 +8,6 @@ import (
 	"syscall"
 )
 
-// reuseportAvailable reports that this platform can bind several
-// listeners to one address with SO_REUSEPORT, letting the kernel shard
-// accepted connections across the server's accept loops.
-const reuseportAvailable = true
-
 // listenReuseport binds n listeners to the same address with
 // SO_REUSEPORT. The first listen resolves the address (so ":0" works),
 // and the rest bind the resolved port. On any failure every listener

@@ -295,23 +295,6 @@ func WithShards(n int) ServerOption {
 	}
 }
 
-// WithHandshakeTimeout bounds how long a connection may take to complete
-// its handshake (default 10s): a stalled or slow-loris client hits the
-// deadline and releases its goroutine instead of pinning it forever.
-// Zero or negative disables the deadline.
-func WithHandshakeTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.hsTimeout = d }
-}
-
-// WithTicketLifetime sets how long issued session-resumption tickets
-// stay valid — and the server ticket-key rotation period, so a ticket
-// never outlives its sealing key by more than one rotation. Default one
-// hour; zero disables ticket issuance (resumption attempts then fall
-// back to full handshakes).
-func WithTicketLifetime(d time.Duration) ServerOption {
-	return func(s *Server) { s.ticketLifetime = d }
-}
-
 // defaultHandshakeTimeout bounds the first flight unless overridden.
 const defaultHandshakeTimeout = 10 * time.Second
 
@@ -869,15 +852,6 @@ func (s *Server) ServeListeners() error {
 		<-errc
 	}
 	return first
-}
-
-// ListenAndServe binds addr (Listen) and serves until shutdown
-// (ServeListeners).
-func (s *Server) ListenAndServe(addr string) error {
-	if _, err := s.Listen("tcp", addr); err != nil {
-		return err
-	}
-	return s.ServeListeners()
 }
 
 // serveConn runs one connection, counting it in metric slot shard:

@@ -87,17 +87,11 @@ func (c *CryptoSource) Uint32() uint32 {
 	return v
 }
 
-// TRNG models the STM32F407 hardware true random number generator: one fresh
-// 32-bit word every 40 cycles of its 48 MHz clock, i.e. one word per 140 CPU
-// cycles at 168 MHz. The words themselves come from the wrapped Source; the
-// model only adds the latency accounting the paper's cycle counts include.
-// FetchCost reports the stall a fetch would cost a polling caller given how
-// many CPU cycles have elapsed since the previous fetch.
-type TRNG struct {
-	src Source
-	// Words fetched so far; used by tests and the cycle model.
-	Fetches uint64
-}
+// The STM32F407 hardware true random number generator delivers one fresh
+// 32-bit word every 40 cycles of its 48 MHz clock, i.e. one word per 140
+// CPU cycles at 168 MHz. FetchCost reports the stall a fetch costs a
+// polling caller given how many CPU cycles have elapsed since the previous
+// fetch; the cycle model in internal/m4 charges it.
 
 // CPUCyclesPerWord is the CPU-cycle interval between fresh TRNG words:
 // 40 TRNG-clock cycles × (168 MHz / 48 MHz).
@@ -107,15 +101,6 @@ const CPUCyclesPerWord = 140
 // back-to-back requests ("can perform other computations while waiting 12
 // cycles between each random number request").
 const MinWaitCycles = 12
-
-// NewTRNG wraps src with TRNG fetch accounting.
-func NewTRNG(src Source) *TRNG { return &TRNG{src: src} }
-
-// Uint32 fetches the next hardware word.
-func (t *TRNG) Uint32() uint32 {
-	t.Fetches++
-	return t.src.Uint32()
-}
 
 // FetchCost returns the modeled CPU-cycle cost of the next fetch when
 // `elapsed` CPU cycles of useful work have occurred since the last fetch:

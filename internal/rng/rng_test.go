@@ -52,16 +52,6 @@ func TestCryptoSource(t *testing.T) {
 	}
 }
 
-func TestTRNGCountsFetches(t *testing.T) {
-	tr := NewTRNG(NewXorshift128(1))
-	for i := 0; i < 17; i++ {
-		tr.Uint32()
-	}
-	if tr.Fetches != 17 {
-		t.Errorf("Fetches = %d, want 17", tr.Fetches)
-	}
-}
-
 func TestFetchCost(t *testing.T) {
 	// Idle longer than the generation interval: only the minimum wait.
 	if got := FetchCost(1000); got != MinWaitCycles {

@@ -59,10 +59,6 @@ type Basis struct {
 	// halfQRes[i] = ⌊q/2⌋ mod qᵢ, the per-channel residue of the
 	// message-encoding offset.
 	halfQRes []uint32
-	// qHatRes[i][j] = (q/qᵢ) mod qⱼ, the basis-conversion constants
-	// (channel i's CRT element seen from channel j); qHatRes[i][i] is
-	// the value tInv[i] inverts.
-	qHatRes [][]uint32
 
 	engMu    sync.Mutex
 	engCache map[string][]ntt.Engine
@@ -93,7 +89,6 @@ func NewBasis(n int, moduli []uint32) (*Basis, error) {
 		qHat:     make([]Uint128, k),
 		tInv:     make([]uint32, k),
 		halfQRes: make([]uint32, k),
-		qHatRes:  make([][]uint32, k),
 		engCache: map[string][]ntt.Engine{},
 	}
 	q := big.NewInt(1)
@@ -119,24 +114,11 @@ func NewBasis(n int, moduli []uint32) (*Basis, error) {
 	for i, qi := range moduli {
 		qhat := new(big.Int).Div(q, new(big.Int).SetUint64(uint64(qi)))
 		b.qHat[i] = u128FromBig(qhat)
-		b.qHatRes[i] = make([]uint32, k)
-		for j := range moduli {
-			b.qHatRes[i][j] = uint32(b.qHat[i].Mod64(uint64(moduli[j])))
-		}
-		b.tInv[i] = b.Mods[i].Inv(b.qHatRes[i][i])
+		b.tInv[i] = b.Mods[i].Inv(uint32(b.qHat[i].Mod64(uint64(qi))))
 		b.halfQRes[i] = uint32(u128FromBig(halfQ).Mod64(uint64(qi)))
 	}
 	return b, nil
 }
-
-// QHat returns q/qᵢ for channel i.
-func (b *Basis) QHat(i int) Uint128 { return b.qHat[i] }
-
-// QHatRes returns (q/qᵢ) mod qⱼ — the basis-conversion constant table.
-func (b *Basis) QHatRes(i, j int) uint32 { return b.qHatRes[i][j] }
-
-// TInv returns (q/qᵢ)⁻¹ mod qᵢ for channel i.
-func (b *Basis) TInv(i int) uint32 { return b.tInv[i] }
 
 // HalfQRes returns ⌊q/2⌋ mod qᵢ — the encoding offset's channel residue.
 func (b *Basis) HalfQRes(i int) uint32 { return b.halfQRes[i] }
@@ -188,6 +170,25 @@ func (b *Basis) DecomposeCoeff(p []uint32, j int, v *big.Int) {
 // it). Oracle/test path — allocates.
 func (b *Basis) CoeffBig(p []uint32, j int) *big.Int {
 	return b.ReconstructCoeff(p, j).Big()
+}
+
+// Decompose writes the residue decomposition of the big-coefficient
+// polynomial coeffs (length N, entries reduced mod q) into the flat
+// residue polynomial p. Oracle/test path — allocates.
+func (b *Basis) Decompose(p []uint32, coeffs []*big.Int) {
+	for j, v := range coeffs {
+		b.DecomposeCoeff(p, j, v)
+	}
+}
+
+// Reconstruct returns every coefficient of p as a big integer via the hot
+// path's Uint128 CRT. Oracle/test path — allocates.
+func (b *Basis) Reconstruct(p []uint32) []*big.Int {
+	out := make([]*big.Int, b.N)
+	for j := range out {
+		out[j] = b.CoeffBig(p, j)
+	}
+	return out
 }
 
 // ResolveEngines returns one engine per channel for the named backend,

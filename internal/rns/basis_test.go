@@ -40,19 +40,13 @@ func TestBasisConstantsExhaustive(t *testing.T) {
 		halfQ := new(big.Int).Rsh(q, 1)
 		for i, qi := range moduli {
 			qhat := new(big.Int).Div(q, big.NewInt(int64(qi)))
-			if b.QHat(i).Big().Cmp(qhat) != 0 {
-				t.Errorf("%v: QHat(%d) = %v, want %v", moduli, i, b.QHat(i).Big(), qhat)
-			}
-			for j, qj := range moduli {
-				want := uint32(new(big.Int).Mod(qhat, big.NewInt(int64(qj))).Uint64())
-				if got := b.QHatRes(i, j); got != want {
-					t.Errorf("%v: QHatRes(%d,%d) = %d, want %d", moduli, i, j, got, want)
-				}
+			if b.qHat[i].Big().Cmp(qhat) != 0 {
+				t.Errorf("%v: qHat[%d] = %v, want %v", moduli, i, b.qHat[i].Big(), qhat)
 			}
 			// tInv inverts q̂ᵢ in channel i.
-			prod := (uint64(b.QHatRes(i, i)) * uint64(b.TInv(i))) % uint64(qi)
-			if prod != 1 {
-				t.Errorf("%v: TInv(%d): q̂ᵢ·tᵢ ≡ %d (mod %d), want 1", moduli, i, prod, qi)
+			qhatRes := new(big.Int).Mod(qhat, big.NewInt(int64(qi))).Uint64()
+			if prod := (qhatRes * uint64(b.tInv[i])) % uint64(qi); prod != 1 {
+				t.Errorf("%v: tInv[%d]: q̂ᵢ·tᵢ ≡ %d (mod %d), want 1", moduli, i, prod, qi)
 			}
 			wantHalf := uint32(new(big.Int).Mod(halfQ, big.NewInt(int64(qi))).Uint64())
 			if got := b.HalfQRes(i); got != wantHalf {
@@ -63,7 +57,7 @@ func TestBasisConstantsExhaustive(t *testing.T) {
 		// Round trip and threshold decode over Z_q: exhaustive when the
 		// composite is small (k ≤ 2 here), strided with the decode
 		// boundaries q/4 and 3q/4 pinned exactly when it is not.
-		p := b.NewPoly()
+		p := make([]uint32, b.K*b.N)
 		qu := q.Uint64()
 		threeQ := 3 * qu
 		step := uint64(1)

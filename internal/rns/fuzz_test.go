@@ -97,7 +97,7 @@ func FuzzRNSRoundTrip(f *testing.F) {
 		}
 		scalar := next()
 
-		ap, bp := b.NewPoly(), b.NewPoly()
+		ap, bp := make(ntt.Poly, b.K*b.N), make(ntt.Poly, b.K*b.N)
 		b.Decompose(ap, aBig)
 		b.Decompose(bp, bBig)
 
@@ -109,8 +109,8 @@ func FuzzRNSRoundTrip(f *testing.F) {
 		}
 
 		// Add.
-		sum := b.NewPoly()
-		r.AddAll(ntt.Poly(sum), ntt.Poly(ap), ntt.Poly(bp))
+		sum := make(ntt.Poly, b.K*b.N)
+		r.AddAll(sum, ap, bp)
 		for j, got := range b.Reconstruct(sum) {
 			want := new(big.Int).Add(aBig[j], bBig[j])
 			want.Mod(want, b.QBig)
@@ -121,8 +121,8 @@ func FuzzRNSRoundTrip(f *testing.F) {
 
 		// Scalar mul: every fuzz basis has q < 2³², so the scalar is one
 		// word that each channel reduces mod its own prime.
-		sc := b.NewPoly()
-		r.ScalarMulAll(ntt.Poly(sc), ntt.Poly(ap), uint32(scalar.Uint64()))
+		sc := make(ntt.Poly, b.K*b.N)
+		r.ScalarMulAll(sc, ap, uint32(scalar.Uint64()))
 		for j, got := range b.Reconstruct(sc) {
 			want := new(big.Int).Mul(aBig[j], scalar)
 			want.Mod(want, b.QBig)
@@ -133,13 +133,13 @@ func FuzzRNSRoundTrip(f *testing.F) {
 
 		// Negacyclic mul: Forward → pointwise → Inverse over every channel
 		// vs the schoolbook oracle.
-		prod, fb := b.NewPoly(), b.NewPoly()
+		prod, fb := make(ntt.Poly, b.K*b.N), make(ntt.Poly, b.K*b.N)
 		copy(prod, ap)
 		copy(fb, bp)
-		r.ForwardAll(ntt.Poly(prod))
-		r.ForwardAll(ntt.Poly(fb))
-		r.MulAll(ntt.Poly(prod), ntt.Poly(prod), ntt.Poly(fb))
-		r.InverseAll(ntt.Poly(prod))
+		r.ForwardAll(prod)
+		r.ForwardAll(fb)
+		r.MulAll(prod, prod, fb)
+		r.InverseAll(prod)
 		oracle := negacyclicMulBig(aBig, bBig, b.QBig)
 		for j, got := range b.Reconstruct(prod) {
 			if got.Cmp(oracle[j]) != 0 {

@@ -15,7 +15,7 @@
 //     pass. The LUT-1 byte probes for eight coefficients ride in one 64-bit
 //     source word, SWAR-tested for failures with a single mask; only the
 //     rare residuals (≈2.2% per coefficient) fall back to the serial
-//     LUT-2/scan walk, fed from a 64-bit bit pool (swar.BitPool64). The
+//     LUT-2/scan walk, fed from a 64-bit bit pool (bitPool64). The
 //     Fast profile's sampler.
 //   - "cdt": inversion sampling against the cumulative table, with a
 //     fixed-shape branchless binary search — the same number of table

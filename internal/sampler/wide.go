@@ -7,7 +7,6 @@ import (
 	"ringlwe/internal/cacheline"
 	"ringlwe/internal/gauss"
 	"ringlwe/internal/rng"
-	"ringlwe/internal/swar"
 )
 
 // wideEngine is the "wide-ky" backend: Knuth-Yao restructured for a 64-bit
@@ -40,7 +39,7 @@ type wideEngine struct {
 	src rng.Source
 	// pool feeds only the failure path; it stays empty (and the source
 	// untouched by it) until the first LUT-1 miss.
-	pool *swar.BitPool64
+	pool *bitPool64
 	// bitFn feeds the residual walk one bit at a time from the pool;
 	// bound once at construction so the rare path stays allocation-free.
 	bitFn func() uint32
@@ -74,9 +73,9 @@ func init() {
 			lut2:       cfg.LUT2,
 			lut2DRange: cfg.MaxFailD + 1,
 			src:        src,
-			pool:       swar.NewBitPool64(src),
+			pool:       &bitPool64{src: src},
 		}
-		e.bitFn = func() uint32 { return uint32(e.pool.NextBits(1)) }
+		e.bitFn = func() uint32 { return uint32(e.pool.nextBits(1)) }
 		return e, nil
 	})
 }
@@ -202,7 +201,7 @@ func (e *wideEngine) sampleBatch(dst []uint32, q uint32) {
 // same LUT-2/clz resolution chain as gauss.Sampler, fed from the bit pool.
 func (e *wideEngine) resolveFailure(d uint32) uint32 {
 	if int(d) < e.lut2DRange {
-		r := uint32(e.pool.NextBits(5))
+		r := uint32(e.pool.nextBits(5))
 		b := e.lut2[d*32+r]
 		if b&0x80 == 0 {
 			e.stats.LUT2Hits++
@@ -213,4 +212,45 @@ func (e *wideEngine) resolveFailure(d uint32) uint32 {
 	}
 	e.stats.ScanResolved++
 	return e.mat.ResumeWalk(8, d, e.bitFn)
+}
+
+// bitPool64 is the word-at-a-time companion of rng.BitPool that feeds the
+// wide engine's failure path: it dispenses the exact same bit stream (each
+// 32-bit source word contributes its low 31 bits, LSB first, matching the
+// scalar pool's sentinel layout), but hands out up to 32 bits per call
+// from a 64-bit buffer, so a read never has to straddle a refill. Like the
+// scalar pool it sits between cache-line pads.
+type bitPool64 struct {
+	_   cacheline.Pad
+	src rng.Source
+	buf uint64 // undispensed bits, LSB first
+	n   uint   // number of valid bits in buf
+
+	// refills counts source-word fetches, mirroring rng.BitPool.Refills.
+	refills uint64
+	_       cacheline.Pad
+}
+
+// nextBits returns the next k random bits (0 ≤ k ≤ 32) packed little-endian:
+// the first bit of the stream is the least significant bit of the result.
+// The stream is bit-identical to k successive rng.BitPool.Bit() calls over
+// an identical source (the equivalence test in bitpool_test.go pins this).
+func (p *bitPool64) nextBits(k uint) uint64 {
+	if k > 32 {
+		panic("sampler: nextBits supports at most 32 bits per call")
+	}
+	for p.n < k {
+		// Each refill contributes the 31 payload bits of one source word —
+		// the scalar pool's MSB sentinel position carries no entropy there,
+		// so it is simply dropped here. n < k ≤ 32 on entry, so at most two
+		// refills run (n ≤ 31 before the second) and the buffer tops out at
+		// 62 valid bits; it never overflows.
+		p.buf |= uint64(p.src.Uint32()&0x7FFFFFFF) << p.n
+		p.n += 31
+		p.refills++
+	}
+	v := p.buf & (1<<k - 1)
+	p.buf >>= k
+	p.n -= k
+	return v
 }

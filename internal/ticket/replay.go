@@ -67,14 +67,3 @@ func (c *ReplayCache) Seen(id [ReplayIDLen]byte, expiry time.Time) bool {
 	sh.seen[id] = expiry.UnixMilli()
 	return false
 }
-
-// Len reports the total number of live entries (testing/metrics).
-func (c *ReplayCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].seen)
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}

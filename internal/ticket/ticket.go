@@ -89,26 +89,14 @@ type Keeper struct {
 	next uint32 // next key ID
 }
 
-// Option configures a Keeper.
-type Option func(*Keeper)
-
-// WithClock substitutes the time source — the expiry/rotation test hook.
-func WithClock(now func() time.Time) Option {
-	return func(k *Keeper) { k.now = now }
-}
-
 // NewKeeper builds a keeper drawing key material from rand and rotating
 // the sealing key every rotate period (tickets should not outlive their
 // sealing key by more than one rotation, so pass the ticket lifetime).
-func NewKeeper(rand io.Reader, rotate time.Duration, opts ...Option) *Keeper {
+func NewKeeper(rand io.Reader, rotate time.Duration) *Keeper {
 	if rotate <= 0 {
 		rotate = time.Hour
 	}
-	k := &Keeper{rand: rand, rotate: rotate, now: time.Now}
-	for _, o := range opts {
-		o(k)
-	}
-	return k
+	return &Keeper{rand: rand, rotate: rotate, now: time.Now}
 }
 
 // newKey mints a fresh key generation. Caller holds k.mu.

@@ -9,13 +9,10 @@ package zq
 // transform (Harvey, "Faster arithmetic for number-theoretic transforms").
 //
 // The lazy domain: values live in [0, 2q) instead of [0, q). MulShoupLazy
-// returns a lazy value, AddLazy/SubLazy keep the invariant with one
-// conditional subtraction each, and NormalizeLazy folds back to canonical.
-// With the paper's moduli (q < 2¹⁴) the lazy bound 2q < 2¹⁵ leaves ample
-// 32-bit headroom; the bound proofs live in shoup_test.go.
-
-// shoupBeta is the Shoup radix β = 2³². Companions are ⌊w·β/q⌋.
-const shoupBeta = 1 << 32
+// returns a lazy value; the NTT engines keep their butterflies in that
+// domain and fold back to canonical. With the paper's moduli (q < 2¹⁴) the
+// lazy bound 2q < 2¹⁵ leaves ample 32-bit headroom; the bound proof lives
+// in shoup_test.go. The Shoup radix is β = 2³²: companions are ⌊w·β/q⌋.
 
 // Shoup returns the Shoup companion ⌊w·2³²/q⌋ of the canonical residue w,
 // for use as the wShoup argument of MulShoupLazy with the same w.
@@ -45,35 +42,4 @@ func (m *Modulus) MulShoup(a, w, wShoup uint32) uint32 {
 		r -= m.Q
 	}
 	return r
-}
-
-// NormalizeLazy folds a lazy value a ∈ [0, 2q) to its canonical residue.
-func (m *Modulus) NormalizeLazy(a uint32) uint32 {
-	if a >= m.Q {
-		a -= m.Q
-	}
-	return a
-}
-
-// AddLazy returns a + b (mod 2q) for lazy a, b ∈ [0, 2q), staying in the
-// lazy domain with a single conditional subtraction. Because 2q ≡ 0 (mod q)
-// the result is still congruent to a + b (mod q).
-func (m *Modulus) AddLazy(a, b uint32) uint32 {
-	s := a + b
-	if twoQ := 2 * m.Q; s >= twoQ {
-		s -= twoQ
-	}
-	return s
-}
-
-// SubLazy returns a value congruent to a − b (mod q) in [0, 2q), for lazy
-// a, b ∈ [0, 2q): the 2q offset clears the underflow and one conditional
-// subtraction restores the invariant.
-func (m *Modulus) SubLazy(a, b uint32) uint32 {
-	twoQ := 2 * m.Q
-	d := a + twoQ - b
-	if d >= twoQ {
-		d -= twoQ
-	}
-	return d
 }

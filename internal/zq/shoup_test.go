@@ -15,7 +15,7 @@ var shoupModuli = []uint32{7681, 12289}
 // any a < β; this test checks the implementation realizes it.
 func TestMulShoupLazyBound(t *testing.T) {
 	for _, q := range shoupModuli {
-		m := MustModulus(q)
+		m := mustModulus(q)
 		twoQ := 2 * q
 		probes := []uint32{0, 1, q - 1, q, twoQ - 1, 1 << 16, ^uint32(0), ^uint32(0) - q + 1}
 		rnd := uint32(0x9E3779B9)
@@ -44,7 +44,7 @@ func TestMulShoupLazyBound(t *testing.T) {
 // MulShoup (normalized) must agree with the Barrett Mul exactly.
 func TestMulShoupMatchesBarrett(t *testing.T) {
 	for _, q := range shoupModuli {
-		m := MustModulus(q)
+		m := mustModulus(q)
 		for w := uint32(0); w < q; w += 7 {
 			ws := m.Shoup(w)
 			for a := uint32(0); a < q; a += 131 {
@@ -56,44 +56,9 @@ func TestMulShoupMatchesBarrett(t *testing.T) {
 	}
 }
 
-// AddLazy, SubLazy and NormalizeLazy must preserve the [0, 2q) invariant
-// and congruence over the full lazy square — exhaustive for a thinned grid
-// plus the extreme corners.
-func TestLazyAddSubBounds(t *testing.T) {
-	for _, q := range shoupModuli {
-		m := MustModulus(q)
-		twoQ := 2 * q
-		check := func(a, b uint32) {
-			s := m.AddLazy(a, b)
-			if s >= twoQ || s%q != m.Add(a%q, b%q) {
-				t.Fatalf("q=%d: AddLazy(%d, %d) = %d out of contract", q, a, b, s)
-			}
-			d := m.SubLazy(a, b)
-			if d >= twoQ || d%q != m.Sub(a%q, b%q) {
-				t.Fatalf("q=%d: SubLazy(%d, %d) = %d out of contract", q, a, b, d)
-			}
-			n := m.NormalizeLazy(a)
-			if n >= q || n != a%q {
-				t.Fatalf("q=%d: NormalizeLazy(%d) = %d", q, a, n)
-			}
-		}
-		for a := uint32(0); a < twoQ; a += 37 {
-			for b := uint32(0); b < twoQ; b += 41 {
-				check(a, b)
-			}
-		}
-		corners := []uint32{0, 1, q - 1, q, q + 1, twoQ - 1}
-		for _, a := range corners {
-			for _, b := range corners {
-				check(a, b)
-			}
-		}
-	}
-}
-
 // The Shoup companion of a non-canonical value is a programming error.
 func TestShoupPanicsOutOfRange(t *testing.T) {
-	m := MustModulus(7681)
+	m := mustModulus(7681)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Shoup(q) did not panic")

@@ -58,17 +58,6 @@ func NewModulus(q uint32) (*Modulus, error) {
 	return m, nil
 }
 
-// MustModulus is NewModulus for known-good constants; it panics on error.
-// It is intended for package-level initialization of the standard parameter
-// sets, where failure indicates a programming error rather than bad input.
-func MustModulus(q uint32) *Modulus {
-	m, err := NewModulus(q)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // BitLen returns the number of bits required to store one canonical residue,
 // e.g. 13 for q = 7681 and 14 for q = 12289. The paper packs two such
 // coefficients into one 32-bit word.
@@ -107,14 +96,6 @@ func (m *Modulus) Sub(a, b uint32) uint32 {
 		d += m.Q
 	}
 	return d
-}
-
-// Neg returns -a mod Q for canonical a.
-func (m *Modulus) Neg(a uint32) uint32 {
-	if a == 0 {
-		return 0
-	}
-	return m.Q - a
 }
 
 // Mul returns (a * b) mod Q for canonical a, b.

@@ -9,6 +9,15 @@ import (
 // The two paper moduli plus a few auxiliary primes used across the tests.
 var testModuli = []uint32{7681, 12289, 17, 257, 65537, 40961}
 
+// mustModulus is NewModulus for the tests' known primes.
+func mustModulus(q uint32) *Modulus {
+	m, err := NewModulus(q)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func TestNewModulusRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		q    uint32
@@ -41,20 +50,11 @@ func TestNewModulusAcceptsPaperPrimes(t *testing.T) {
 	}
 }
 
-func TestMustModulusPanicsOnComposite(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustModulus(9) did not panic")
-		}
-	}()
-	MustModulus(9)
-}
-
 func TestBitLen(t *testing.T) {
-	if got := MustModulus(7681).BitLen(); got != 13 {
+	if got := mustModulus(7681).BitLen(); got != 13 {
 		t.Errorf("BitLen(7681) = %d, want 13", got)
 	}
-	if got := MustModulus(12289).BitLen(); got != 14 {
+	if got := mustModulus(12289).BitLen(); got != 14 {
 		t.Errorf("BitLen(12289) = %d, want 14", got)
 	}
 }
@@ -62,7 +62,7 @@ func TestBitLen(t *testing.T) {
 func TestReduceMatchesNativeMod(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, q := range testModuli {
-		m := MustModulus(q)
+		m := mustModulus(q)
 		// The documented domain is x < 2^(2*bitLen+1).
 		maxIn := uint64(1) << (2*m.BitLen() + 1)
 		for i := 0; i < 20000; i++ {
@@ -83,7 +83,7 @@ func TestReduceMatchesNativeMod(t *testing.T) {
 func TestAddSubNegMulAgainstInt64(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, q := range testModuli {
-		m := MustModulus(q)
+		m := mustModulus(q)
 		for i := 0; i < 10000; i++ {
 			a := rng.Uint32() % q
 			b := rng.Uint32() % q
@@ -96,8 +96,8 @@ func TestAddSubNegMulAgainstInt64(t *testing.T) {
 			if got, want := m.Mul(a, b), uint32(uint64(a)*uint64(b)%uint64(q)); got != want {
 				t.Fatalf("q=%d Mul(%d,%d) = %d, want %d", q, a, b, got, want)
 			}
-			if got, want := m.Neg(a), uint32((uint64(q)-uint64(a))%uint64(q)); got != want {
-				t.Fatalf("q=%d Neg(%d) = %d, want %d", q, a, got, want)
+			if got, want := m.Sub(0, a), uint32((uint64(q)-uint64(a))%uint64(q)); got != want {
+				t.Fatalf("q=%d Sub(0,%d) = %d, want %d", q, a, got, want)
 			}
 		}
 	}
@@ -106,7 +106,7 @@ func TestAddSubNegMulAgainstInt64(t *testing.T) {
 // Property: (Z_q, +, ·) satisfies the ring axioms on canonical residues.
 func TestRingAxiomsQuick(t *testing.T) {
 	for _, q := range []uint32{7681, 12289} {
-		m := MustModulus(q)
+		m := mustModulus(q)
 		canon := func(x uint32) uint32 { return x % q }
 
 		addComm := func(a, b uint32) bool {
@@ -135,7 +135,7 @@ func TestRingAxiomsQuick(t *testing.T) {
 		}
 		negInverse := func(a uint32) bool {
 			a = canon(a)
-			return m.Add(a, m.Neg(a)) == 0
+			return m.Add(a, m.Sub(0, a)) == 0
 		}
 		for name, f := range map[string]interface{}{
 			"addComm": addComm, "mulComm": mulComm,
@@ -150,7 +150,7 @@ func TestRingAxiomsQuick(t *testing.T) {
 }
 
 func TestExp(t *testing.T) {
-	m := MustModulus(7681)
+	m := mustModulus(7681)
 	if got := m.Exp(3, 0); got != 1 {
 		t.Errorf("3^0 = %d, want 1", got)
 	}
@@ -178,7 +178,7 @@ func TestExp(t *testing.T) {
 
 func TestInv(t *testing.T) {
 	for _, q := range []uint32{7681, 12289, 17} {
-		m := MustModulus(q)
+		m := mustModulus(q)
 		for a := uint32(1); a < q && a < 3000; a++ {
 			inv := m.Inv(a)
 			if m.Mul(a, inv) != 1 {
@@ -194,12 +194,12 @@ func TestInvZeroPanics(t *testing.T) {
 			t.Fatal("Inv(0) did not panic")
 		}
 	}()
-	MustModulus(7681).Inv(0)
+	mustModulus(7681).Inv(0)
 }
 
 func TestFindGenerator(t *testing.T) {
 	for _, q := range testModuli {
-		m := MustModulus(q)
+		m := mustModulus(q)
 		g := m.FindGenerator()
 		if !m.IsPrimitiveRoot(g, uint64(q)-1) {
 			t.Errorf("q=%d: FindGenerator()=%d is not primitive", q, g)
@@ -208,7 +208,7 @@ func TestFindGenerator(t *testing.T) {
 }
 
 func TestRootOfUnity(t *testing.T) {
-	m := MustModulus(7681)
+	m := mustModulus(7681)
 	// 7681 - 1 = 7680 = 2^9 * 3 * 5, so 512-th roots exist but 1024-th do not.
 	w, err := m.RootOfUnity(512)
 	if err != nil {
@@ -224,7 +224,7 @@ func TestRootOfUnity(t *testing.T) {
 		t.Error("RootOfUnity(0) should fail")
 	}
 
-	m2 := MustModulus(12289)
+	m2 := mustModulus(12289)
 	// 12288 = 2^12 * 3: 2048-th roots exist (needed for n=1024 negacyclic).
 	w2, err := m2.RootOfUnity(2048)
 	if err != nil {
@@ -246,7 +246,7 @@ func TestNTTRoots(t *testing.T) {
 		{257, 128},
 	}
 	for _, c := range cases {
-		m := MustModulus(c.q)
+		m := mustModulus(c.q)
 		omega, psi, err := m.NTTRoots(c.n)
 		if err != nil {
 			t.Fatalf("NTTRoots(q=%d,n=%d): %v", c.q, c.n, err)
@@ -266,7 +266,7 @@ func TestNTTRoots(t *testing.T) {
 		}
 	}
 	// Failure cases.
-	m := MustModulus(7681)
+	m := mustModulus(7681)
 	if _, _, err := m.NTTRoots(512); err == nil {
 		t.Error("NTTRoots(q=7681,n=512) should fail: needs 1024-th roots")
 	}
@@ -348,7 +348,7 @@ func TestIsPrimeSmall(t *testing.T) {
 }
 
 func BenchmarkReduce(b *testing.B) {
-	m := MustModulus(7681)
+	m := mustModulus(7681)
 	x := uint64(123456789)
 	var sink uint32
 	for i := 0; i < b.N; i++ {
@@ -358,7 +358,7 @@ func BenchmarkReduce(b *testing.B) {
 }
 
 func BenchmarkMul(b *testing.B) {
-	m := MustModulus(7681)
+	m := mustModulus(7681)
 	var sink uint32 = 5
 	for i := 0; i < b.N; i++ {
 		sink = m.Mul(sink, 4321)
