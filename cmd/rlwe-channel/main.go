@@ -5,8 +5,8 @@
 //
 // The server holds one scheme and long-term key pair per parameter set
 // and serves v2 (negotiated) and legacy v1 clients of any of them on one
-// port; handshakes run on pooled per-goroutine workspaces fed by a
-// per-scheme AES-CTR DRBG. On SIGINT/SIGTERM it shuts down gracefully and
+// port; handshakes run on pooled per-goroutine workspaces, each drawing
+// from its own OS-keyed AES-CTR keystream. On SIGINT/SIGTERM it shuts down gracefully and
 // prints the per-params counter snapshot.
 //
 //	rlwe-channel serve   -addr 127.0.0.1:9999 -params P1,P2

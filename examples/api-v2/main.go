@@ -42,10 +42,10 @@ func main() {
 
 	// Layer 2: profiles. One scheme per security/performance point; all
 	// three interoperate — same cryptosystem, different instruction traces.
-	fast := ringlwe.New(params, ringlwe.Fast())
+	def := ringlwe.New(params) // vector + wide-ky (Fast() is an alias)
 	reference := ringlwe.New(params, ringlwe.Reference())
 	constTime := ringlwe.New(params, ringlwe.ConstantTime())
-	for _, s := range []*ringlwe.Scheme{fast, reference, constTime} {
+	for _, s := range []*ringlwe.Scheme{def, reference, constTime} {
 		p := s.Profile()
 		fmt.Printf("profile %-13s engine=%-8s sampler=%-10s constant-time-decode=%v\n",
 			p.Name(), p.Engine, p.Sampler, p.ConstantTimeDecode)
@@ -57,8 +57,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = transportKey(fast, pub, priv)                // Scheme as KEM
-	_ = transportKey(fast.NewWorkspace(), pub, priv) // Workspace as KEM
+	_ = transportKey(def, pub, priv)                // Scheme as KEM
+	_ = transportKey(def.NewWorkspace(), pub, priv) // Workspace as KEM
 	fmt.Println("session keys transported via Scheme and Workspace KEMs")
 
 	// Cross-profile interop: the constant-time scheme encrypts to the

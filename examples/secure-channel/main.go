@@ -34,7 +34,8 @@ import (
 
 func main() {
 	// Server: one tenant per parameter set, each with its own scheme
-	// (randomness from a per-scheme AES-CTR DRBG) and long-term key pair.
+	// (randomness from per-workspace AES-CTR keystreams) and long-term key
+	// pair.
 	srv := protocol.NewServer(protocol.WithHandler(func(ch *protocol.Channel) {
 		for {
 			msg, err := ch.Recv()

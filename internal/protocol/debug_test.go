@@ -134,6 +134,44 @@ func TestDebugHandlerSmoke(t *testing.T) {
 	}
 }
 
+// TestDebugHandlerBackendInfo scrapes the info series that shows which
+// backends each tenant's scheme resolved to: AddParams takes New's
+// defaults, and an explicitly configured tenant reports its own profile.
+func TestDebugHandlerBackendInfo(t *testing.T) {
+	srv := NewServer()
+	if err := srv.AddParams(ringlwe.P1()); err != nil {
+		t.Fatal(err)
+	}
+	scheme := ringlwe.NewDeterministic(ringlwe.P2(), 5, ringlwe.ConstantTime())
+	pk, sk, err := scheme.GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddTenant(scheme, pk, sk); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.DebugHandler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE rlwe_backend_info gauge",
+		`rlwe_backend_info{ct="false",engine="vector",params="P1",sampler="wide-ky"} 1`,
+		`rlwe_backend_info{ct="true",engine="shoup",params="P2",sampler="cdt"} 1`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
 // TestServerTracerSpans checks the trace seam end to end on both sides:
 // a served full handshake emits the server phases in order on one
 // connection id, and the client option emits the client-side phases.

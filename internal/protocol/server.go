@@ -11,6 +11,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -353,7 +354,8 @@ func (s *Server) log(level slog.Level, msg string, args ...any) {
 // long-term key pair. The set must be wire-registered (P1 and P2 always
 // are; Custom sets via ringlwe.RegisterParams) so v2 clients can negotiate
 // it by ID. The first tenant added becomes the default served to v2
-// clients that request ID 0.
+// clients that request ID 0. The tenant's rlwe_backend_info series
+// reports the engine, sampler and codec its scheme resolved to.
 func (s *Server) AddTenant(scheme *ringlwe.Scheme, pk *ringlwe.PublicKey, sk *ringlwe.PrivateKey) error {
 	p := scheme.Params()
 	id := p.WireID()
@@ -375,6 +377,13 @@ func (s *Server) AddTenant(scheme *ringlwe.Scheme, pk *ringlwe.PublicKey, sk *ri
 		sk:     sk,
 		m:      newTenantMetrics(s.reg, p.Name(), s.numShards),
 	}
+	prof := scheme.Profile()
+	s.reg.Gauge("rlwe_backend_info", "backends the tenant's scheme resolved to; always 1", obs.Labels{
+		"params":  p.Name(),
+		"engine":  prof.Engine,
+		"sampler": prof.Sampler,
+		"ct":      strconv.FormatBool(prof.ConstantTimeDecode),
+	}, 1).Inc(0)
 	if s.defaultID == 0 {
 		s.defaultID = id
 	}
@@ -382,15 +391,12 @@ func (s *Server) AddTenant(scheme *ringlwe.Scheme, pk *ringlwe.PublicKey, sk *ri
 }
 
 // AddParams registers a parameter set the convenient way: it constructs a
-// Scheme whose randomness comes from a per-scheme AES-128-CTR DRBG seeded
-// from the operating system CSPRNG (one OS read at setup; every pooled
-// workspace then forks its own syscall-free CTR stream), generates a fresh
-// long-term key pair, and registers the tenant. Extra scheme options
-// (profiles, an explicit WithRandom, …) are appended and may override the
-// default entropy source.
+// Scheme with ringlwe.New (every pooled workspace draws from its own
+// AES-256-CTR keystream, keyed and rekeyed from the operating system
+// CSPRNG), generates a fresh long-term key pair, and registers the tenant.
+// Scheme options (profiles, WithRandom, …) are passed through to New.
 func (s *Server) AddParams(p *ringlwe.Params, opts ...ringlwe.Option) error {
-	schemeOpts := append([]ringlwe.Option{ringlwe.WithRandom(rng.NewCTRReaderOS())}, opts...)
-	scheme := ringlwe.New(p, schemeOpts...)
+	scheme := ringlwe.New(p, opts...)
 	pk, sk, err := scheme.GenerateKeys()
 	if err != nil {
 		return fmt.Errorf("protocol: generating %s key pair: %w", p.Name(), err)

@@ -218,7 +218,7 @@ func TestServerBurstOneShard(t *testing.T) {
 }
 
 // TestServerAddParamsCTREntropy drives the AddParams convenience path
-// (per-scheme AES-CTR DRBG entropy) through a real handshake.
+// (New's per-workspace AES-CTR keystreams) through a real handshake.
 func TestServerAddParamsCTREntropy(t *testing.T) {
 	srv := NewServer(WithHandler(echoHandler))
 	if err := srv.AddParams(ringlwe.P1()); err != nil {

@@ -5,21 +5,17 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
-	"io"
 )
 
-// CTRReader is a fast deterministic random bit generator: AES-128 in
-// counter mode over an all-zero plaintext, keyed from a seed. It is the
-// ROADMAP-flagged DRBG for feeding randomness-hungry sampler backends (the
-// cdt sampler's ≈65 bits/sample appetite) without paying a crypto/rand
-// syscall per refill: one seed read from the OS amortizes over the whole
-// stream, and AES-CTR runs on the AES-NI unit at several GB/s.
+// CTRReader is a fast deterministic random bit generator behind an
+// io.Reader: AES-128 in counter mode over an all-zero plaintext, keyed
+// from a seed. One seed read amortizes over the whole stream, and AES-CTR
+// runs on the AES-NI unit at several GB/s. (The schemes' own OS-random
+// word source, CryptoSource, is the rekeyed AES-256-CTR variant.)
 //
 // It implements io.Reader, so it plugs straight into the public
-// ringlwe.WithRandom option, and it forks: workspaces of a scheme built
-// over a CTRReader each receive an independently keyed child stream (see
-// ForkReader), which is how the channel server gives every pooled
-// workspace its own buffered entropy source.
+// ringlwe.WithRandom option; the channel server's ticket keeper and
+// per-resumption server randoms draw from one behind a LockedReader.
 //
 // Like HashDRBG it never reseeds; the stream is as unpredictable as
 // AES-128 against anyone who does not know the seed. Seed it from
@@ -44,10 +40,10 @@ func NewCTRReader(seed []byte) *CTRReader {
 }
 
 // NewCTRReaderOS builds a generator seeded with 256 bits from the
-// operating system CSPRNG — the recommended per-scheme entropy source for
-// servers: one OS read at construction, then syscall-free randomness. It
-// panics if crypto/rand fails, mirroring how the samplers treat a dead
-// entropy source as a fatal fault.
+// operating system CSPRNG — the channel server's ticket-key and
+// server-random source: one OS read at construction, then syscall-free
+// randomness. It panics if crypto/rand fails, mirroring how the samplers
+// treat a dead entropy source as a fatal fault.
 func NewCTRReaderOS() *CTRReader {
 	var seed [32]byte
 	if _, err := rand.Read(seed[:]); err != nil {
@@ -63,15 +59,4 @@ func (c *CTRReader) Read(p []byte) (int, error) {
 	}
 	c.stream.XORKeyStream(p, p)
 	return len(p), nil
-}
-
-// ForkReader derives an independently keyed child generator from the next
-// 32 bytes of this stream, consuming parent state (callers serialize forks
-// against reads, as with Forker). Each workspace forked off a
-// CTRReader-backed scheme gets its own child this way, so concurrent
-// workspaces never contend on one stream.
-func (c *CTRReader) ForkReader() io.Reader {
-	var seed [32]byte
-	c.Read(seed[:])
-	return NewCTRReader(seed[:])
 }

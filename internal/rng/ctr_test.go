@@ -3,7 +3,6 @@ package rng
 import (
 	"bytes"
 	"crypto/rand"
-	"io"
 	"testing"
 )
 
@@ -54,58 +53,10 @@ func TestCTRReaderOverwrites(t *testing.T) {
 	}
 }
 
-func TestCTRReaderFork(t *testing.T) {
-	parent := NewCTRReader([]byte("parent"))
-	child := parent.ForkReader()
-	a := make([]byte, 256)
-	b := make([]byte, 256)
-	parent.Read(a)
-	child.Read(b)
-	if bytes.Equal(a, b) {
-		t.Fatal("child stream mirrors parent")
-	}
-	// Forking is deterministic given parent state.
-	p2 := NewCTRReader([]byte("parent"))
-	c2 := p2.ForkReader()
-	b2 := make([]byte, 256)
-	c2.Read(b2)
-	if !bytes.Equal(b, b2) {
-		t.Fatal("fork is not deterministic in parent state")
-	}
-}
-
-// TestReaderSourceForkCTR pins the WithRandom seam: a ReaderSource over a
-// CTRReader forks into another CTR-backed source, not the generic HashDRBG
-// fallback, and children are independent of the parent and of each other.
-func TestReaderSourceForkCTR(t *testing.T) {
-	src := NewReaderSource(NewCTRReader([]byte("scheme")))
-	childA := ForkSource(src)
-	childB := ForkSource(src)
-	if _, ok := childA.(*ReaderSource); !ok {
-		t.Fatalf("forked child is %T, want *ReaderSource over a CTR child", childA)
-	}
-	const n = 64
-	seen := map[uint32]int{}
-	for i := 0; i < n; i++ {
-		seen[childA.Uint32()]++
-		seen[childB.Uint32()]++
-		seen[src.Uint32()]++
-	}
-	if len(seen) < 3*n-1 {
-		t.Fatalf("parent/children streams collide: %d distinct of %d", len(seen), 3*n)
-	}
-}
-
-// opaqueReader hides the wrapped reader's concrete type so the fork
-// fallback path is reachable in tests.
-type opaqueReader struct{ r io.Reader }
-
-func (o opaqueReader) Read(p []byte) (int, error) { return o.r.Read(p) }
-
-// TestReaderSourceForkFallback pins that non-forkable readers keep the
-// historical HashDRBG fork behaviour.
+// TestReaderSourceForkFallback pins that a ReaderSource forks into a
+// HashDRBG child seeded from its own stream.
 func TestReaderSourceForkFallback(t *testing.T) {
-	plain := NewReaderSource(opaqueReader{NewCTRReader([]byte("x"))})
+	plain := NewReaderSource(NewCTRReader([]byte("x")))
 	child := ForkSource(plain)
 	if _, ok := child.(*HashDRBG); !ok {
 		t.Fatalf("fallback fork is %T, want *HashDRBG", child)

@@ -28,9 +28,10 @@ func ForkSource(src Source) Source {
 	return NewHashDRBG(seed[:])
 }
 
-// Fork returns a fresh independent OS-backed source. The parent's buffer is
-// untouched: crypto/rand streams are independent by construction.
-func (c *CryptoSource) Fork() Source { return NewCryptoSource() }
+// Fork returns a fresh source over the parent's entropy reader, to be keyed
+// independently on its own first draw. It reads nothing and leaves the
+// parent untouched, so a fork taken under a lock never waits on the OS.
+func (c *CryptoSource) Fork() Source { return newCryptoSource(c.entropy) }
 
 // Fork derives a child generator seeded from the parent stream. The child
 // is deterministic given the parent's state, so forked deterministic

@@ -8,8 +8,8 @@ import (
 )
 
 // ReaderSource adapts an io.Reader to the 32-bit word Source interface,
-// buffering reads the way CryptoSource buffers crypto/rand so callers with
-// syscall-backed readers amortize the per-read cost. It is the seam behind
+// buffering reads 256 bytes at a time so callers with syscall-backed
+// readers amortize the per-read cost. It is the seam behind
 // the public WithRandom option: any DRBG, HSM stream or test vector file
 // that speaks io.Reader can drive the scheme.
 //
@@ -44,19 +44,9 @@ func (s *ReaderSource) Uint32() uint32 {
 	return v
 }
 
-// readerForker is implemented by readers (CTRReader) that can spawn an
-// independent child stream of their own kind.
-type readerForker interface{ ForkReader() io.Reader }
-
-// Fork derives an independent child source. A wrapped reader that can fork
-// natively (CTRReader) yields a child of its own kind — this is how every
-// workspace of a WithRandom(NewCTRReader(…)) scheme gets a private AES-CTR
-// stream; any other reader seeds a HashDRBG child from 256 bits of parent
-// output, matching the generic ForkSource fallback.
+// Fork derives an independent child source: a HashDRBG seeded from 256
+// bits of parent output, matching the generic ForkSource fallback.
 func (s *ReaderSource) Fork() Source {
-	if f, ok := s.r.(readerForker); ok {
-		return NewReaderSource(f.ForkReader())
-	}
 	var seed [32]byte
 	for i := 0; i < len(seed); i += 4 {
 		binary.LittleEndian.PutUint32(seed[i:], s.Uint32())

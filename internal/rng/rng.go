@@ -6,8 +6,11 @@
 package rng
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
+	"io"
 	"math/bits"
 
 	"ringlwe/internal/cacheline"
@@ -58,33 +61,76 @@ func (s *Xorshift128) Uint32() uint32 {
 	return s.w
 }
 
-// CryptoSource draws words from crypto/rand, buffering reads to amortize the
-// syscall cost. It panics if the operating system entropy source fails,
+// cryptoRekeyBytes is how much keystream a CryptoSource serves under one
+// key before it draws a fresh key and IV from its entropy reader. It
+// bounds what a memory read of the live cipher state reveals: at most this
+// much output before the read and this much after it.
+const cryptoRekeyBytes = 1 << 20
+
+// CryptoSource is a cryptographic word source: an AES-256-CTR keystream
+// whose 32-byte key and 16-byte IV come from the operating system CSPRNG
+// (crypto/rand). The keystream is buffered 256 bytes at a time; the OS is
+// read once per key, on the first draw and again every cryptoRekeyBytes,
+// rather than once per buffer. It panics if the entropy source fails,
 // mirroring how a device would treat a dead TRNG as a fatal fault. Its
-// buffer and position sit between cache-line pads (see package cacheline).
+// buffer and cipher state sit between cache-line pads (see package
+// cacheline).
 type CryptoSource struct {
-	_   cacheline.Pad
-	buf [256]byte
-	pos int
-	_   cacheline.Pad
+	_      cacheline.Pad
+	buf    [256]byte
+	pos    int
+	stream cipher.Stream // nil until the first draw keys the source
+	left   int           // keystream bytes the current key may still serve
+	// entropy supplies key material; crypto/rand.Reader outside tests.
+	// Forks share it, so it must be safe for concurrent use.
+	entropy io.Reader
+	_       cacheline.Pad
 }
 
-// NewCryptoSource returns a source backed by crypto/rand.
-func NewCryptoSource() *CryptoSource {
-	return &CryptoSource{pos: len(CryptoSource{}.buf)}
+// NewCryptoSource returns a source keyed from crypto/rand. Construction
+// reads nothing: the source keys itself on its first draw.
+func NewCryptoSource() *CryptoSource { return newCryptoSource(rand.Reader) }
+
+func newCryptoSource(entropy io.Reader) *CryptoSource {
+	return &CryptoSource{pos: len(CryptoSource{}.buf), entropy: entropy}
 }
 
 // Uint32 returns the next cryptographically random word.
 func (c *CryptoSource) Uint32() uint32 {
 	if c.pos+4 > len(c.buf) {
-		if _, err := rand.Read(c.buf[:]); err != nil {
-			panic("rng: crypto/rand failed: " + err.Error())
-		}
-		c.pos = 0
+		c.refill()
 	}
 	v := binary.LittleEndian.Uint32(c.buf[c.pos:])
 	c.pos += 4
 	return v
+}
+
+// refill overwrites the buffer with the next 256 keystream bytes, keying
+// afresh first when the current key is spent (or was never drawn).
+func (c *CryptoSource) refill() {
+	if c.left == 0 {
+		c.rekey()
+	}
+	clear(c.buf[:])
+	c.stream.XORKeyStream(c.buf[:], c.buf[:])
+	c.left -= len(c.buf)
+	c.pos = 0
+}
+
+// rekey reads a fresh AES-256 key and IV and restarts the keystream.
+func (c *CryptoSource) rekey() {
+	var seed [32 + aes.BlockSize]byte
+	if _, err := io.ReadFull(c.entropy, seed[:]); err != nil {
+		panic("rng: entropy read failed: " + err.Error())
+	}
+	block, err := aes.NewCipher(seed[:32])
+	if err != nil {
+		// aes.NewCipher fails only on invalid key length; 32 is valid.
+		panic("rng: " + err.Error())
+	}
+	c.stream = cipher.NewCTR(block, seed[32:])
+	c.left = cryptoRekeyBytes
+	clear(seed[:])
 }
 
 // The STM32F407 hardware true random number generator delivers one fresh

@@ -1,7 +1,13 @@
 package rng
 
 import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
+	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +55,126 @@ func TestCryptoSource(t *testing.T) {
 	}
 	if len(seen) < 990 {
 		t.Errorf("crypto source produced only %d distinct words in 1000", len(seen))
+	}
+}
+
+// ctrKeystream returns n bytes of AES-256-CTR keystream under seed's
+// 32-byte key and the 16-byte IV after it, straight from crypto/cipher.
+func ctrKeystream(t *testing.T, seed []byte, n int) []byte {
+	t.Helper()
+	block, err := aes.NewCipher(seed[:32])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, n)
+	cipher.NewCTR(block, seed[32:48]).XORKeyStream(out, out)
+	return out
+}
+
+// drawWords returns the next n words of src, little-endian, as bytes.
+func drawWords(src Source, n int) []byte {
+	out := make([]byte, 4*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(out[4*i:], src.Uint32())
+	}
+	return out
+}
+
+// TestCryptoSourceKeystream pins the word stream, across several buffer
+// refills, to the AES-256-CTR keystream under the key and IV the source
+// read from its entropy reader.
+func TestCryptoSourceKeystream(t *testing.T) {
+	seed := make([]byte, 48)
+	for i := range seed {
+		seed[i] = byte(i*37 + 5)
+	}
+	const n = 1000 // words: four buffer refills
+	got := drawWords(newCryptoSource(bytes.NewReader(seed)), n)
+	if !bytes.Equal(got, ctrKeystream(t, seed, 4*n)) {
+		t.Fatal("CryptoSource words differ from the AES-256-CTR keystream")
+	}
+}
+
+// TestCryptoSourceRekeyBoundary pins the rekey point: word
+// cryptoRekeyBytes/4 is the last under the first key, and the next word is
+// the first under the second, whose key material is read just then.
+func TestCryptoSourceRekeyBoundary(t *testing.T) {
+	seeds := make([]byte, 96)
+	for i := range seeds {
+		seeds[i] = byte(i*11 + 3)
+	}
+	r := bytes.NewReader(seeds)
+	c := newCryptoSource(r)
+	const perKey = cryptoRekeyBytes / 4
+	if !bytes.Equal(drawWords(c, perKey), ctrKeystream(t, seeds[:48], cryptoRekeyBytes)) {
+		t.Fatal("first-key words differ from the first key's keystream")
+	}
+	if r.Len() != 48 {
+		t.Fatalf("%d key bytes read by word %d, want 48", 96-r.Len(), perKey)
+	}
+	if !bytes.Equal(drawWords(c, 1), ctrKeystream(t, seeds[48:], 4)) {
+		t.Fatalf("word %d is not the second key's first word", perKey+1)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d key bytes read by word %d, want 96", 96-r.Len(), perKey+1)
+	}
+}
+
+// keyLog passes crypto/rand through and records every read, so a test can
+// see which key material each source drew.
+type keyLog struct {
+	mu    sync.Mutex
+	reads [][]byte
+}
+
+func (k *keyLog) Read(p []byte) (int, error) {
+	n, err := rand.Read(p)
+	k.mu.Lock()
+	k.reads = append(k.reads, bytes.Clone(p[:n]))
+	k.mu.Unlock()
+	return n, err
+}
+
+// TestCryptoSourceForksKeyIndependently pins that Fork reads no key
+// material (a scheme forks under its lock) and that every source, parent
+// and forks alike, keys itself from its own read on its first draw: no two
+// share a key.
+func TestCryptoSourceForksKeyIndependently(t *testing.T) {
+	log := &keyLog{}
+	parent := newCryptoSource(log)
+	a, b := parent.Fork(), parent.Fork()
+	if len(log.reads) != 0 {
+		t.Fatalf("Fork read key material %d times", len(log.reads))
+	}
+	keys := map[string]bool{}
+	for i, src := range []Source{a, b, parent} {
+		got := drawWords(src, 8)
+		if len(log.reads) != i+1 {
+			t.Fatalf("source %d: %d key reads after its first draw, want %d", i, len(log.reads), i+1)
+		}
+		seed := log.reads[i]
+		if !bytes.Equal(got, ctrKeystream(t, seed, len(got))) {
+			t.Fatalf("source %d does not run under the key it read", i)
+		}
+		if keys[string(seed[:32])] {
+			t.Fatalf("source %d shares a key", i)
+		}
+		keys[string(seed[:32])] = true
+	}
+}
+
+// TestCryptoSourceZeroAlloc pins that drawing words allocates nothing
+// between rekeys; only a rekey builds a new cipher.
+func TestCryptoSourceZeroAlloc(t *testing.T) {
+	c := NewCryptoSource()
+	c.Uint32() // keys the source
+	// The warm-up and measured runs draw 128 KiB together, inside one key.
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1<<14; i++ {
+			c.Uint32()
+		}
+	}); n != 0 {
+		t.Errorf("CryptoSource.Uint32 allocates: %v allocs per 16Ki words", n)
 	}
 }
 
@@ -249,9 +375,16 @@ func TestBitPoolRangeQuick(t *testing.T) {
 }
 
 func TestHealthCheckPassesOnGoodSources(t *testing.T) {
+	// Stopped 900 words short of its first rekey, so the battery's 1875
+	// words straddle it.
+	rekeying := NewCryptoSource()
+	for i := 0; i < cryptoRekeyBytes/4-900; i++ {
+		rekeying.Uint32()
+	}
 	for name, src := range map[string]Source{
-		"xorshift": NewXorshift128(2024),
-		"crypto":   NewCryptoSource(),
+		"xorshift":            NewXorshift128(2024),
+		"crypto":              NewCryptoSource(),
+		"crypto across rekey": rekeying,
 	} {
 		results, ok := HealthCheck(src)
 		if !ok {
@@ -312,6 +445,20 @@ func BenchmarkBitPoolBits(b *testing.B) {
 }
 
 var bitsSink uint32
+
+// BenchmarkCryptoSourceUint32 is the per-word cost of the OS-random
+// source every workspace of an unseeded scheme draws from, rekeys
+// included.
+func BenchmarkCryptoSourceUint32(b *testing.B) {
+	c := NewCryptoSource()
+	b.SetBytes(4)
+	b.ReportAllocs()
+	var sink uint32
+	for i := 0; i < b.N; i++ {
+		sink ^= c.Uint32()
+	}
+	bitsSink = sink
+}
 
 func BenchmarkXorshift(b *testing.B) {
 	s := NewXorshift128(1)

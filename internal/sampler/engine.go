@@ -6,17 +6,19 @@
 //
 // Three backends are registered:
 //
-//   - "knuth-yao" (default): the paper's serial LUT sampler, verbatim — it
+//   - "knuth-yao" (Default): the paper's serial LUT sampler, verbatim — it
 //     wraps gauss.Sampler, so its randomness consumption and output stream
 //     are bit-identical to the historical hot path and every known-answer
-//     vector is preserved. It is the reference oracle the faster backends
-//     are differentially and statistically tested against.
+//     vector is preserved. Seeded schemes and the FO re-encryption sample
+//     with it, and it is the reference oracle the faster backends are
+//     differentially and statistically tested against.
 //   - "wide-ky": a word-at-a-time Knuth-Yao, sixteen coefficients per
 //     pass. The LUT-1 byte probes for eight coefficients ride in one 64-bit
 //     source word, SWAR-tested for failures with a single mask; only the
 //     rare residuals (≈2.2% per coefficient) fall back to the serial
-//     LUT-2/scan walk, fed from a 64-bit bit pool (bitPool64). The
-//     Fast profile's sampler.
+//     LUT-2/scan walk, fed from a 64-bit bit pool (bitPool64). What
+//     ringlwe.New selects for OS-random schemes, which have no stream to
+//     pin.
 //   - "cdt": inversion sampling against the cumulative table, with a
 //     fixed-shape branchless binary search — the same number of table
 //     probes and the same arithmetic for every sample (the paper's
@@ -96,8 +98,9 @@ type Engine interface {
 // construction leaving the stream untouched.
 type Factory func(cfg *Config, src rng.Source) (Engine, error)
 
-// Default is the backend schemes select when none is requested: the serial
-// Knuth-Yao reference, whose stream the known-answer vectors pin.
+// Default is the backend a core scheme selects when none is requested: the
+// serial Knuth-Yao reference, whose stream the known-answer vectors pin.
+// ringlwe.NewDeterministic keeps it; ringlwe.New names "wide-ky" instead.
 const Default = "knuth-yao"
 
 var (

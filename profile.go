@@ -11,11 +11,12 @@ import (
 // Profile is the resolved security/performance configuration of a Scheme:
 // which NTT backend transforms run through, which Gaussian sampler
 // backend error polynomials come from, and whether the message codec is
-// the branchless constant-time one. Profiles compose: start from a preset
-// (Fast, Reference, ConstantTime) and override single fields with the
-// orthogonal options (WithEngine, WithSampler, WithConstantTimeDecode),
-// or hand-assemble one and apply it with WithProfile. Scheme.Profile
-// reports the configuration a scheme resolved to.
+// the branchless constant-time one. Profiles compose: start from the
+// default or a preset (Reference, ConstantTime) and override single
+// fields with the orthogonal options (WithEngine, WithSampler,
+// WithConstantTimeDecode), or hand-assemble one and apply it with
+// WithProfile. Scheme.Profile reports the configuration a scheme
+// resolved to.
 type Profile struct {
 	// Engine is the NTT backend registry name (see Engines). Every engine
 	// computes bit-identical transforms; this is purely a speed knob.
@@ -24,6 +25,8 @@ type Profile struct {
 	// Samplers). Backends spend randomness differently, so only
 	// "knuth-yao" reproduces the historical deterministic streams the
 	// known-answer tests pin; ciphertexts from any backend interoperate.
+	// Left empty, it resolves by randomness source: "wide-ky" under New,
+	// "knuth-yao" under NewDeterministic.
 	Sampler string
 	// ConstantTimeDecode selects the branchless message codec: no
 	// plaintext bit steers a branch or memory index on the encrypt or
@@ -31,31 +34,32 @@ type Profile struct {
 	ConstantTimeDecode bool
 }
 
-// Preset profile values. The presets are exposed as Options (Fast,
-// Reference, ConstantTime); these are the configurations they resolve to.
-// profileDefault is what New resolves to with no options over every set
-// the vector kernels accept; over any other set the engine falls back to
-// shoup (ntt.ResolveEngine).
+// Preset profile values. The presets are exposed as Options (Reference,
+// ConstantTime; Fast is the default); these are the configurations they
+// resolve to. profileDefault is what New resolves to with no options, and
+// profileSeeded what NewDeterministic does, over every set the vector
+// kernels accept; over any other set the engine falls back to shoup
+// (ntt.ResolveEngine). A seeded scheme samples with the serial Knuth-Yao
+// because the known-answer vectors pin its stream; an OS-random one has
+// no stream to pin and samples with the 16-wide one.
 var (
-	profileDefault   = Profile{Engine: ntt.DefaultEngine, Sampler: sampler.Default}
-	profileFast      = Profile{Engine: "vector", Sampler: "wide-ky"}
+	profileDefault   = Profile{Engine: ntt.DefaultEngine, Sampler: "wide-ky"}
+	profileSeeded    = Profile{Engine: ntt.DefaultEngine, Sampler: sampler.Default}
 	profileReference = Profile{Engine: "barrett", Sampler: "knuth-yao"}
 	profileConstTime = Profile{Engine: "shoup", Sampler: "cdt", ConstantTimeDecode: true}
 )
 
-// Name returns the preset label this profile corresponds to — "fast",
-// "reference", "constant-time", or "default" for the configuration New
-// resolves to when no options are given — and "custom" for any other
-// combination.
+// Name returns the preset label this profile corresponds to —
+// "reference", "constant-time", or "default" for the configuration New or
+// NewDeterministic resolves to when no options are given — and "custom"
+// for any other combination.
 func (p Profile) Name() string {
 	switch p {
-	case profileFast:
-		return "fast"
 	case profileReference:
 		return "reference"
 	case profileConstTime:
 		return "constant-time"
-	case profileDefault:
+	case profileDefault, profileSeeded:
 		return "default"
 	}
 	return "custom"
@@ -79,28 +83,28 @@ func (c config) coreOptions() core.Options {
 // Option configures optional Scheme behaviour at construction.
 type Option func(*config)
 
-func applyOptions(opts []Option) config {
+// applyOptions folds opts over a zero config; an empty sampler then takes
+// defaultSampler. The engine stays empty so core resolves it against the
+// parameter set (ntt.ResolveEngine); the scheme reports the backend it
+// resolved to.
+func applyOptions(opts []Option, defaultSampler string) config {
 	var c config
 	for _, o := range opts {
 		o(&c)
 	}
-	// Zero fields take the defaults. The engine stays empty so core
-	// resolves it against the parameter set (ntt.ResolveEngine); the
-	// scheme reports the backend it resolved to.
 	if c.profile.Sampler == "" {
-		c.profile.Sampler = sampler.Default
+		c.profile.Sampler = defaultSampler
 	}
 	return c
 }
 
-// Fast selects the throughput preset: the 8-lane "vector" NTT kernels
-// plus the 16-coefficient "wide-ky" SWAR Knuth-Yao sampler, on every
-// machine (both are portable Go). Deterministic streams differ from the
-// default and reference profiles — the sampler spends randomness in word
-// gulps — but ciphertexts interoperate freely with keys from any profile.
-// Like any explicit engine choice, it fails construction over a set the
-// vector kernels refuse (n < 16, or 4q > 2³¹).
-func Fast() Option { return WithProfile(profileFast) }
+// Fast is an alias for the default: the "vector" NTT kernels wherever
+// they accept the set, plus the 16-coefficient "wide-ky" SWAR Knuth-Yao
+// sampler, which New already selects. On NewDeterministic it swaps the
+// KAT-pinned serial sampler for wide-ky, so seeded streams differ from
+// the reference ones (the sampler spends randomness in word gulps), but
+// ciphertexts interoperate freely with keys from any profile.
+func Fast() Option { return WithProfile(Profile{Sampler: profileDefault.Sampler}) }
 
 // Reference selects the paper-faithful preset: the generic Barrett NTT
 // path plus the serial LUT Knuth-Yao sampler, the pipeline whose
@@ -141,13 +145,15 @@ func Engines() []string { return ntt.EngineNames() }
 // WithSampler selects the discrete-Gaussian sampler backend the scheme's
 // workspaces draw error polynomials from, by registry name (see Samplers).
 // All backends target the identical distribution, but they spend
-// randomness differently, so only the default "knuth-yao" — the paper's
-// serial LUT sampler, the one the known-answer vectors pin — reproduces
-// historical deterministic streams; "wide-ky" trades that for ≈3×
-// sampling throughput via 64-bit batched LUT probes, and "cdt" trades it
-// for a fixed-shape constant-time inversion. Ciphertexts sampled under any
-// backend interoperate freely (decryption consumes no randomness).
-// Construction panics if the name is not registered.
+// randomness differently, so only "knuth-yao" — the paper's serial LUT
+// sampler, the one the known-answer vectors pin and NewDeterministic's
+// default — reproduces historical deterministic streams. "wide-ky", New's
+// default, trades that for ≈2.6× sampling throughput via 64-bit batched
+// LUT probes, and "cdt" trades it for a fixed-shape constant-time
+// inversion. To replay a WithRandom stream with the paper's sampler, pin
+// it with WithSampler("knuth-yao"). Ciphertexts sampled under any backend
+// interoperate freely (decryption consumes no randomness). Construction
+// panics if the name is not registered.
 func WithSampler(name string) Option {
 	return func(c *config) { c.profile.Sampler = name }
 }
@@ -168,11 +174,12 @@ func WithConstantTimeDecode() Option {
 
 // WithRandom makes New draw all randomness from r instead of the operating
 // system CSPRNG — the hook for hardware entropy sources, seeded DRBGs and
-// test vectors (re-scoping the entropy-budget concern: a buffered DRBG
-// behind an io.Reader decouples sampler backend choice from syscall
-// cost). The reader must yield uniformly distributed bytes and never fail;
-// a read error is treated as a dead entropy source and panics.
-// NewDeterministic ignores this option: its seed defines the stream.
+// test vectors. The scheme's one-shot path reads r directly; each
+// workspace runs a HashDRBG seeded from it. Like any New scheme it samples
+// with "wide-ky" unless WithSampler says otherwise. The reader must yield
+// uniformly distributed bytes and never fail; a read error is treated as
+// a dead entropy source and panics. NewDeterministic ignores this option:
+// its seed defines the stream.
 func WithRandom(r io.Reader) Option {
 	return func(c *config) { c.random = r }
 }

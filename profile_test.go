@@ -2,33 +2,60 @@ package ringlwe
 
 import (
 	"bytes"
+	"crypto/rand"
 	"testing"
 )
 
-// Profile resolution: each preset resolves to its documented backend
-// combination, reported by Scheme.Profile and recoverable by Name.
+// Profile resolution. With no sampler named, New samples with wide-ky and
+// NewDeterministic with the KAT-pinned knuth-yao, over every shipped set;
+// both are the "default" profile. Each preset resolves to its documented
+// backend combination, reported by Scheme.Profile and recoverable by Name.
 func TestProfileResolution(t *testing.T) {
-	cases := []struct {
-		name string
-		opts []Option
-		want Profile
-	}{
-		{"default", nil, Profile{Engine: "vector", Sampler: "knuth-yao"}},
-		{"fast", []Option{Fast()}, Profile{Engine: "vector", Sampler: "wide-ky"}},
-		{"reference", []Option{Reference()}, Profile{Engine: "barrett", Sampler: "knuth-yao"}},
-		{"constant-time", []Option{ConstantTime()}, Profile{Engine: "shoup", Sampler: "cdt", ConstantTimeDecode: true}},
-		{"custom", []Option{Fast(), WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
-		{"custom", []Option{WithConstantTimeDecode()}, Profile{Engine: "vector", Sampler: "knuth-yao", ConstantTimeDecode: true}},
-		{"reference", []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "vector", Sampler: "knuth-yao"}},
+	for _, p := range []*Params{P1(), P2(), A1(), B1()} {
+		for ctor, c := range map[string]struct {
+			s    *Scheme
+			want Profile
+		}{
+			"New":              {New(p), Profile{Engine: "vector", Sampler: "wide-ky"}},
+			"NewDeterministic": {NewDeterministic(p, 1), Profile{Engine: "vector", Sampler: "knuth-yao"}},
+		} {
+			got := c.s.Profile()
+			if got != c.want {
+				t.Errorf("%s(%s) resolved to %+v, want %+v", ctor, p.Name(), got, c.want)
+			}
+			if got.Name() != "default" {
+				t.Errorf("%s(%s) profile named %q, want \"default\"", ctor, p.Name(), got.Name())
+			}
+		}
 	}
-	// The last case: WithProfile with zero fields resolves to the defaults,
-	// whose Name is "default".
-	cases[len(cases)-1].name = "default"
+	cases := []struct {
+		name   string
+		seeded bool // NewDeterministic rather than New
+		opts   []Option
+		want   Profile
+	}{
+		{"default", false, []Option{Fast()}, Profile{Engine: "vector", Sampler: "wide-ky"}},
+		{"default", true, []Option{Fast()}, Profile{Engine: "vector", Sampler: "wide-ky"}},
+		{"default", false, []Option{WithRandom(rand.Reader)}, Profile{Engine: "vector", Sampler: "wide-ky"}},
+		{"default", false, []Option{WithRandom(rand.Reader), WithSampler("knuth-yao")}, Profile{Engine: "vector", Sampler: "knuth-yao"}},
+		{"reference", false, []Option{Reference()}, Profile{Engine: "barrett", Sampler: "knuth-yao"}},
+		{"reference", true, []Option{Reference()}, Profile{Engine: "barrett", Sampler: "knuth-yao"}},
+		{"constant-time", true, []Option{ConstantTime()}, Profile{Engine: "shoup", Sampler: "cdt", ConstantTimeDecode: true}},
+		{"custom", true, []Option{Fast(), WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
+		{"custom", true, []Option{WithConstantTimeDecode()}, Profile{Engine: "vector", Sampler: "knuth-yao", ConstantTimeDecode: true}},
+		{"custom", false, []Option{WithConstantTimeDecode()}, Profile{Engine: "vector", Sampler: "wide-ky", ConstantTimeDecode: true}},
+		// WithProfile with zero fields resolves to the constructor's defaults.
+		{"default", true, []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "vector", Sampler: "knuth-yao"}},
+		{"default", false, []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "vector", Sampler: "wide-ky"}},
+	}
 	for _, c := range cases {
-		s := NewDeterministic(P1(), 1, c.opts...)
+		s := New(P1(), c.opts...)
+		if c.seeded {
+			s = NewDeterministic(P1(), 1, c.opts...)
+		}
 		got := s.Profile()
 		if got != c.want {
-			t.Errorf("options %v resolved to %+v, want %+v", c.opts, got, c.want)
+			t.Errorf("options %v (seeded %v) resolved to %+v, want %+v", c.opts, c.seeded, got, c.want)
 		}
 		if got.Name() != c.name {
 			t.Errorf("profile %+v named %q, want %q", got, got.Name(), c.name)

@@ -5,6 +5,7 @@ import (
 
 	"ringlwe/internal/core"
 	"ringlwe/internal/rng"
+	"ringlwe/internal/sampler"
 )
 
 // Scheme is an encryption context bound to one randomness source and one
@@ -26,13 +27,17 @@ type Scheme struct {
 	pool   sync.Pool // *Workspace, backing AcquireWorkspace
 }
 
-// New returns a Scheme drawing randomness from the operating system CSPRNG
-// (crypto/rand), or from the WithRandom reader when one is given. With no
-// profile options the scheme resolves to the "default" profile (vector NTT
-// kernels, serial Knuth-Yao sampler — the KAT-pinned stream on the fast
-// transform path; sets the vector kernels refuse run the shoup kernels).
+// New returns a Scheme drawing randomness from the operating system CSPRNG,
+// or from the WithRandom reader when one is given. Without WithRandom,
+// each workspace (and the scheme's own one-shot path) runs its own
+// AES-256-CTR keystream, keyed from crypto/rand on its first draw and
+// rekeyed every MiB. With no profile options the scheme resolves to the
+// "default" profile: vector NTT kernels (sets the vector kernels refuse
+// run the shoup kernels) and the 16-wide "wide-ky" sampler. A WithRandom
+// stream samples with wide-ky too; add WithSampler("knuth-yao") to draw
+// from it as NewDeterministic and the known-answer vectors do.
 func New(p *Params, opts ...Option) *Scheme {
-	c := applyOptions(opts)
+	c := applyOptions(opts, profileDefault.Sampler)
 	var src rng.Source
 	if c.random != nil {
 		src = rng.NewReaderSource(c.random)
@@ -54,10 +59,10 @@ func New(p *Params, opts ...Option) *Scheme {
 // deterministic (fork order matters, per-workspace streams do not race).
 // Engine choice (WithEngine) does not affect the deterministic stream —
 // transforms consume no randomness — but sampler choice does; only the
-// "knuth-yao" sampler reproduces the historical streams. WithRandom is
-// ignored: the seed defines the stream.
+// "knuth-yao" sampler, the default here, reproduces the historical
+// streams. WithRandom is ignored: the seed defines the stream.
 func NewDeterministic(p *Params, seed uint64, opts ...Option) *Scheme {
-	c := applyOptions(opts)
+	c := applyOptions(opts, sampler.Default)
 	s, err := core.NewWithOptions(p.inner, rng.NewXorshift128(seed), c.coreOptions())
 	if err != nil {
 		panic("ringlwe: " + err.Error())

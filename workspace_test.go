@@ -82,33 +82,68 @@ func TestWorkspaceEncryptZeroAlloc(t *testing.T) {
 }
 
 // TestWorkspaceKEMZeroAlloc pins the KEM hot path: Decapsulate allocates
-// nothing and Encapsulate allocates only the blob it returns.
+// nothing and Encapsulate allocates only the blob it returns, on a seeded
+// scheme and on the production configuration (New: OS-random AES-CTR
+// keystream, wide-ky sampler).
 func TestWorkspaceKEMZeroAlloc(t *testing.T) {
 	for _, p := range []*Params{P1(), P2()} {
-		s := NewDeterministic(p, 2)
-		pk, sk, err := s.GenerateKeys()
+		seeded := NewDeterministic(p, 2)
+		pk, sk, err := seeded.GenerateKeys()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := s.NewWorkspace()
-		blob, _, err := ws.Encapsulate(pk)
+		for _, c := range []struct {
+			ctor string
+			s    *Scheme
+		}{{"NewDeterministic", seeded}, {"New", New(p)}} {
+			ws := c.s.NewWorkspace()
+			blob, _, err := ws.Encapsulate(pk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if _, _, err := ws.Encapsulate(pk); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 1 {
+				t.Errorf("%s %s workspace Encapsulate: %v allocs/op, want 1", c.ctor, p.Name(), n)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := ws.Decapsulate(sk, blob); err != nil && !errors.Is(err, ErrDecapsulation) {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s %s workspace Decapsulate: %v allocs/op, want 0", c.ctor, p.Name(), n)
+			}
+		}
+	}
+}
+
+// TestNewWorkspacesKeyedIndependently checks that the workspaces of one
+// OS-random scheme, and its one-shot path, draw from independently keyed
+// streams: two sources keyed alike would produce the same first
+// encapsulation.
+func TestNewWorkspacesKeyedIndependently(t *testing.T) {
+	p := P1()
+	pk, _, err := NewDeterministic(p, 3).GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p)
+	seen := map[string]string{}
+	for name, encap := range map[string]func(*PublicKey) (EncapsulatedKey, [SharedKeySize]byte, error){
+		"one-shot":    s.Encapsulate,
+		"workspace 1": s.NewWorkspace().Encapsulate,
+		"workspace 2": s.NewWorkspace().Encapsulate,
+	} {
+		blob, _, err := encap(pk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			if _, _, err := ws.Encapsulate(pk); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 1 {
-			t.Errorf("%s workspace Encapsulate: %v allocs/op, want 1", p.Name(), n)
+		if other, dup := seen[string(blob)]; dup {
+			t.Fatalf("%s and %s drew the same stream", name, other)
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			if _, err := ws.Decapsulate(sk, blob); err != nil && !errors.Is(err, ErrDecapsulation) {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%s workspace Decapsulate: %v allocs/op, want 0", p.Name(), n)
-		}
+		seen[string(blob)] = name
 	}
 }
 
@@ -136,8 +171,8 @@ func TestKEMHashMatchesStreamingSHA256(t *testing.T) {
 
 // TestWorkspaceEngineZeroAlloc pins the steady-state encrypt/decrypt path
 // at zero allocations under every NTT backend — in particular the vector
-// engine's lane-block kernels, and the Fast profile's pairing of them with
-// the wide sampler.
+// engine's lane-block kernels, and the default pairing of them with the
+// wide sampler (Fast).
 func TestWorkspaceEngineZeroAlloc(t *testing.T) {
 	p := P1()
 	msg := make([]byte, p.MessageSize())
