@@ -11,6 +11,12 @@ import (
 // Client is the device side of the aggregation protocol on one
 // established channel. Like the channel itself it is not safe for
 // concurrent use; each device runs its own channel and client.
+//
+// Every method finishes with the response record before it returns: the
+// body roundTrip hands back aliases the channel's record buffer, valid
+// only until the next Recv on the channel (the next request), so methods
+// parse or copy it at once — Query's ParseAnyAggregate copies the
+// aggregate out.
 type Client struct {
 	ch  *protocol.Channel
 	buf []byte // request scratch, reused across calls
@@ -23,7 +29,7 @@ func NewClient(ch *protocol.Channel) *Client {
 }
 
 // roundTrip sends one request record and returns the response body after
-// mapping its status byte.
+// mapping its status byte. The body is valid until the next roundTrip.
 func (c *Client) roundTrip(req []byte) ([]byte, error) {
 	if err := c.ch.Send(req); err != nil {
 		return nil, fmt.Errorf("agg: sending request: %w", err)

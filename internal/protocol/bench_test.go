@@ -115,10 +115,12 @@ func BenchmarkHandshakeResumeP1(b *testing.B) {
 var errDroppedToFull = fmt.Errorf("server completed a full handshake, not a resumption")
 
 // BenchmarkRecordRoundtripP1 measures the record layer's hot path with
-// the metrics accounting attached: one 1 KiB data record sealed by the
-// server (counters live, untraced) and opened by the client per op, over
-// an in-memory pipe. Guards the always-on observability cost on the
-// seal/open path.
+// the metrics accounting attached: one data record sealed by the server
+// (counters live, untraced) and opened by the client per op, over an
+// in-memory pipe, at three record sizes — 64 B, 1 KiB and the 22 KB
+// aggregation SUBMIT. Guards the always-on observability cost on the
+// seal/open path, and (through B/op) that no allocation scales with the
+// record.
 func BenchmarkRecordRoundtripP1(b *testing.B) {
 	srv := newTestServer(b, ringlwe.P1())
 	cConn, sConn := net.Pipe()
@@ -138,28 +140,35 @@ func BenchmarkRecordRoundtripP1(b *testing.B) {
 	if err := <-sDone; err != nil {
 		b.Fatal(err)
 	}
-	msg := make([]byte, 1024)
-	errc := make(chan error, 1)
-	go func() {
-		for i := 0; i < b.N; i++ {
-			if err := server.Send(msg); err != nil {
-				errc <- err
-				return
+	for _, bc := range []struct {
+		name string
+		size int
+	}{{"64B", 64}, {"1KiB", 1 << 10}, {"22KB", 22 << 10}} {
+		b.Run(bc.name, func(b *testing.B) {
+			msg := make([]byte, bc.size)
+			errc := make(chan error, 1)
+			go func() {
+				for i := 0; i < b.N; i++ {
+					if err := server.Send(msg); err != nil {
+						errc <- err
+						return
+					}
+				}
+				errc <- nil
+			}()
+			b.SetBytes(int64(len(msg)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := client.Recv(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		errc <- nil
-	}()
-	b.SetBytes(int64(len(msg)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := <-errc; err != nil {
-		b.Fatal(err)
+			b.StopTimer()
+			if err := <-errc; err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -154,7 +154,7 @@ func clientKEMFlightInner(rw io.ReadWriter, ct *connTrace, scheme *ringlwe.Schem
 					}
 				}
 			}
-			ch.deriveKeysV2(key, 0, true)
+			ch.deriveKeys(key)
 			return ch, nil
 		case statusRetry:
 			continue
@@ -216,7 +216,7 @@ func ClientV1(rw io.ReadWriter, scheme *ringlwe.Scheme) (*Channel, error) {
 				peerPK:   pk,
 				Retries:  attempt,
 			}
-			ch.deriveKeys(key, true)
+			ch.deriveKeys(key)
 			return ch, nil
 		case statusRetry:
 			continue

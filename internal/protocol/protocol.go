@@ -35,6 +35,12 @@
 // intrinsic decryption failure downgrades to a retry, not a dead channel),
 // and both sides roll to epoch-separated keys with reset sequence numbers.
 //
+// Each direction keys its AES-128 cipher and HMAC-SHA256 once per epoch;
+// a record then costs one CTR stream and one MAC reset. Records are built
+// and opened in buffers from one pool shared by all channels, so the
+// slice Channel.Recv returns is valid only until the next Recv on that
+// channel, like bufio.Scanner.Bytes.
+//
 // A v2 handshake that set the ticket flag additionally receives a
 // session-resumption ticket — the server's AES-GCM-sealed copy of a
 // resumption master secret both sides derive (see resume.go). Presenting
@@ -56,6 +62,7 @@
 package protocol
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -63,7 +70,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"sync"
 
 	"ringlwe"
 	"ringlwe/internal/obs"
@@ -199,15 +208,16 @@ type Channel struct {
 	// pending queues data records that arrive while the client waits for
 	// a rekey ack — records the peer sealed under the old epoch before it
 	// processed the rekey (per-direction FIFO ordering delivers them
-	// ahead of the ack). Recv drains it before reading the wire.
+	// ahead of the ack). Recv drains it before reading the wire. Entries
+	// are copies: the record buffers they were opened into are pooled.
 	pending [][]byte
 
-	sendKey [16]byte
-	recvKey [16]byte
-	sendMAC [32]byte
-	recvMAC [32]byte
-	sendSeq uint64
-	recvSeq uint64
+	// Record-layer state per direction, keyed once per epoch.
+	send, recv recordState
+	// rbuf is the pooled buffer holding the last opened record, which
+	// the latest Recv returned; hdr is openRecord's header scratch.
+	rbuf *[]byte
+	hdr  [5]byte
 
 	// Retries records how many KEM retries the handshake needed (usually 0;
 	// each intrinsic LPR decryption failure adds one).
@@ -237,59 +247,41 @@ func (c *Channel) Resumed() bool { return c.resumed }
 // plain handshakes return nil.
 func (c *Channel) Session() *Session { return c.session }
 
-// deriveKeys expands the shared secret into four directional keys (v1
-// derivation, unchanged from the original protocol).
-// isClient flips which derivation feeds which direction.
-func (c *Channel) deriveKeys(shared [ringlwe.SharedKeySize]byte, isClient bool) {
-	expand := func(label string) [32]byte {
+// deriveKeys keys both directions for the channel's current epoch. Each
+// of the four directional keys is SHA-256 over prefix ‖ label ‖ epoch ‖
+// shared secret. v1 uses the original derivation: prefix
+// "ringlwe-channel-v1 " and no epoch. v2 binds the protocol generation
+// and the negotiated parameter set in the prefix and appends the 4-byte
+// big-endian epoch counter, so keys from different epochs (and different
+// negotiated sets) live in disjoint domains. isClient picks which
+// derivation feeds which direction.
+func (c *Channel) deriveKeys(shared [ringlwe.SharedKeySize]byte) {
+	prefix, epoch := "ringlwe-channel-v1 ", []byte(nil)
+	if c.version >= protocolV2 {
+		prefix = "ringlwe-channel-v2 " + c.scheme.Params().Name() + " "
+		epoch = binary.BigEndian.AppendUint32(nil, c.epoch)
+	}
+	expand := func(label string) []byte {
 		h := sha256.New()
-		h.Write([]byte("ringlwe-channel-v1 " + label))
+		h.Write([]byte(prefix + label))
+		h.Write(epoch)
 		h.Write(shared[:])
-		var out [32]byte
-		copy(out[:], h.Sum(nil))
-		return out
+		return h.Sum(nil)
 	}
-	c.setKeys(expand("c2s"), expand("s2c"), expand("c2s-mac"), expand("s2c-mac"), isClient)
-}
-
-// deriveKeysV2 expands the shared secret into the four directional keys of
-// one v2 epoch. The label binds the protocol generation, the negotiated
-// parameter set and the epoch counter, so keys from different epochs (and
-// different negotiated sets) live in disjoint domains.
-func (c *Channel) deriveKeysV2(shared [ringlwe.SharedKeySize]byte, epoch uint32, isClient bool) {
-	name := c.scheme.Params().Name()
-	expand := func(label string) [32]byte {
-		h := sha256.New()
-		h.Write([]byte("ringlwe-channel-v2 " + name + " " + label))
-		var e [4]byte
-		binary.BigEndian.PutUint32(e[:], epoch)
-		h.Write(e[:])
-		h.Write(shared[:])
-		var out [32]byte
-		copy(out[:], h.Sum(nil))
-		return out
+	c2s, s2c, c2sMAC, s2cMAC := expand("c2s"), expand("s2c"), expand("c2s-mac"), expand("s2c-mac")
+	if !c.isClient {
+		c2s, s2c, c2sMAC, s2cMAC = s2c, c2s, s2cMAC, c2sMAC
 	}
-	c.setKeys(expand("c2s"), expand("s2c"), expand("c2s-mac"), expand("s2c-mac"), isClient)
-}
-
-func (c *Channel) setKeys(c2s, s2c, c2sMAC, s2cMAC [32]byte, isClient bool) {
-	if isClient {
-		copy(c.sendKey[:], c2s[:16])
-		copy(c.recvKey[:], s2c[:16])
-		c.sendMAC, c.recvMAC = c2sMAC, s2cMAC
-	} else {
-		copy(c.sendKey[:], s2c[:16])
-		copy(c.recvKey[:], c2s[:16])
-		c.sendMAC, c.recvMAC = s2cMAC, c2sMAC
-	}
+	c.send.setKeys(c2s[:16], c2sMAC)
+	c.recv.setKeys(s2c[:16], s2cMAC)
 }
 
 // switchEpoch rolls both directions to the key schedule of the next epoch
-// and resets the sequence numbers and the rekey record counter.
+// (which restarts the sequence numbers) and resets the rekey record
+// counter.
 func (c *Channel) switchEpoch(shared [ringlwe.SharedKeySize]byte) {
 	c.epoch++
-	c.deriveKeysV2(shared, c.epoch, c.isClient)
-	c.sendSeq, c.recvSeq = 0, 0
+	c.deriveKeys(shared)
 	c.records = 0
 	c.Rekeys++
 	if c.onRekey != nil {
@@ -308,28 +300,70 @@ func (c *Channel) switchEpoch(shared [ringlwe.SharedKeySize]byte) {
 // bytes up to the tag, so both directions hash the header and ciphertext
 // where they already lie.
 
-// stream XORs src with the AES-128-CTR keystream of (key, seq) into dst,
-// which may be src itself.
-func stream(dst []byte, key [16]byte, seq uint64, src []byte) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic(err)
-	}
-	var iv [16]byte
-	binary.BigEndian.PutUint64(iv[:8], seq)
-	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, src)
+// recordState is one direction's record-layer state. setKeys builds the
+// expanded AES-128 key and the keyed HMAC-SHA256 once per epoch; each
+// record then only builds the CTR stream for its IV and resets the MAC.
+type recordState struct {
+	block cipher.Block
+	mac   hash.Hash
+	seq   uint64
+	// sum holds the encoded sequence number while it is hashed, then the
+	// full HMAC output.
+	sum [sha256.Size]byte
 }
 
-// recordTag writes the truncated HMAC-SHA256 of seq ‖ hdr ‖ ct into tag,
-// hdr being the record's wire header (the v2 type byte, then the length).
-func recordTag(tag []byte, key *[32]byte, seq uint64, hdr, ct []byte) {
-	m := hmac.New(sha256.New, key[:])
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], seq)
-	m.Write(s[:])
-	m.Write(hdr)
-	m.Write(ct)
-	copy(tag[:tagLen], m.Sum(nil))
+// setKeys installs one epoch's AES-128 key and MAC key and restarts the
+// sequence number at 0.
+func (s *recordState) setKeys(key, macKey []byte) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		panic(err) // callers pass 16-byte keys
+	}
+	*s = recordState{block: block, mac: hmac.New(sha256.New, macKey)}
+}
+
+// stream XORs src with the AES-128-CTR keystream of the current record
+// (IV = seq ‖ 0) into dst, which may be src itself.
+func (s *recordState) stream(dst, src []byte) {
+	var iv [aes.BlockSize]byte
+	binary.BigEndian.PutUint64(iv[:8], s.seq)
+	cipher.NewCTR(s.block, iv[:]).XORKeyStream(dst, src)
+}
+
+// recordTag returns the truncated HMAC-SHA256 of seq ‖ hdr ‖ ct, hdr
+// being the record's wire header (the v2 type byte, then the length).
+// The result aliases s.sum and is valid until the next call.
+func (s *recordState) recordTag(hdr, ct []byte) []byte {
+	binary.BigEndian.PutUint64(s.sum[:8], s.seq)
+	s.mac.Reset()
+	s.mac.Write(s.sum[:8])
+	s.mac.Write(hdr)
+	s.mac.Write(ct)
+	return s.mac.Sum(s.sum[:0])[:tagLen]
+}
+
+// recordBufs recycles record buffers across all channels. sealRecord
+// holds one only for its Write; a channel holds the one its last record
+// was opened into until its next openRecord. A buffer grows to the
+// largest record it has carried.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// getRecordBuf takes a buffer from recordBufs and sizes it to n bytes.
+func getRecordBuf(n int) *[]byte {
+	bp := recordBufs.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+// releaseRecv returns the buffer of the last opened record to the pool.
+func (c *Channel) releaseRecv() {
+	if c.rbuf != nil {
+		recordBufs.Put(c.rbuf)
+		c.rbuf = nil
+	}
 }
 
 // hdrLen is the record header size of the channel's protocol version:
@@ -357,25 +391,27 @@ func (c *Channel) seal(typ byte, msg []byte) error {
 	return err
 }
 
-// sealRecord builds type ‖ length ‖ ciphertext ‖ tag in one buffer —
-// encrypting msg straight into its slot and tagging the bytes in place —
-// and hands the whole record to the transport in a single Write, so an
-// unbuffered TCP_NODELAY connection sends one segment per record.
+// sealRecord builds type ‖ length ‖ ciphertext ‖ tag in one pooled
+// buffer — encrypting msg straight into its slot and tagging the bytes in
+// place — and hands the whole record to the transport in a single Write,
+// so an unbuffered TCP_NODELAY connection sends one segment per record.
 func (c *Channel) sealRecord(typ byte, msg []byte) error {
 	if len(msg) > maxRecordLen {
 		return fmt.Errorf("protocol: record too large (%d bytes)", len(msg))
 	}
 	n := c.hdrLen()
-	rec := make([]byte, n+len(msg)+tagLen)
+	bp := getRecordBuf(n + len(msg) + tagLen)
+	rec := *bp
 	if n == 5 {
 		rec[0] = typ
 	}
 	binary.BigEndian.PutUint32(rec[n-4:n], uint32(len(msg)))
 	ct := rec[n : n+len(msg)]
-	stream(ct, c.sendKey, c.sendSeq, msg)
-	recordTag(rec[n+len(msg):], &c.sendMAC, c.sendSeq, rec[:n], ct)
-	c.sendSeq++
+	c.send.stream(ct, msg)
+	copy(rec[n+len(msg):], c.send.recordTag(rec[:n], ct))
+	c.send.seq++
 	_, err := c.rw.Write(rec)
+	recordBufs.Put(bp)
 	return err
 }
 
@@ -395,12 +431,15 @@ func (c *Channel) open() (byte, []byte, error) {
 }
 
 // openRecord reads the header, then ciphertext ‖ tag in one read into one
-// buffer; it checks the tag before touching the ciphertext and then
-// decrypts it in place, returning the plaintext in that same buffer.
+// pooled buffer; it checks the tag before touching the ciphertext and then
+// decrypts it in place, returning the plaintext in that same buffer. The
+// buffer of the previous record goes back to the pool before the header
+// read, so a channel blocked here holds none.
 func (c *Channel) openRecord() (byte, []byte, error) {
-	var hdr [5]byte
+	c.releaseRecv()
 	n := c.hdrLen()
-	if _, err := io.ReadFull(c.rw, hdr[:n]); err != nil {
+	hdr := c.hdr[:n]
+	if _, err := io.ReadFull(c.rw, hdr); err != nil {
 		return 0, nil, err
 	}
 	typ := byte(recordData)
@@ -411,18 +450,20 @@ func (c *Channel) openRecord() (byte, []byte, error) {
 	if length > maxRecordLen {
 		return 0, nil, fmt.Errorf("protocol: oversized record (%d bytes)", length)
 	}
-	body := make([]byte, length+tagLen)
+	bp := getRecordBuf(int(length) + tagLen)
+	body := *bp
 	if _, err := io.ReadFull(c.rw, body); err != nil {
+		recordBufs.Put(bp)
 		return 0, nil, err
 	}
 	ct := body[:length:length]
-	var want [tagLen]byte
-	recordTag(want[:], &c.recvMAC, c.recvSeq, hdr[:n], ct)
-	if !hmac.Equal(body[length:], want[:]) {
+	if !hmac.Equal(body[length:], c.recv.recordTag(hdr, ct)) {
+		recordBufs.Put(bp)
 		return 0, nil, errors.New("protocol: record authentication failed")
 	}
-	stream(ct, c.recvKey, c.recvSeq, ct)
-	c.recvSeq++
+	c.recv.stream(ct, ct)
+	c.recv.seq++
+	c.rbuf = bp
 	return typ, ct, nil
 }
 
@@ -445,6 +486,10 @@ func (c *Channel) Send(msg []byte) error {
 // serving in-band rekey requests on the way (v2 servers only).
 // Authentication failures and replays surface as errors and poison
 // nothing: the caller may close the channel.
+//
+// The returned slice is valid until the next Recv on the channel, like
+// bufio.Scanner.Bytes: its buffer then goes back to a pool shared by all
+// channels. Copy it to keep it longer.
 func (c *Channel) Recv() ([]byte, error) {
 	if len(c.pending) > 0 {
 		msg := c.pending[0]
@@ -491,6 +536,14 @@ func (c *Channel) rekey() error {
 }
 
 func (c *Channel) rekeyFlight() error {
+	// The records read here must not recycle the buffer the caller's
+	// last Recv returned, which stays valid until its next Recv.
+	held := c.rbuf
+	c.rbuf = nil
+	defer func() {
+		c.releaseRecv()
+		c.rbuf = held
+	}()
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		ws := c.scheme.AcquireWorkspace()
 		blob, key, err := ws.Encapsulate(c.peerPK)
@@ -520,7 +573,7 @@ func (c *Channel) rekeyFlight() error {
 				if len(c.pending) >= maxPendingRecords {
 					return errors.New("protocol: too many data records in flight across a rekey")
 				}
-				c.pending = append(c.pending, msg)
+				c.pending = append(c.pending, bytes.Clone(msg))
 			default:
 				return fmt.Errorf("protocol: expected rekey ack, got record type %d", typ)
 			}

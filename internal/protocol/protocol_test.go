@@ -316,12 +316,10 @@ func TestMalformedHellos(t *testing.T) {
 
 func TestRecordTampering(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1())
-	// Tamper in flight: intercept with a buffer.
+	// Tamper in flight: intercept with a buffer. The sender shares the
+	// client's send state; the client itself sends nothing more.
 	var wire bytes.Buffer
-	tampered := &Channel{
-		rw: &wire, version: protocolV2,
-		sendKey: client.sendKey, sendMAC: client.sendMAC,
-	}
+	tampered := &Channel{rw: &wire, version: protocolV2, send: client.send}
 	if err := tampered.Send([]byte("payload")); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +339,7 @@ func TestRecordTampering(t *testing.T) {
 func TestRecordTypeTampering(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1())
 	var wire bytes.Buffer
-	sender := &Channel{rw: &wire, version: protocolV2, sendKey: client.sendKey, sendMAC: client.sendMAC}
+	sender := &Channel{rw: &wire, version: protocolV2, send: client.send}
 	if err := sender.Send([]byte("data")); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +354,7 @@ func TestRecordTypeTampering(t *testing.T) {
 func TestReplayRejected(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1())
 	var wire bytes.Buffer
-	sender := &Channel{rw: &wire, version: protocolV2, sendKey: client.sendKey, sendMAC: client.sendMAC}
+	sender := &Channel{rw: &wire, version: protocolV2, send: client.send}
 	if err := sender.Send([]byte("once")); err != nil {
 		t.Fatal(err)
 	}
@@ -424,12 +422,21 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 }
 
+// keyID fingerprints a direction's epoch keys: the AES encryption of the
+// zero block followed by the HMAC of the empty message.
+func keyID(s *recordState) string {
+	var blk [16]byte
+	s.block.Encrypt(blk[:], blk[:])
+	s.mac.Reset()
+	return string(s.mac.Sum(blk[:]))
+}
+
 func TestDirectionKeysDiffer(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1())
-	if client.sendKey == client.recvKey {
+	if keyID(&client.send) == keyID(&client.recv) {
 		t.Error("client directions share a key")
 	}
-	if client.sendKey != server.recvKey || client.recvKey != server.sendKey {
+	if keyID(&client.send) != keyID(&server.recv) || keyID(&client.recv) != keyID(&server.send) {
 		t.Error("client/server directional keys do not pair up")
 	}
 }
@@ -516,11 +523,15 @@ func TestRekeyBuffersInFlightData(t *testing.T) {
 	}
 }
 
-// TestEpochKeysDiffer pins the epoch domain separation: keys before and
-// after a rekey must differ in every direction.
+// TestEpochKeysDiffer pins the epoch domain separation and the per-epoch
+// cipher state: a rekey rebuilds the cached cipher and MAC in both
+// directions, records round-trip under the new epoch, and a record sealed
+// under the old epoch's send state fails authentication even at the
+// sequence number the receiver expects.
 func TestEpochKeysDiffer(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1(), WithRekeyAfter(1))
-	before := client.sendKey
+	oldSend := client.send
+	before := [2]string{keyID(&client.send), keyID(&client.recv)}
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 2; i++ {
@@ -529,7 +540,7 @@ func TestEpochKeysDiffer(t *testing.T) {
 				return
 			}
 		}
-		done <- nil
+		done <- server.Send([]byte("back"))
 	}()
 	if err := client.Send([]byte("one")); err != nil {
 		t.Fatal(err)
@@ -537,13 +548,30 @@ func TestEpochKeysDiffer(t *testing.T) {
 	if err := client.Send([]byte("two")); err != nil { // triggers the rekey
 		t.Fatal(err)
 	}
+	if msg, err := client.Recv(); err != nil || string(msg) != "back" {
+		t.Fatalf("client got (%q, %v) under the new epoch", msg, err)
+	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if client.sendKey == before {
-		t.Error("send key unchanged across a rekey")
+	after := [2]string{keyID(&client.send), keyID(&client.recv)}
+	for i, dir := range []string{"send", "receive"} {
+		if after[i] == before[i] {
+			t.Errorf("%s key unchanged across a rekey", dir)
+		}
 	}
-	if client.sendKey != server.recvKey {
+	if after[0] != keyID(&server.recv) || after[1] != keyID(&server.send) {
 		t.Error("post-rekey keys do not pair up")
+	}
+
+	var wire bytes.Buffer
+	stale := &Channel{rw: &wire, version: protocolV2, send: oldSend}
+	stale.send.seq = server.recv.seq
+	if err := stale.sealRecord(recordData, []byte("old epoch")); err != nil {
+		t.Fatal(err)
+	}
+	server.rw = rwShim{&wire, io.Discard}
+	if _, err := server.Recv(); err == nil || err.Error() != "protocol: record authentication failed" {
+		t.Fatalf("record sealed under the old epoch: err = %v", err)
 	}
 }

@@ -4,29 +4,39 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"net"
+	"runtime"
+	"sync"
 	"testing"
+
+	"ringlwe"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 // goldenChannel returns a channel of the given version with fixed send
 // keys and sequence number 41, writing to w.
 func goldenChannel(version int, w io.Writer) *Channel {
-	c := &Channel{rw: rwShim{bytes.NewReader(nil), w}, version: version, sendSeq: 41}
-	for i := range c.sendKey {
-		c.sendKey[i] = byte(i)
+	c := &Channel{rw: rwShim{bytes.NewReader(nil), w}, version: version}
+	var key [16]byte
+	for i := range key {
+		key[i] = byte(i)
 	}
-	for i := range c.sendMAC {
-		c.sendMAC[i] = byte(0x40 + i)
+	var mac [32]byte
+	for i := range mac {
+		mac[i] = byte(0x40 + i)
 	}
+	c.send.setKeys(key[:], mac[:])
+	c.send.seq = 41
 	return c
 }
 
-// peerOf returns the receiving end of a goldenChannel: its receive keys
-// and sequence number are the sender's, reading from raw.
+// peerOf returns the receiving end of a goldenChannel: its receive state
+// (keys and sequence number) is the sender's, reading from raw. The two
+// share the MAC state, so c must not seal while the peer opens.
 func peerOf(c *Channel, raw []byte) *Channel {
-	return &Channel{
-		rw: rwShim{bytes.NewReader(raw), io.Discard}, version: c.version,
-		recvKey: c.sendKey, recvMAC: c.sendMAC, recvSeq: c.sendSeq,
-	}
+	return &Channel{rw: rwShim{bytes.NewReader(raw), io.Discard}, version: c.version, recv: c.send}
 }
 
 // TestRecordGoldenBytes pins the v1 and v2 record bytes — a 19-byte data
@@ -108,5 +118,238 @@ func TestRecordTamperEveryByte(t *testing.T) {
 				t.Errorf("v%d: flipped byte %d: err = %v", version, i, err)
 			}
 		}
+	}
+}
+
+// allocSink keeps the negative control's allocation on the heap.
+var allocSink []byte
+
+// perRecord returns f's mean heap allocations (testing.AllocsPerRun) and
+// allocated bytes (runtime.MemStats.TotalAlloc) per call over runs calls.
+func perRecord(runs int, f func()) (allocs, bytes float64) {
+	allocs = testing.AllocsPerRun(runs, f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestRecordAllocsIndependentOfSize pins the steady-state cost of the
+// record layer on a v2 channel: sealRecord and openRecord each make at
+// most two allocations per record (the per-IV CTR stream) and allocate
+// under 1 KiB, for a 64-byte record and a 22 KB SUBMIT alike — so no
+// allocation scales with the record. A negative control in the same
+// measurement shows that a record-sized make would be caught.
+func TestRecordAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	const runs = 200
+	const maxAllocs, maxBytes, controlBound = 2, 1 << 10, 16 << 10
+	for _, size := range []int{64, 22 << 10} {
+		msg := bytes.Repeat([]byte{0xA5}, size)
+		var wire bytes.Buffer
+		c := goldenChannel(protocolV2, &wire)
+		if err := c.sealRecord(recordData, msg); err != nil {
+			t.Fatal(err)
+		}
+		raw := bytes.Clone(wire.Bytes())
+
+		c.rw = rwShim{bytes.NewReader(nil), io.Discard}
+		sealAllocs, sealBytes := perRecord(runs, func() {
+			if err := c.sealRecord(recordData, msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+
+		// Reopen the same record: rewinding the reader and the receive
+		// sequence number gives the peer identical work every call.
+		src := bytes.NewReader(raw)
+		r := peerOf(goldenChannel(protocolV2, io.Discard), nil)
+		r.rw = rwShim{src, io.Discard}
+		open := func() {
+			src.Reset(raw)
+			r.recv.seq = 41
+			if _, got, err := r.openRecord(); err != nil || len(got) != size {
+				t.Fatalf("open: %d bytes, %v", len(got), err)
+			}
+		}
+		openAllocs, openBytes := perRecord(runs, open)
+
+		t.Logf("%d-byte record: seal %.1f allocs %.0f B, open %.1f allocs %.0f B",
+			size, sealAllocs, sealBytes, openAllocs, openBytes)
+		for _, m := range []struct {
+			op            string
+			allocs, bytes float64
+		}{{"sealRecord", sealAllocs, sealBytes}, {"openRecord", openAllocs, openBytes}} {
+			if m.allocs > maxAllocs || m.bytes >= maxBytes {
+				t.Errorf("%s, %d-byte record: %.1f allocs and %.0f B per record, want ≤ %d and < %d B",
+					m.op, size, m.allocs, m.bytes, maxAllocs, maxBytes)
+			}
+		}
+
+		if size < controlBound {
+			continue
+		}
+		// Negative control: the same measurement with a record-sized make
+		// added back must read at least the record length, and so fail the
+		// 16 KiB bound.
+		_, ctlBytes := perRecord(runs, func() {
+			open()
+			allocSink = make([]byte, len(raw))
+		})
+		if ctlBytes < float64(len(raw)) {
+			t.Errorf("control: a record-sized make measured %.0f B per record, want ≥ %d B", ctlBytes, len(raw))
+		}
+	}
+}
+
+// TestRecordBufferGrows sends a 64-byte record, then one of maxRecordLen,
+// then 64 bytes again, so the pooled buffers grow and are resliced back
+// down; every record must round-trip intact.
+func TestRecordBufferGrows(t *testing.T) {
+	var wire bytes.Buffer
+	c := goldenChannel(protocolV2, &wire)
+	sizes := []int{64, maxRecordLen, 64}
+	msgs := make([][]byte, len(sizes))
+	for i, size := range sizes {
+		msgs[i] = make([]byte, size)
+		for j := range msgs[i] {
+			msgs[i][j] = byte(j*7 + i)
+		}
+	}
+	// Seal and open in lock step, so a buffer the receiver releases can
+	// come back to the sender and the other way round.
+	r := peerOf(goldenChannel(protocolV2, io.Discard), nil)
+	r.rw = rwShim{&wire, io.Discard}
+	for i, msg := range msgs {
+		if err := c.sealRecord(recordData, msg); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := r.openRecord()
+		if err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("record %d (%d bytes): got %d bytes, %v", i, len(msg), len(got), err)
+		}
+	}
+}
+
+// TestRecordTamperedTagThenValid pins that a failed tag check leaves the
+// cached MAC state and the pool usable: after a record with a flipped tag
+// byte is refused, the untampered record still opens — on the same peer,
+// which read both from one stream, and on a fresh one.
+func TestRecordTamperedTagThenValid(t *testing.T) {
+	var wire bytes.Buffer
+	c := goldenChannel(protocolV2, &wire)
+	if err := c.sealRecord(recordData, []byte("authentic")); err != nil {
+		t.Fatal(err)
+	}
+	good := bytes.Clone(wire.Bytes())
+	bad := bytes.Clone(good)
+	bad[len(bad)-1] ^= 0x80
+
+	r := peerOf(goldenChannel(protocolV2, io.Discard), append(bad, good...))
+	if _, _, err := r.openRecord(); err == nil {
+		t.Fatal("tampered tag accepted")
+	}
+	if r.rbuf != nil {
+		t.Error("a refused record kept its buffer")
+	}
+	for name, peer := range map[string]*Channel{
+		"same peer":  r,
+		"fresh peer": peerOf(goldenChannel(protocolV2, io.Discard), good),
+	} {
+		if _, msg, err := peer.openRecord(); err != nil || string(msg) != "authentic" {
+			t.Errorf("%s: opened (%q, %v)", name, msg, err)
+		}
+	}
+}
+
+// TestRecordPoolConcurrentChannels runs echo traffic of mixed sizes on
+// two channels at once, so their seals and opens share the record pool
+// concurrently; run with -race.
+func TestRecordPoolConcurrentChannels(t *testing.T) {
+	var wg sync.WaitGroup
+	for ch := 0; ch < 2; ch++ {
+		client, server := handshakePair(t, ringlwe.P1())
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for {
+				msg, err := server.Recv()
+				if err != nil {
+					return
+				}
+				if err := server.Send(msg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			defer client.rw.(net.Conn).Close()
+			for i, size := range []int{64, 22 << 10, 1, 16 << 10, 0, 4096, 22 << 10, 64} {
+				msg := bytes.Repeat([]byte{byte(ch*16 + i)}, size)
+				if err := client.Send(msg); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := client.Recv()
+				if err != nil || !bytes.Equal(got, msg) {
+					t.Errorf("channel %d, record %d: echo of %d bytes came back as %d bytes, %v",
+						ch, i, size, len(got), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRecvSliceSurvivesRekeyingSend pins the Recv lifetime rule across a
+// client Send that rekeys first: the records the rekey flight reads must
+// not recycle the buffer the last Recv returned, which stays valid until
+// the next Recv. The test scribbles over every buffer left in the pool
+// before checking the slice.
+func TestRecvSliceSurvivesRekeyingSend(t *testing.T) {
+	client, server := handshakePair(t, ringlwe.P1(), WithRekeyAfter(1))
+	const want = "valid until the next Recv"
+	done := make(chan error, 1)
+	go func() {
+		if err := server.Send([]byte(want)); err != nil {
+			done <- err
+			return
+		}
+		_, err := server.Recv() // serves the rekey, then reads "next"
+		done <- err
+	}()
+	msg, err := client.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Send([]byte("next")); err != nil { // rekeys first
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if client.Rekeys != 1 {
+		t.Fatalf("client rekeyed %d times, want 1", client.Rekeys)
+	}
+	for i := 0; i < 64; i++ {
+		bp := recordBufs.Get().(*[]byte)
+		if cap(*bp) == 0 {
+			break
+		}
+		b := (*bp)[:cap(*bp)]
+		for j := range b {
+			b[j] = 0xFF
+		}
+	}
+	if string(msg) != want {
+		t.Errorf("Recv slice became %q after a rekeying Send", msg)
 	}
 }

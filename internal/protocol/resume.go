@@ -199,7 +199,7 @@ func ClientResume(rw io.ReadWriter, ses *Session, opts ...Option) (*Channel, err
 			}
 		}
 		shared := resumedShared(ses.scheme.Params().Name(), ses.epoch, ses.secret, clientRand, serverRand)
-		ch.deriveKeysV2(shared, 0, true)
+		ch.deriveKeys(shared)
 		return ch, nil
 
 	case statusFallback:

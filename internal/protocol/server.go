@@ -592,7 +592,7 @@ func (s *Server) serverKEMFlightInner(rw io.ReadWriter, shard int, ct *connTrace
 		}
 		ch := s.newServerChannel(rw, shard, ct, t, path)
 		ch.Retries = attempt
-		ch.deriveKeysV2(key, 0, false)
+		ch.deriveKeys(key)
 		return ch, t, nil
 	}
 	return nil, t, errTooManyRetries
@@ -701,7 +701,7 @@ func (s *Server) resumeChannel(rw io.ReadWriter, shard int, ct *connTrace, t *te
 	ch := s.newServerChannel(rw, shard, ct, t, pathResumed)
 	ch.resumed = true
 	shared := resumedShared(t.scheme.Params().Name(), st.Epoch, st.Secret, clientRand, serverRand)
-	ch.deriveKeysV2(shared, 0, false)
+	ch.deriveKeys(shared)
 	return ch, t, nil
 }
 
@@ -754,7 +754,7 @@ func (s *Server) v1KEMFlight(rw io.ReadWriter, shard int, ct *connTrace, t *tena
 		ch.version = protocolV1
 		ch.onRekey = nil // v1 channels cannot rekey
 		ch.Retries = attempt
-		ch.deriveKeys(key, false)
+		ch.deriveKeys(key)
 		return ch, t, nil
 	}
 	return nil, t, errTooManyRetries
