@@ -12,10 +12,11 @@ import (
 )
 
 // TestOneShotDecryptHonoursProfile pins that no scheme path decrypts
-// through the scheme-less PrivateKey.Decrypt, which always decodes with
-// branches: across the package's non-test files, only (*PrivateKey).Decrypt
-// itself may make a one-argument .Decrypt(ct) call. Scheme.Decrypt,
-// Decapsulate and DecapsulateCCA must go through the scheme's decoder.
+// through the scheme-less PrivateKey.Decrypt, which runs on the basis's
+// default engines whatever the profile: across the package's non-test
+// files, only (*PrivateKey).Decrypt itself may make a one-argument
+// .Decrypt(ct) call. Scheme.Decrypt, Decapsulate and DecapsulateCCA must
+// go through the scheme's engines.
 func TestOneShotDecryptHonoursProfile(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -41,7 +42,7 @@ func TestOneShotDecryptHonoursProfile(t *testing.T) {
 					return true
 				}
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Decrypt" {
-					t.Errorf("%s: %s calls the scheme-less, always-branching .Decrypt",
+					t.Errorf("%s: %s calls the scheme-less, default-engine .Decrypt",
 						fset.Position(call.Pos()), funcName(fn))
 				}
 				return true

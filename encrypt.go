@@ -28,7 +28,7 @@ func (s *Scheme) Encrypt(pk *PublicKey, msg []byte) (*Ciphertext, error) {
 }
 
 // Decrypt opens ct with sk on the scheme's NTT engines and under its
-// profile (the ConstantTime profile decodes branchlessly). Note the
+// profile. Note the
 // scheme's intrinsic failure rate; use the KEM interface when transporting
 // keys. Decryption consumes no randomness, so unlike the other one-shot
 // methods it takes no lock.
@@ -47,9 +47,9 @@ func (s *Scheme) Decrypt(sk *PrivateKey, ct *Ciphertext) ([]byte, error) {
 }
 
 // Decrypt opens ct directly with the private key (no Scheme needed:
-// decryption consumes no randomness) on the default NTT engines, always
-// via the branching decoder — route through Scheme.Decrypt or a Workspace
-// to honour a constant-time profile.
+// decryption consumes no randomness) on the default NTT engines, with the
+// branch-free decoder every scheme uses — route through Scheme.Decrypt or
+// a Workspace to run on a constant-time profile's engines.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) ([]byte, error) {
 	if ct.params.inner != sk.params.inner {
 		return nil, paramsMismatch("ciphertext")

@@ -261,8 +261,8 @@ func ExampleParseAnyCiphertext() {
 func ExampleScheme_Profile() {
 	scheme := ringlwe.New(ringlwe.P1(), ringlwe.ConstantTime())
 	p := scheme.Profile()
-	fmt.Println(p.Name(), p.Engine, p.Sampler, p.ConstantTimeDecode)
-	// Output: constant-time shoup cdt true
+	fmt.Println(p.Name(), p.Engine, p.Sampler)
+	// Output: constant-time shoup cdt
 }
 
 // Keys and ciphertexts serialize to fixed-size blobs.

@@ -47,8 +47,7 @@ func main() {
 	constTime := ringlwe.New(params, ringlwe.ConstantTime())
 	for _, s := range []*ringlwe.Scheme{def, reference, constTime} {
 		p := s.Profile()
-		fmt.Printf("profile %-13s engine=%-8s sampler=%-10s constant-time-decode=%v\n",
-			p.Name(), p.Engine, p.Sampler, p.ConstantTimeDecode)
+		fmt.Printf("profile %-13s engine=%-8s sampler=%s\n", p.Name(), p.Engine, p.Sampler)
 	}
 
 	// Layer 1: capability interfaces. Keys from the reference profile,
@@ -62,18 +61,19 @@ func main() {
 	fmt.Println("session keys transported via Scheme and Workspace KEMs")
 
 	// Cross-profile interop: the constant-time scheme encrypts to the
-	// reference keys, and both decoders agree.
+	// reference keys, and both schemes decrypt it alike (every profile
+	// shares the one branch-free message codec).
 	msg := make([]byte, params.MessageSize())
 	copy(msg, "profiles interoperate")
 	ct, err := constTime.Encrypt(pub, msg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, err := constTime.Decrypt(priv, ct) // branchless decoder
+	a, err := constTime.Decrypt(priv, ct) // shoup kernels
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := reference.Decrypt(priv, ct) // branching decoder
+	b, err := reference.Decrypt(priv, ct) // barrett kernels
 	if err != nil {
 		log.Fatal(err)
 	}

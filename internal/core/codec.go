@@ -1,0 +1,58 @@
+package core
+
+import "ringlwe/internal/ntt"
+
+// Message codec. Encoding and decoding are the scheme steps that touch
+// plaintext bits directly, and the paper leaves constant-time execution
+// as future work (§V). Both run on branchless arithmetic under every
+// profile: no message bit or coefficient value steers a branch or a
+// memory index. Message bits are random, so a branch on them would also
+// mispredict about half the time. The remaining variable-time components
+// are the Knuth-Yao samplers (the cdt backend is the constant-time
+// alternative), which the CCA KEM's FO re-encryption uses under every
+// profile, and Go's own scheduler noise.
+
+// DecodeInto decodes a one-channel polynomial m into the caller-owned
+// MessageBytes buffer dst with the threshold test: coefficient c decodes
+// to 1 iff q/4 < c < 3q/4, i.e. iff c is closer to q/2 than to 0 (mod q).
+// The two comparisons are borrow extractions and each output byte is
+// built in a register, so the loop branches on the index only. K > 1
+// sets decode through crtDecodeInto.
+func DecodeInto(dst []byte, p *Params, m ntt.Poly) {
+	q := uint64(p.Q)
+	m = m[:8*len(dst)]
+	for k := range dst {
+		var b uint64
+		for j, c := range m[8*k : 8*k+8] {
+			c4 := 4 * uint64(c)
+			// The borrow of q − 4c is set iff 4c > q, that of 3q − 4c iff
+			// 4c > 3q. Both thresholds are odd multiples of q and 4c is
+			// even, so equality cannot occur and strict and non-strict
+			// coincide.
+			b |= ((q - c4 - 1) &^ (3*q - c4 - 1)) >> 63 << j
+		}
+		dst[k] = byte(b)
+	}
+}
+
+// addEncoded adds ⌊q/2⌋ to every coefficient whose message bit is set, as
+// its residue in each channel: the Encode step fused into the e3 error
+// polynomial, allocation-free. Byte k of msg covers coefficients
+// [8k, 8k+8) of every row. The message bit becomes a mask over the
+// residue, and the reduction mod qᵢ subtracts qᵢ and adds it back under
+// the sign mask of the difference.
+func addEncoded(p *Params, dst ntt.Poly, msg []byte) {
+	b := p.Basis
+	for i, qi := range b.Moduli {
+		half := uint64(b.HalfQRes(i))
+		q := uint64(qi)
+		row := p.row(dst, i)
+		for k, m := range msg {
+			c := row[8*k : 8*k+8]
+			for j := range c {
+				s := uint64(c[j]) + half&-(uint64(m>>j)&1) - q
+				c[j] = uint32(s + q&uint64(int64(s)>>63))
+			}
+		}
+	}
+}

@@ -39,8 +39,7 @@ func (p *Params) rowBytes(i int) int {
 
 // crtDecodeInto is the K > 1 decoder: it CRT-reconstructs each coefficient
 // and applies the threshold test 4c ∈ (q, 3q) in the 128-bit accumulator.
-// The borrow-based DecodeCoeff is branchless, so this one decoder serves
-// both the default and the constant-time profiles.
+// The borrow-based DecodeCoeff is branchless, like DecodeInto.
 func crtDecodeInto(dst []byte, p *Params, m ntt.Poly) {
 	b := p.Basis
 	clear(dst)

@@ -423,9 +423,10 @@ func TestB1ConcurrentSharedScheme(t *testing.T) {
 
 var errDecryptMismatch = errors.New("concurrent decrypt mismatch")
 
-// TestB1ConstantTimeProfile runs the branchless codec path end to end.
+// TestB1ConstantTimeProfile runs B1 end to end on the backends of the
+// public ConstantTime profile: shoup kernels and the cdt sampler.
 func TestB1ConstantTimeProfile(t *testing.T) {
-	s, err := NewWithOptions(B1(), rng.NewXorshift128(9), Options{ConstantTimeDecode: true})
+	s, err := NewWithOptions(B1(), rng.NewXorshift128(9), Options{Engine: "shoup", Sampler: "cdt"})
 	if err != nil {
 		t.Fatal(err)
 	}

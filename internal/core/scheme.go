@@ -79,12 +79,6 @@ type Scheme struct {
 	// others produce different (equally distributed) error polynomials.
 	smp string
 
-	// ctDecode selects the branchless message codec (DecodeConstantTimeInto
-	// and AddEncodedConstantTime) on every encrypt/decrypt path of this
-	// scheme. The codecs agree bit for bit with the branching ones, so this
-	// never changes results — only whether plaintext bits steer branches.
-	ctDecode bool
-
 	// src is the base randomness source. The default workspace draws from
 	// it directly and NewWorkspace forks it (forking may consume its
 	// state); both happen under defMu, so src needs no lock of its own.
@@ -100,6 +94,10 @@ type Scheme struct {
 
 	// pool recycles workspaces for the batch worker pool and Acquire.
 	pool sync.Pool
+
+	// scratch recycles the bare *ntt.Poly accumulators of the one-shot
+	// DecryptInto. Unlike pool, a miss only allocates: it never forks src.
+	scratch sync.Pool
 
 	// stats aggregates sampler counters flushed by every workspace. All
 	// of them write it, so it sits on cache lines of its own, away from
@@ -117,8 +115,8 @@ func New(params *Params, src rng.Source) (*Scheme, error) {
 }
 
 // Options is the resolved construction configuration of a Scheme: both
-// pluggable backend names plus the orthogonal hardening switches. It is
-// the seam the public security profiles compile down to.
+// pluggable backend names. It is the seam the public security profiles
+// compile down to.
 type Options struct {
 	// Engine is the NTT backend registry name (ntt.EngineNames). Engine
 	// choice never changes results — only how fast they are computed.
@@ -128,10 +126,6 @@ type Options struct {
 	// samplers yield different — equally valid and equally distributed —
 	// keys and ciphertexts from the same seed.
 	Sampler string
-	// ConstantTimeDecode routes every message encode/decode through the
-	// branchless codecs of consttime.go. Bit-identical to the branching
-	// codecs on all inputs.
-	ConstantTimeDecode bool
 }
 
 // NewWithOptions is New with the full option set resolved by the caller.
@@ -154,11 +148,10 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 		smpName = sampler.Default
 	}
 	s := &Scheme{
-		Params:   params,
-		runner:   runner,
-		smp:      smpName,
-		ctDecode: opts.ConstantTimeDecode,
-		src:      src,
+		Params: params,
+		runner: runner,
+		smp:    smpName,
+		src:    src,
 	}
 	def, err := newWorkspace(s, s.src)
 	if err != nil {
@@ -173,6 +166,10 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 		}
 		return ws
 	}
+	s.scratch.New = func() any {
+		m := params.newPoly()
+		return &m
+	}
 	return s, nil
 }
 
@@ -183,10 +180,6 @@ func (s *Scheme) Engine() string { return s.runner.Engines()[0].Name() }
 // Sampler returns the registry name of the Gaussian sampler backend this
 // scheme's workspaces draw error polynomials from.
 func (s *Scheme) Sampler() string { return s.smp }
-
-// ConstantTimeDecode reports whether this scheme routes message encoding
-// and decoding through the branchless constant-time codecs.
-func (s *Scheme) ConstantTimeDecode() bool { return s.ctDecode }
 
 // NewWorkspace forks an independent per-goroutine workspace off the
 // scheme's base randomness source. Safe to call concurrently with any
@@ -219,25 +212,6 @@ func (s *Scheme) GenerateKeys() (*PublicKey, *PrivateKey, error) {
 	return s.def.GenerateKeys()
 }
 
-// DecodeInto decodes m into the caller-owned MessageBytes buffer dst with
-// the threshold test: coefficient c decodes to 1 iff q/4 < c < 3q/4, i.e.
-// iff c is closer to q/2 than to 0 (mod q). A one-channel set tests the
-// word-sized coefficient directly; K > 1 CRT-reconstructs each coefficient
-// first.
-func DecodeInto(dst []byte, p *Params, m ntt.Poly) {
-	if p.K() > 1 {
-		crtDecodeInto(dst, p, m)
-		return
-	}
-	clear(dst)
-	for i := 0; i < p.N; i++ {
-		c := uint64(m[i])
-		if 4*c > uint64(p.Q) && 4*c < 3*uint64(p.Q) {
-			dst[i/8] |= 1 << (i % 8)
-		}
-	}
-}
-
 // Encrypt produces (c̃1, c̃2) for a MessageBytes-byte message. It samples
 // three error polynomials and performs three forward NTTs, two pointwise
 // multiplications and three additions — the paper's §II-C operation count.
@@ -247,19 +221,22 @@ func (s *Scheme) Encrypt(pk *PublicKey, msg []byte) (*Ciphertext, error) {
 	return s.def.Encrypt(pk, msg)
 }
 
-// DecryptInto decrypts on the scheme's Runner and decoder into the
-// caller-owned MessageBytes buffer dst, with freshly allocated scratch: the
-// one-shot decryption. Decryption consumes no randomness, so it takes no
-// lock and borrows no pooled workspace, whose pool miss would fork the base
-// source and move a deterministic scheme's stream.
+// DecryptInto decrypts on the scheme's Runner into the caller-owned
+// MessageBytes buffer dst: the one-shot decryption. Decryption consumes no
+// randomness, so it takes no lock and borrows no pooled workspace, whose
+// pool miss would fork the base source and move a deterministic scheme's
+// stream; its scratch polynomial comes from a pool of bare polynomials,
+// so steady state it allocates nothing.
 func (s *Scheme) DecryptInto(dst []byte, sk *PrivateKey, ct *Ciphertext) error {
-	return decryptInto(s.Params, s.runner, s.ctDecode, dst, s.Params.newPoly(), sk, ct)
+	m := s.scratch.Get().(*ntt.Poly)
+	err := decryptInto(s.Params, s.runner, dst, *m, sk, ct)
+	s.scratch.Put(m)
+	return err
 }
 
 // Decrypt recovers the message: decode(INTT(c̃1 ∘ r̃2 + c̃2)). It needs no
-// Scheme, so it runs on the basis's default engines and always decodes
-// with the branching decoder; Scheme.DecryptInto and Workspace.DecryptInto
-// honour a constant-time profile. Wrong keys yield random-looking
+// Scheme, so it runs on the basis's default engines; it decodes with the
+// same branch-free codec as every scheme. Wrong keys yield random-looking
 // plaintext, not an error; authenticity requires an outer integrity layer
 // (see the hybrid KEM example).
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) ([]byte, error) {
@@ -273,7 +250,7 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) ([]byte, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	out := make([]byte, p.MessageBytes())
-	if err := decryptInto(p, r, false, out, p.newPoly(), sk, ct); err != nil {
+	if err := decryptInto(p, r, out, p.newPoly(), sk, ct); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -281,9 +258,8 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) ([]byte, error) {
 
 // decryptInto is the one decryption routine behind every decrypt and
 // decapsulation: it checks the parameters, computes the pre-decoding
-// polynomial into scratch on runner r, and decodes it into dst with the
-// branchless decoder when ctDecode is set, the branching one otherwise.
-func decryptInto(p *Params, r *ntt.Runner, ctDecode bool, dst []byte, scratch ntt.Poly, sk *PrivateKey, ct *Ciphertext) error {
+// polynomial into scratch on runner r, and decodes it into dst.
+func decryptInto(p *Params, r *ntt.Runner, dst []byte, scratch ntt.Poly, sk *PrivateKey, ct *Ciphertext) error {
 	if sk.Params != p {
 		return errors.New("core: private key parameter set mismatch")
 	}
@@ -294,9 +270,9 @@ func decryptInto(p *Params, r *ntt.Runner, ctDecode bool, dst []byte, scratch nt
 		return fmt.Errorf("core: message buffer is %d bytes, want %d", len(dst), p.MessageBytes())
 	}
 	decryptPoly(r, scratch, sk, ct)
-	// The branch is on the scheme's configuration, never on message bits.
-	if ctDecode {
-		DecodeConstantTimeInto(dst, p, scratch)
+	// The branch is on the channel count, never on message bits.
+	if p.K() > 1 {
+		crtDecodeInto(dst, p, scratch)
 	} else {
 		DecodeInto(dst, p, scratch)
 	}

@@ -24,7 +24,9 @@ import (
 // whole bytes on the way out, one 64-bit load shifted and masked on the
 // way in. Every path — appendPolys, MarshalInto and the streaming
 // chunks — runs through these two functions, and the tests check them
-// byte for byte against the original bit-at-a-time loops.
+// byte for byte against the original bit-at-a-time loops. Unpacking also
+// folds in the canonical-range check, with no branch per coefficient;
+// checkRange runs only on a rejected body, to name the first offender.
 
 // LegacyTag returns the one-byte parameter tag the legacy tagged format
 // (Bytes/Parse*) opens with: 1 for P1, 2 for P2, 0 for custom sets. The
@@ -111,13 +113,18 @@ func packPoly(dst []byte, p ntt.Poly, width uint) {
 // byte it is one little-endian 64-bit load, shifted by the bit offset
 // within that byte and masked (width ≤ 32, so offset + width ≤ 39 bits
 // fit); the last few coefficients assemble only the bytes their field
-// spans, so no load reads past src.
-func unpackPolyInto(dst ntt.Poly, src []byte, width uint) {
+// spans, so no load reads past src. It reports whether every coefficient
+// is below q: the borrows of q − 1 − v are ORed together and tested once.
+func unpackPolyInto(dst ntt.Poly, src []byte, width uint, q uint32) bool {
 	mask := uint64(1)<<width - 1
+	qm1 := uint64(q) - 1
+	var over uint64
 	var bit uint
 	i := 0
 	for ; i < len(dst) && int(bit>>3)+8 <= len(src); i++ {
-		dst[i] = uint32(binary.LittleEndian.Uint64(src[bit>>3:]) >> (bit & 7) & mask)
+		v := binary.LittleEndian.Uint64(src[bit>>3:]) >> (bit & 7) & mask
+		over |= qm1 - v
+		dst[i] = uint32(v)
 		bit += width
 	}
 	for ; i < len(dst); i++ {
@@ -126,9 +133,12 @@ func unpackPolyInto(dst ntt.Poly, src []byte, width uint) {
 		for b := first; b <= last; b++ {
 			w |= uint64(src[b]) << (8 * (b - first))
 		}
-		dst[i] = uint32(w >> (bit & 7) & mask)
+		v := w >> (bit & 7) & mask
+		over |= qm1 - v
+		dst[i] = uint32(v)
 		bit += width
 	}
+	return over>>63 == 0
 }
 
 // AppendTo appends the packed body ã ‖ p̃ — no parameter tag — to dst and
@@ -155,23 +165,23 @@ func ParsePublicKeyBody(p *Params, body []byte) (*PublicKey, error) {
 		return nil, fmt.Errorf("core: public key: body is %d bytes, want %d", len(body), 2*pb)
 	}
 	pk := &PublicKey{Params: p, A: p.newPoly(), P: p.newPoly()}
-	unpackPolyP(pk.A, p, body[:pb])
-	unpackPolyP(pk.P, p, body[pb:])
-	if err := checkRange(p, pk.A, pk.P); err != nil {
-		return nil, fmt.Errorf("core: public key: %w", err)
+	if !unpackPolyP(pk.A, p, body[:pb]) || !unpackPolyP(pk.P, p, body[pb:]) {
+		return nil, fmt.Errorf("core: public key: %w", checkRange(p, pk.A, pk.P))
 	}
 	return pk, nil
 }
 
 // unpackPolyP unpacks one packed polynomial body under p's layout: its
-// residue rows, each at its channel's width.
-func unpackPolyP(dst ntt.Poly, p *Params, src []byte) {
-	off := 0
+// residue rows, each at its channel's width. It reports whether every
+// row is canonical.
+func unpackPolyP(dst ntt.Poly, p *Params, src []byte) bool {
+	ok, off := true, 0
 	for i, m := range p.Basis.Mods {
 		rb := p.rowBytes(i)
-		unpackPolyInto(p.row(dst, i), src[off:off+rb], m.BitLen())
+		ok = unpackPolyInto(p.row(dst, i), src[off:off+rb], m.BitLen(), m.Q) && ok
 		off += rb
 	}
+	return ok
 }
 
 // packPolyP is the packing counterpart of unpackPolyP.
@@ -212,9 +222,8 @@ func ParsePrivateKeyBody(p *Params, body []byte) (*PrivateKey, error) {
 		return nil, fmt.Errorf("core: private key: body is %d bytes, want %d", len(body), p.PolyBytes())
 	}
 	sk := &PrivateKey{Params: p, R2: p.newPoly()}
-	unpackPolyP(sk.R2, p, body)
-	if err := checkRange(p, sk.R2); err != nil {
-		return nil, fmt.Errorf("core: private key: %w", err)
+	if !unpackPolyP(sk.R2, p, body) {
+		return nil, fmt.Errorf("core: private key: %w", checkRange(p, sk.R2))
 	}
 	return sk, nil
 }
@@ -286,10 +295,8 @@ func ParseCiphertextBodyInto(ct *Ciphertext, body []byte) error {
 	if len(body) != 2*pb {
 		return fmt.Errorf("core: ciphertext: body is %d bytes, want %d", len(body), 2*pb)
 	}
-	unpackPolyP(ct.C1, p, body[:pb])
-	unpackPolyP(ct.C2, p, body[pb:])
-	if err := checkRange(p, ct.C1, ct.C2); err != nil {
-		return fmt.Errorf("core: ciphertext: %w", err)
+	if !unpackPolyP(ct.C1, p, body[:pb]) || !unpackPolyP(ct.C2, p, body[pb:]) {
+		return fmt.Errorf("core: ciphertext: %w", checkRange(p, ct.C1, ct.C2))
 	}
 	// The ciphertext wire body carries no noise accounting; a parsed blob is
 	// assumed fresh. Aggregates travel with an explicit addend count and set
@@ -348,13 +355,15 @@ func writePolysTo(w io.Writer, p *Params, polys ...ntt.Poly) (int64, error) {
 }
 
 // readPolysFrom fills polys from the packed stream r chunk by chunk,
-// returning the byte count consumed. Coefficients are range-checked after
-// each poly completes, as the one-shot parsers do.
+// returning the byte count consumed. Coefficients are range-checked as
+// they unpack, and a poly with an offender fails once it completes, as in
+// the one-shot parsers.
 func readPolysFrom(r io.Reader, p *Params, polys ...ntt.Poly) (int64, error) {
 	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
 	defer streamChunkPool.Put(buf)
 	var read int64
 	for _, poly := range polys {
+		ok := true
 		for i, m := range p.Basis.Mods {
 			width := m.BitLen()
 			row := p.row(poly, i)
@@ -366,11 +375,11 @@ func readPolysFrom(r io.Reader, p *Params, polys ...ntt.Poly) (int64, error) {
 				if err != nil {
 					return read, err
 				}
-				unpackPolyInto(row[off:end], buf[:nb], width)
+				ok = unpackPolyInto(row[off:end], buf[:nb], width, m.Q) && ok
 			}
 		}
-		if err := checkRange(p, poly); err != nil {
-			return read, err
+		if !ok {
+			return read, checkRange(p, poly)
 		}
 	}
 	return read, nil
@@ -444,7 +453,9 @@ func checkBlob(p *Params, data []byte, polys int) error {
 
 // checkRange enforces per-row canonicity: row i's coefficients must be
 // below qᵢ. Oversized residues would smuggle non-canonical values through
-// the CRT (or, for one channel, past the threshold decoder).
+// the CRT (or, for one channel, past the threshold decoder). The parsers
+// check canonicity as they unpack and call it only on a rejected body, for
+// the error naming the first offender.
 func checkRange(p *Params, polys ...ntt.Poly) error {
 	for _, poly := range polys {
 		for i, qi := range p.Basis.Moduli {

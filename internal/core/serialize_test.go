@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ringlwe/internal/ntt"
@@ -201,9 +202,14 @@ func TestPackMatchesBitSerial(t *testing.T) {
 			wantPoly := make(ntt.Poly, n)
 			refUnpackPolyInto(wantPoly, packed, width)
 			gotPoly := make(ntt.Poly, n)
-			unpackPolyInto(gotPoly, packed, width)
+			// Against q = 2^width − 1, only an all-ones field is out of range.
+			q := uint32(uint64(1)<<width - 1)
+			ok := unpackPolyInto(gotPoly, packed, width, q)
 			if !equalPoly(gotPoly, wantPoly) {
 				t.Fatalf("width %d, n %d: unpackPolyInto differs from the bit-serial oracle", width, n)
+			}
+			if want := !slices.Contains(wantPoly, q); ok != want {
+				t.Fatalf("width %d, n %d: unpackPolyInto reports in range %v, want %v", width, n, ok, want)
 			}
 		}
 	}
@@ -339,7 +345,7 @@ func BenchmarkUnpackRow(b *testing.B) {
 	poly := make(ntt.Poly, 1024)
 	b.Run("word", func(b *testing.B) {
 		for b.Loop() {
-			unpackPolyInto(poly, packed, 30)
+			unpackPolyInto(poly, packed, 30, 1<<30)
 		}
 	})
 	b.Run("bit-serial", func(b *testing.B) {

@@ -183,26 +183,6 @@ func (w *Workspace) GenerateKeysShared(a ntt.Poly) (*PublicKey, *PrivateKey, err
 	return pk, sk, nil
 }
 
-// addEncoded adds ⌊q/2⌋ to every coefficient whose message bit is set, as
-// its residue in each channel — the Encode step fused into the e3 error
-// polynomial, allocation-free. Byte k of msg covers coefficients
-// [8k, 8k+8) of every row.
-func addEncoded(p *Params, dst ntt.Poly, msg []byte) {
-	b := p.Basis
-	for i, mod := range b.Mods {
-		half := b.HalfQRes(i)
-		row := p.row(dst, i)
-		for k, m := range msg {
-			c := row[8*k : 8*k+8]
-			for j := range c {
-				if m>>j&1 == 1 {
-					c[j] = mod.Add(c[j], half)
-				}
-			}
-		}
-	}
-}
-
 // EncryptInto produces (c̃1, c̃2) for a MessageBytes-byte message, writing
 // into the caller-owned ciphertext (see NewCiphertext). The operation count
 // is the paper's §II-C: three error samplings, three forward NTTs (fused),
@@ -224,13 +204,7 @@ func (w *Workspace) EncryptInto(ct *Ciphertext, pk *PublicKey, msg []byte) error
 	w.errorPolyInto(w.e1)
 	w.errorPolyInto(w.e2)
 	w.errorPolyInto(w.e3)
-	// e3 + m̄ in the normal domain; the branch is on the scheme's
-	// configuration, never on message bits.
-	if w.scheme.ctDecode {
-		AddEncodedConstantTime(p, w.e3, msg)
-	} else {
-		addEncoded(p, w.e3, msg)
-	}
+	addEncoded(p, w.e3, msg) // e3 + m̄ in the normal domain
 	// The three forward transforms of one encryption, fused per channel
 	// exactly as the paper's parallel-3 NTT (and the instrumented
 	// Cortex-M4F model) fuses them.
@@ -260,5 +234,5 @@ func (w *Workspace) Encrypt(pk *PublicKey, msg []byte) (*Ciphertext, error) {
 // allocation-free.
 func (w *Workspace) DecryptInto(dst []byte, sk *PrivateKey, ct *Ciphertext) error {
 	s := w.scheme
-	return decryptInto(s.Params, s.runner, s.ctDecode, dst, w.e1, sk, ct)
+	return decryptInto(s.Params, s.runner, dst, w.e1, sk, ct)
 }

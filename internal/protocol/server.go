@@ -11,7 +11,6 @@ import (
 	"net"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -382,7 +381,6 @@ func (s *Server) AddTenant(scheme *ringlwe.Scheme, pk *ringlwe.PublicKey, sk *ri
 		"params":  p.Name(),
 		"engine":  prof.Engine,
 		"sampler": prof.Sampler,
-		"ct":      strconv.FormatBool(prof.ConstantTimeDecode),
 	}, 1).Inc(0)
 	if s.defaultID == 0 {
 		s.defaultID = id

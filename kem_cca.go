@@ -64,14 +64,13 @@ func deriveCoins(pkDigest [32]byte, m []byte) []byte {
 
 // encryptDerand encrypts m under pk with coins-derived randomness; the
 // same (pk, m) always yields the same ciphertext. It runs on the scheme's
-// NTT engine and codec, which never change the result, and always samples
+// NTT engine, which never changes the result, and always samples
 // with knuth-yao: both FO sides must draw the same error polynomials from
 // the coins, whatever their profile or sampler.Default.
 func (s *Scheme) encryptDerand(pk *PublicKey, m, coins []byte) (*Ciphertext, error) {
 	enc, err := core.NewWithOptions(s.params.inner, rng.NewHashDRBG(coins), core.Options{
-		Engine:             s.inner.Engine(),
-		Sampler:            "knuth-yao",
-		ConstantTimeDecode: s.inner.ConstantTimeDecode(),
+		Engine:  s.inner.Engine(),
+		Sampler: "knuth-yao",
 	})
 	if err != nil {
 		return nil, err

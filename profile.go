@@ -9,12 +9,12 @@ import (
 )
 
 // Profile is the resolved security/performance configuration of a Scheme:
-// which NTT backend transforms run through, which Gaussian sampler
-// backend error polynomials come from, and whether the message codec is
-// the branchless constant-time one. Profiles compose: start from the
-// default or a preset (Reference, ConstantTime) and override single
-// fields with the orthogonal options (WithEngine, WithSampler,
-// WithConstantTimeDecode), or hand-assemble one and apply it with
+// which NTT backend transforms run through and which Gaussian sampler
+// backend error polynomials come from. The message codec is not part of
+// it: every profile encodes and decodes with the same branch-free codec.
+// Profiles compose: start from the default or a preset (Reference,
+// ConstantTime) and override single fields with the orthogonal options
+// (WithEngine, WithSampler), or hand-assemble one and apply it with
 // WithProfile. Scheme.Profile reports the configuration a scheme
 // resolved to.
 type Profile struct {
@@ -28,10 +28,6 @@ type Profile struct {
 	// Left empty, it resolves by randomness source: "wide-ky" under New,
 	// "knuth-yao" under NewDeterministic.
 	Sampler string
-	// ConstantTimeDecode selects the branchless message codec: no
-	// plaintext bit steers a branch or memory index on the encrypt or
-	// decrypt path. Bit-identical results, slightly more arithmetic.
-	ConstantTimeDecode bool
 }
 
 // Preset profile values. The presets are exposed as Options (Reference,
@@ -46,7 +42,7 @@ var (
 	profileDefault   = Profile{Engine: ntt.DefaultEngine, Sampler: "wide-ky"}
 	profileSeeded    = Profile{Engine: ntt.DefaultEngine, Sampler: sampler.Default}
 	profileReference = Profile{Engine: "barrett", Sampler: "knuth-yao"}
-	profileConstTime = Profile{Engine: "shoup", Sampler: "cdt", ConstantTimeDecode: true}
+	profileConstTime = Profile{Engine: "shoup", Sampler: "cdt"}
 )
 
 // Name returns the preset label this profile corresponds to —
@@ -73,11 +69,7 @@ type config struct {
 }
 
 func (c config) coreOptions() core.Options {
-	return core.Options{
-		Engine:             c.profile.Engine,
-		Sampler:            c.profile.Sampler,
-		ConstantTimeDecode: c.profile.ConstantTimeDecode,
-	}
+	return core.Options{Engine: c.profile.Engine, Sampler: c.profile.Sampler}
 }
 
 // Option configures optional Scheme behaviour at construction.
@@ -113,12 +105,13 @@ func Fast() Option { return WithProfile(Profile{Sampler: profileDefault.Sampler}
 // implementation.
 func Reference() Option { return WithProfile(profileReference) }
 
-// ConstantTime selects the data-oblivious preset: Shoup NTT kernels, the
-// fixed-shape CDT Gaussian sampler (same table probes and arithmetic for
-// every sample), and the branchless message codec — no secret bit steers
-// a branch or a memory index on the encrypt or decrypt path. Results are
-// bit-compatible with every other profile (same distribution, same
-// decryption), still at zero steady-state allocations.
+// ConstantTime selects the data-oblivious preset: Shoup NTT kernels and
+// the fixed-shape CDT Gaussian sampler (same table probes and arithmetic
+// for every sample). With the branch-free message codec every profile
+// shares, no secret bit steers a branch or a memory index on the encrypt
+// or decrypt path. Results are bit-compatible with every other profile
+// (same distribution, same decryption), still at zero steady-state
+// allocations.
 func ConstantTime() Option { return WithProfile(profileConstTime) }
 
 // WithProfile applies a complete Profile, replacing any previously applied
@@ -161,16 +154,6 @@ func WithSampler(name string) Option {
 // Samplers lists the registered Gaussian sampler backend names accepted by
 // WithSampler.
 func Samplers() []string { return sampler.Names() }
-
-// WithConstantTimeDecode routes message encoding and decoding through the
-// branchless constant-time codecs without changing the NTT or sampler
-// backends. Results are bit-identical to the branching codecs on every
-// input; only the instruction trace stops depending on plaintext bits.
-// For the fully data-oblivious configuration use the ConstantTime preset,
-// which also fixes the sampler's shape.
-func WithConstantTimeDecode() Option {
-	return func(c *config) { c.profile.ConstantTimeDecode = true }
-}
 
 // WithRandom makes New draw all randomness from r instead of the operating
 // system CSPRNG — the hook for hardware entropy sources, seeded DRBGs and

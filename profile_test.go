@@ -40,10 +40,10 @@ func TestProfileResolution(t *testing.T) {
 		{"default", false, []Option{WithRandom(rand.Reader), WithSampler("knuth-yao")}, Profile{Engine: "vector", Sampler: "knuth-yao"}},
 		{"reference", false, []Option{Reference()}, Profile{Engine: "barrett", Sampler: "knuth-yao"}},
 		{"reference", true, []Option{Reference()}, Profile{Engine: "barrett", Sampler: "knuth-yao"}},
-		{"constant-time", true, []Option{ConstantTime()}, Profile{Engine: "shoup", Sampler: "cdt", ConstantTimeDecode: true}},
+		{"constant-time", true, []Option{ConstantTime()}, Profile{Engine: "shoup", Sampler: "cdt"}},
 		{"custom", true, []Option{Fast(), WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
-		{"custom", true, []Option{WithConstantTimeDecode()}, Profile{Engine: "vector", Sampler: "knuth-yao", ConstantTimeDecode: true}},
-		{"custom", false, []Option{WithConstantTimeDecode()}, Profile{Engine: "vector", Sampler: "wide-ky", ConstantTimeDecode: true}},
+		{"custom", true, []Option{WithEngine("shoup")}, Profile{Engine: "shoup", Sampler: "knuth-yao"}},
+		{"custom", false, []Option{WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
 		// WithProfile with zero fields resolves to the constructor's defaults.
 		{"default", true, []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "vector", Sampler: "knuth-yao"}},
 		{"default", false, []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "vector", Sampler: "wide-ky"}},

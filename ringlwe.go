@@ -28,8 +28,10 @@
 //   - Security profiles compose a Scheme's backends: Fast (throughput),
 //     Reference (the KAT-pinned paper pipeline) and ConstantTime (fully
 //     data-oblivious encrypt/decrypt), refined by the orthogonal options
-//     WithEngine, WithSampler, WithConstantTimeDecode and WithRandom;
-//     Scheme.Profile reports the resolved configuration.
+//     WithEngine, WithSampler and WithRandom; Scheme.Profile reports the
+//     resolved configuration. Every profile, and the scheme-less
+//     PrivateKey.Decrypt, encodes and decodes messages with one
+//     branch-free codec.
 //   - A self-describing wire format: keys, ciphertexts and encapsulation
 //     blobs implement encoding.BinaryMarshaler/BinaryAppender/
 //     BinaryUnmarshaler with a versioned header carrying a registered

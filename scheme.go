@@ -79,15 +79,14 @@ func newScheme(p *Params, inner *core.Scheme) *Scheme {
 // Params returns the scheme's parameter set.
 func (s *Scheme) Params() *Params { return s.params }
 
-// Profile reports the configuration the scheme resolved to: backend names
-// and hardening switches, with presets recoverable via Profile.Name. The
+// Profile reports the configuration the scheme resolved to: its backend
+// names, with presets recoverable via Profile.Name. The
 // round trip New(p, WithProfile(s.Profile())) reconstructs an equivalent
 // scheme.
 func (s *Scheme) Profile() Profile {
 	return Profile{
-		Engine:             s.inner.Engine(),
-		Sampler:            s.inner.Sampler(),
-		ConstantTimeDecode: s.inner.ConstantTimeDecode(),
+		Engine:  s.inner.Engine(),
+		Sampler: s.inner.Sampler(),
 	}
 }
 
