@@ -41,26 +41,33 @@ func BenchmarkEncryptEngineSampler(b *testing.B) {
 
 // BenchmarkKEMPairOS measures the production KEM configuration: one
 // workspace Encapsulate plus Decapsulate on a New scheme, so the wide-ky
-// sampler draws from the workspace's OS-keyed AES-CTR keystream.
+// sampler draws from the workspace's OS-keyed AES-CTR keystream. The
+// -constant-time rows run the same pair under ConstantTime() (shoup +
+// cdt), so the price of the constant-time profile stays measured.
 func BenchmarkKEMPairOS(b *testing.B) {
 	for _, p := range []*Params{P1(), P2()} {
-		b.Run(p.Name(), func(b *testing.B) {
-			pk, sk, err := NewDeterministic(p, 1).GenerateKeys()
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := New(p).NewWorkspace()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blob, _, err := w.Encapsulate(pk)
+		for _, row := range []struct {
+			suffix string
+			opts   []Option
+		}{{"", nil}, {"-constant-time", []Option{ConstantTime()}}} {
+			b.Run(p.Name()+row.suffix, func(b *testing.B) {
+				pk, sk, err := NewDeterministic(p, 1).GenerateKeys()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := w.Decapsulate(sk, blob); err != nil && !errors.Is(err, ErrDecapsulation) {
-					b.Fatal(err)
+				w := New(p, row.opts...).NewWorkspace()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					blob, _, err := w.Encapsulate(pk)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := w.Decapsulate(sk, blob); err != nil && !errors.Is(err, ErrDecapsulation) {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -4,13 +4,15 @@ import "ringlwe/internal/ntt"
 
 // Message codec. Encoding and decoding are the scheme steps that touch
 // plaintext bits directly, and the paper leaves constant-time execution
-// as future work (§V). Both run on branchless arithmetic under every
-// profile: no message bit or coefficient value steers a branch or a
-// memory index. Message bits are random, so a branch on them would also
-// mispredict about half the time. The remaining variable-time components
-// are the Knuth-Yao samplers (the cdt backend is the constant-time
-// alternative), which the CCA KEM's FO re-encryption uses under every
-// profile, and Go's own scheduler noise.
+// as future work (§V). Encoding, and decoding of one-channel sets (P1, P2,
+// A1), run on branchless arithmetic under every profile: no message bit
+// or coefficient value steers a branch or a memory index. Message bits
+// are random, so a branch on them would also mispredict about half the
+// time. The remaining variable-time components are the K > 1 decode
+// (crtDecodeInto's CRT reconstruction branches on the coefficient, under
+// every profile, until ROADMAP item 1 lands), the Knuth-Yao samplers (the
+// cdt backend is the constant-time alternative), which the CCA KEM's FO
+// re-encryption uses under every profile, and Go's own scheduler noise.
 
 // DecodeInto decodes a one-channel polynomial m into the caller-owned
 // MessageBytes buffer dst with the threshold test: coefficient c decodes

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -208,32 +209,41 @@ func TestSchemeDecryptIntoZeroAlloc(t *testing.T) {
 }
 
 // TestParseRejectsOutOfRangeWithOffender pins the error text of a rejected
-// body now that the range check is folded into unpacking: every parser
-// still names the first offending coefficient, whether it sits in the
-// first row, in the last row, or in the byte-wise tail of a row (the last
-// coefficients, which unpack without a 64-bit load).
+// body now that the range check is folded into unpacking: every parser,
+// one-shot or streamed chunk by chunk, still names the offending
+// coefficient. Each row of P1 (13 bits), P2 (14 bits) and B1 (three 29-bit
+// rows) takes q and 2^w − 1 at each of the 8 positions of its first and
+// its last group, in either polynomial of the body, and once in the middle
+// of the row.
 func TestParseRejectsOutOfRangeWithOffender(t *testing.T) {
-	for _, p := range []*Params{P1(), B1()} {
-		last := p.K() - 1
-		qLast := p.Basis.Moduli[last]
-		for _, c := range []struct {
-			name            string
-			poly, row, coef int
-			v               uint32
-		}{
-			{"first row", 0, 0, 0, p.Basis.Moduli[0]},
-			{"last row", 1, last, p.N / 2, uint32(1)<<p.Basis.Mods[last].BitLen() - 1},
-			{"row tail", 0, 0, p.N - 1, p.Basis.Moduli[0] + 1},
-			{"last row tail", 1, last, p.N - 1, qLast},
-		} {
-			src := rng.NewXorshift128(4005)
-			polys := []ntt.Poly{randCanonicalPoly(p, src), randCanonicalPoly(p, src)}
+	type offender struct {
+		poly, row, coef int
+		v               uint32
+	}
+	for _, p := range []*Params{P1(), P2(), B1()} {
+		var cases []offender
+		for row, m := range p.Basis.Mods {
+			for _, v := range []uint32{m.Q, 1<<m.BitLen() - 1} {
+				cases = append(cases, offender{1, row, p.N / 2, v})
+				for _, group := range []int{0, p.N - 8} {
+					for k := range 8 {
+						for poly := range 2 {
+							cases = append(cases, offender{poly, row, group + k, v})
+						}
+					}
+				}
+			}
+		}
+		src := rng.NewXorshift128(4005)
+		clean := []ntt.Poly{randCanonicalPoly(p, src), randCanonicalPoly(p, src)}
+		for _, c := range cases {
+			polys := []ntt.Poly{slices.Clone(clean[0]), slices.Clone(clean[1])}
 			polys[c.poly][c.row*p.N+c.coef] = c.v
 			offender := fmt.Sprintf("residue row %d coefficient %d out of range: %d ≥ q%d", c.row, c.coef, c.v, c.row+1)
 			check := func(parser string, err error, prefix string) {
 				t.Helper()
 				if want := prefix + offender; err == nil || err.Error() != want {
-					t.Errorf("%s %s: %s returned %v, want %q", p.Name, c.name, parser, err, want)
+					t.Errorf("%s poly %d: %s returned %v, want %q", p.Name, c.poly, parser, err, want)
 				}
 			}
 
@@ -261,12 +271,17 @@ func TestParseRejectsOutOfRangeWithOffender(t *testing.T) {
 }
 
 // TestCodecHasNoDataBranches is a static no-branch gate for the message
-// codec. It builds this package's test binary without the race detector,
-// disassembles DecodeInto and addEncoded with go tool objdump, and fails
-// on any conditional jump that is neither loop control (a jump the
-// compiler attributes to a for statement's line) nor a jump to a bounds
-// check (a block that calls a runtime panic). Negative control: the
-// branching oracles refDecode and refAddEncoded must be flagged.
+// codec and the coefficient packing that private keys pass through. It
+// builds this package's test binary without the race detector,
+// disassembles DecodeInto, addEncoded, the width kernels and the generic
+// pack and unpack loops with go tool objdump, and fails on any
+// conditional jump that is neither loop control (a jump the compiler
+// attributes to a for statement's line) nor a bounds check (a jump one of
+// whose two arms calls a runtime panic). packPoly and unpackPolyInto
+// themselves are not gated: they branch on width and length, which are
+// public. Every gated symbol has a non-inlined caller, so the linker keeps
+// it; a missing one fails the test. Negative control: the branching
+// oracles refDecode, refAddEncoded and refPackPoly must be flagged.
 func TestCodecHasNoDataBranches(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the no-branch gate reads amd64 disassembly; GOARCH is %s", runtime.GOARCH)
@@ -280,7 +295,7 @@ func TestCodecHasNoDataBranches(t *testing.T) {
 	if out, err := exec.Command(goTool, "test", "-c", "-race=false", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building the test binary: %v\n%s", err, out)
 	}
-	out, err := exec.Command(goTool, "tool", "objdump", "-s", `^ringlwe/internal/core\.(DecodeInto|addEncoded|refDecode|refAddEncoded)$`, bin).Output()
+	out, err := exec.Command(goTool, "tool", "objdump", "-s", `^ringlwe/internal/core\.(DecodeInto|addEncoded|(un)?pack(Generic|13|14|29)|refDecode|refAddEncoded|refPackPoly)$`, bin).Output()
 	if err != nil {
 		t.Fatalf("go tool objdump: %v", err)
 	}
@@ -288,7 +303,9 @@ func TestCodecHasNoDataBranches(t *testing.T) {
 	isLoop := forLines(t)
 	for name, branchFree := range map[string]bool{
 		"DecodeInto": true, "addEncoded": true,
-		"refDecode": false, "refAddEncoded": false,
+		"packGeneric": true, "pack13": true, "pack14": true, "pack29": true,
+		"unpackGeneric": true, "unpack13": true, "unpack14": true, "unpack29": true,
+		"refDecode": false, "refAddEncoded": false, "refPackPoly": false,
 	} {
 		insts, ok := funcs["ringlwe/internal/core."+name]
 		if !ok {
@@ -362,21 +379,22 @@ func forLines(t *testing.T) map[string]bool {
 }
 
 // dataBranches lists the conditional jumps of one function that neither
-// sit on a line in isLoop nor lead into a block that calls a runtime
-// panic before any other jump or return.
+// sit on a line in isLoop nor have an arm — the jump target or the fall
+// through — that calls a runtime panic before any conditional jump or
+// return. The compiler lays a bounds check out either way round: a jump
+// into the panic block, or a jump over an unconditional jump to it.
 func dataBranches(insts []inst, isLoop map[string]bool) []string {
 	at := make(map[uint64]int, len(insts))
 	for i, in := range insts {
 		at[in.addr] = i
 	}
 	var flagged []string
-	for _, in := range insts {
+	for k, in := range insts {
 		op, arg, _ := strings.Cut(in.asm, " ")
 		if !strings.HasPrefix(op, "J") || op == "JMP" || isLoop[in.pos] {
 			continue
 		}
-		target, err := strconv.ParseUint(strings.TrimPrefix(strings.TrimSpace(arg), "0x"), 16, 64)
-		if i, ok := at[target]; err == nil && ok && reachesPanic(insts[i:]) {
+		if i, ok := at[jumpTarget(arg)]; ok && reachesPanic(insts, at, i) || reachesPanic(insts, at, k+1) {
 			continue
 		}
 		flagged = append(flagged, fmt.Sprintf("  %s\t%#x\t%s", in.pos, in.addr, in.asm))
@@ -384,17 +402,35 @@ func dataBranches(insts []inst, isLoop map[string]bool) []string {
 	return flagged
 }
 
-// reachesPanic reports whether straight-line code from insts[0] calls a
-// runtime panic (an index, slice or shift check) before it jumps or
-// returns.
-func reachesPanic(insts []inst) bool {
-	for _, in := range insts {
-		op, arg, _ := strings.Cut(in.asm, " ")
+// jumpTarget parses a jump's operand, an absolute address in hex; it
+// returns 0, which no instruction has, for anything else.
+func jumpTarget(arg string) uint64 {
+	target, err := strconv.ParseUint(strings.TrimPrefix(strings.TrimSpace(arg), "0x"), 16, 64)
+	if err != nil {
+		return 0
+	}
+	return target
+}
+
+// reachesPanic reports whether the code from insts[i], following
+// unconditional jumps, calls a runtime panic (an index, slice or shift
+// check) before it takes a conditional jump or returns.
+func reachesPanic(insts []inst, at map[uint64]int, i int) bool {
+	for steps := 0; i < len(insts) && steps < len(insts); steps++ {
+		op, arg, _ := strings.Cut(insts[i].asm, " ")
 		switch {
 		case op == "CALL":
 			return strings.HasPrefix(arg, "runtime.panic") || strings.HasPrefix(arg, "runtime.goPanic")
+		case op == "JMP":
+			next, ok := at[jumpTarget(arg)]
+			if !ok {
+				return false
+			}
+			i = next
 		case strings.HasPrefix(op, "J") || op == "RET":
 			return false
+		default:
+			i++
 		}
 	}
 	return false

@@ -39,7 +39,11 @@ func (p *Params) rowBytes(i int) int {
 
 // crtDecodeInto is the K > 1 decoder: it CRT-reconstructs each coefficient
 // and applies the threshold test 4c ∈ (q, 3q) in the 128-bit accumulator.
-// The borrow-based DecodeCoeff is branchless, like DecodeInto.
+// Only the final DecodeCoeff test is borrow-based. ReconstructCoeff is not
+// branch-free: Reduce's conditional subtraction (zq.go) and the fold loop
+// that subtracts q until it borrows (basis.go) jump on the secret
+// pre-decoding coefficient, so B1 decryption is variable-time under every
+// profile until a fixed-point CRT decode replaces it (ROADMAP item 1).
 func crtDecodeInto(dst []byte, p *Params, m ntt.Poly) {
 	b := p.Basis
 	clear(dst)

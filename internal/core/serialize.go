@@ -11,22 +11,31 @@ import (
 )
 
 // Serialization packs each coefficient into its channel's bit width (13
-// for P1, 14 for P2), little-endian within the bit stream, matching the
-// paper's observation that coefficients fit in half words. A polynomial
-// serializes as its residue rows in channel order, each byte-aligned, so
-// every row is independently parseable and range-checked; a one-channel
-// set's body is its single row. A one-byte header tags the parameter set
-// so mismatches fail loudly instead of decrypting noise.
+// for P1, 14 for P2 and A1, 29 for B1), little-endian within the bit
+// stream, matching the paper's observation that coefficients fit in half
+// words. A polynomial serializes as its residue rows in channel order,
+// each byte-aligned, so every row is independently parseable and
+// range-checked; a one-channel set's body is its single row. A one-byte
+// header tags the parameter set so mismatches fail loudly instead of
+// decrypting noise.
 //
-// The wire layout is fixed; only the loops that move it are tuned. Like
-// the paper's half-word stores, packPoly and unpackPolyInto move a machine
-// word per coefficient rather than a bit: a 64-bit accumulator flushed as
-// whole bytes on the way out, one 64-bit load shifted and masked on the
-// way in. Every path — appendPolys, MarshalInto and the streaming
-// chunks — runs through these two functions, and the tests check them
-// byte for byte against the original bit-at-a-time loops. Unpacking also
-// folds in the canonical-range check, with no branch per coefficient;
-// checkRange runs only on a rejected body, to name the first offender.
+// The wire layout is fixed; only the loops that move it are tuned. Every
+// path — appendPolys, MarshalInto, the parsers and the streaming chunks —
+// runs through packPoly and unpackPolyInto, and the tests check them byte
+// for byte against the original bit-at-a-time loops. Eight w-bit
+// coefficients fill exactly w bytes, so the rows of the registered sets
+// (13 bits for P1, 14 for P2 and A1, 29 for each of B1's rows) and every
+// 64-coefficient streaming chunk are whole 8-coefficient groups. Those run
+// one straight-line kernel per width, a few 64-bit words per group with
+// constant offsets and shifts; other widths and lengths run a generic
+// loop that moves a 64-bit word per coefficient. On a 2-vCPU Intel Xeon
+// (Go 1.24.0, GOMAXPROCS 2), a 1024-coefficient row unpacks in 1.0–1.2 µs
+// and packs in 0.7–1.0 µs through the kernels, against 3.4–4.2 µs and
+// 3.8–5.2 µs in the generic loop (BenchmarkUnpackRow, BenchmarkPackRow,
+// medians over 13, 14 and 29 bits).
+// Unpacking also folds in the canonical-range check, with no branch per
+// coefficient; checkRange runs only on a rejected body, to name the first
+// offender.
 
 // LegacyTag returns the one-byte parameter tag the legacy tagged format
 // (Bytes/Parse*) opens with: 1 for P1, 2 for P2, 0 for custom sets. The
@@ -75,14 +84,57 @@ func appendPolys(dst []byte, p *Params, polys ...ntt.Poly) []byte {
 }
 
 // packPoly packs the low width bits of every coefficient of p into dst,
-// little-endian in the bit stream, overwriting every byte up to the last
-// (partial) one the stream covers. It keeps a 64-bit accumulator of fewer
-// than 8 pending bits, adds one masked coefficient per step, and flushes
-// the whole bytes: with an 8-byte store while eight bytes of dst remain,
-// byte by byte in the tail. The loop branches on width and position only,
-// never on coefficient bits, so packing a private key is branch-free in
-// the secret.
+// little-endian in the bit stream, overwriting every byte; dst holds
+// exactly ⌈len(p)·width/8⌉ bytes, the last one possibly partial. A row of whole 8-coefficient groups at
+// 13, 14 or 29 bits — every row of a registered set, and every streaming
+// chunk — runs that width's kernel; any other shape runs packGeneric.
+// The choice depends on width and lengths only, never on coefficient
+// bits.
 func packPoly(dst []byte, p ntt.Poly, width uint) {
+	if len(p)%8 == 0 && len(dst) == len(p)/8*int(width) {
+		switch width {
+		case 13:
+			pack13(dst, p)
+			return
+		case 14:
+			pack14(dst, p)
+			return
+		case 29:
+			pack29(dst, p)
+			return
+		}
+	}
+	packGeneric(dst, p, width)
+}
+
+// unpackPolyInto reverses packPoly: coefficient i is the width-bit field
+// at bit i·width of src. It reports whether every coefficient is below q:
+// the borrows of q − 1 − v are ORed together and tested once per row. Like
+// packPoly, it runs a width kernel on a row of whole 13-, 14- or 29-bit
+// groups and unpackGeneric otherwise.
+func unpackPolyInto(dst ntt.Poly, src []byte, width uint, q uint32) bool {
+	qm1 := uint64(q) - 1
+	if len(dst)%8 == 0 && len(src) == len(dst)/8*int(width) {
+		switch width {
+		case 13:
+			return unpack13(dst, src, qm1)>>63 == 0
+		case 14:
+			return unpack14(dst, src, qm1)>>63 == 0
+		case 29:
+			return unpack29(dst, src, qm1)>>63 == 0
+		}
+	}
+	return unpackGeneric(dst, src, width, qm1)>>63 == 0
+}
+
+// packGeneric packs at any width ≤ 32 into a dst of exactly
+// ⌈len(p)·width/8⌉ bytes. It keeps a 64-bit accumulator of fewer than 8
+// pending bits, adds one masked coefficient per step, and flushes the
+// whole bytes with an 8-byte store while eight bytes of dst remain; the
+// last few coefficients gather in the accumulator and leave byte by byte.
+// The loops branch on width and position only, never on coefficient bits,
+// so packing a private key is branch-free in the secret.
+func packGeneric(dst []byte, p ntt.Poly, width uint) {
 	mask := uint64(1)<<width - 1
 	var acc uint64 // pending bits, fewer than 8 between steps
 	var nacc uint  // number of pending bits
@@ -95,29 +147,26 @@ func packPoly(dst []byte, p ntt.Poly, width uint) {
 		acc >>= nacc &^ 7
 		nacc &= 7
 	}
+	// Fewer than eight bytes of dst remain, so the pending bits and every
+	// remaining coefficient fit in acc together.
 	for ; i < len(p); i++ {
 		acc |= (uint64(p[i]) & mask) << nacc
-		for nacc += width; nacc >= 8; nacc -= 8 {
-			dst[j] = byte(acc)
-			acc >>= 8
-			j++
-		}
+		nacc += width
 	}
-	if nacc > 0 {
+	for ; j < len(dst); j++ {
 		dst[j] = byte(acc)
+		acc >>= 8
 	}
 }
 
-// unpackPolyInto reverses packPoly: coefficient i is the width-bit field
-// at bit i·width of src. While eight bytes remain at the field's first
+// unpackGeneric unpacks at any width ≤ 32 and returns the OR of qm1 − v
+// over the coefficients v. While eight bytes remain at a field's first
 // byte it is one little-endian 64-bit load, shifted by the bit offset
-// within that byte and masked (width ≤ 32, so offset + width ≤ 39 bits
-// fit); the last few coefficients assemble only the bytes their field
-// spans, so no load reads past src. It reports whether every coefficient
-// is below q: the borrows of q − 1 − v are ORed together and tested once.
-func unpackPolyInto(dst ntt.Poly, src []byte, width uint, q uint32) bool {
+// within that byte and masked (offset + width ≤ 39 bits fit); the last
+// few coefficients assemble only the bytes their field spans, so no load
+// reads past src.
+func unpackGeneric(dst ntt.Poly, src []byte, width uint, qm1 uint64) uint64 {
 	mask := uint64(1)<<width - 1
-	qm1 := uint64(q) - 1
 	var over uint64
 	var bit uint
 	i := 0
@@ -138,7 +187,112 @@ func unpackPolyInto(dst ntt.Poly, src []byte, width uint, q uint32) bool {
 		dst[i] = uint32(v)
 		bit += width
 	}
-	return over>>63 == 0
+	return over
+}
+
+// Width kernels. Eight w-bit coefficients fill exactly w bytes, so each
+// kernel walks its row one 8-coefficient group at a time through
+// (*[8]uint32) and (*[w]byte) array views: constant load and store
+// offsets, constant shifts, no bounds check inside a group. A group moves
+// as a few overlapping little-endian 64-bit words — two for 13 and 14
+// bits (four coefficients each), four for 29 bits (two each). The words
+// overlap by whole bytes that both stores write with the same bits, and
+// the last word ends on the group's last byte, so a kernel never touches
+// a byte outside its group. Callers pass rows of whole groups with
+// len(src|dst) = len(row)/8·w.
+
+// putField stores the unpacked field v in *c and returns qm1 − v, whose
+// bit 63 is set iff v > qm1. Storing each field as it is checked keeps
+// fewer fields live than extracting all eight first, which spilled more
+// and measured slower.
+func putField(c *uint32, v, qm1 uint64) uint64 {
+	*c = uint32(v)
+	return qm1 - v
+}
+
+// pack13 packs a row of 13-bit groups: bits 0–63 and 40–103 of each.
+func pack13(dst []byte, p ntt.Poly) {
+	const m = 1<<13 - 1
+	for ; len(p) >= 8; p, dst = p[8:], dst[13:] {
+		c, d := (*[8]uint32)(p), (*[13]byte)(dst)
+		c0, c1, c2, c3 := uint64(c[0]&m), uint64(c[1]&m), uint64(c[2]&m), uint64(c[3]&m)
+		c4, c5, c6, c7 := uint64(c[4]&m), uint64(c[5]&m), uint64(c[6]&m), uint64(c[7]&m)
+		binary.LittleEndian.PutUint64(d[0:], c0|c1<<13|c2<<26|c3<<39|c4<<52)
+		binary.LittleEndian.PutUint64(d[5:], c3>>1|c4<<12|c5<<25|c6<<38|c7<<51)
+	}
+}
+
+// unpack13 unpacks a row of 13-bit groups and returns the OR of qm1 − v.
+func unpack13(dst ntt.Poly, src []byte, qm1 uint64) uint64 {
+	const m = 1<<13 - 1
+	var over uint64
+	for ; len(dst) >= 8; dst, src = dst[8:], src[13:] {
+		c, s := (*[8]uint32)(dst), (*[13]byte)(src)
+		lo, hi := binary.LittleEndian.Uint64(s[0:]), binary.LittleEndian.Uint64(s[5:])
+		over |= putField(&c[0], lo&m, qm1) | putField(&c[1], lo>>13&m, qm1) |
+			putField(&c[2], lo>>26&m, qm1) | putField(&c[3], lo>>39&m, qm1) |
+			putField(&c[4], hi>>12&m, qm1) | putField(&c[5], hi>>25&m, qm1) |
+			putField(&c[6], hi>>38&m, qm1) | putField(&c[7], hi>>51, qm1)
+	}
+	return over
+}
+
+// pack14 packs a row of 14-bit groups: bits 0–63 and 48–111 of each.
+func pack14(dst []byte, p ntt.Poly) {
+	const m = 1<<14 - 1
+	for ; len(p) >= 8; p, dst = p[8:], dst[14:] {
+		c, d := (*[8]uint32)(p), (*[14]byte)(dst)
+		c0, c1, c2, c3 := uint64(c[0]&m), uint64(c[1]&m), uint64(c[2]&m), uint64(c[3]&m)
+		c4, c5, c6, c7 := uint64(c[4]&m), uint64(c[5]&m), uint64(c[6]&m), uint64(c[7]&m)
+		binary.LittleEndian.PutUint64(d[0:], c0|c1<<14|c2<<28|c3<<42|c4<<56)
+		binary.LittleEndian.PutUint64(d[6:], c3>>6|c4<<8|c5<<22|c6<<36|c7<<50)
+	}
+}
+
+// unpack14 unpacks a row of 14-bit groups and returns the OR of qm1 − v.
+func unpack14(dst ntt.Poly, src []byte, qm1 uint64) uint64 {
+	const m = 1<<14 - 1
+	var over uint64
+	for ; len(dst) >= 8; dst, src = dst[8:], src[14:] {
+		c, s := (*[8]uint32)(dst), (*[14]byte)(src)
+		lo, hi := binary.LittleEndian.Uint64(s[0:]), binary.LittleEndian.Uint64(s[6:])
+		over |= putField(&c[0], lo&m, qm1) | putField(&c[1], lo>>14&m, qm1) |
+			putField(&c[2], lo>>28&m, qm1) | putField(&c[3], lo>>42&m, qm1) |
+			putField(&c[4], hi>>8&m, qm1) | putField(&c[5], hi>>22&m, qm1) |
+			putField(&c[6], hi>>36&m, qm1) | putField(&c[7], hi>>50, qm1)
+	}
+	return over
+}
+
+// pack29 packs a row of 29-bit groups: bits 0–63, 56–119, 112–175 and
+// 168–231 of each.
+func pack29(dst []byte, p ntt.Poly) {
+	const m = 1<<29 - 1
+	for ; len(p) >= 8; p, dst = p[8:], dst[29:] {
+		c, d := (*[8]uint32)(p), (*[29]byte)(dst)
+		c0, c1, c2, c3 := uint64(c[0]&m), uint64(c[1]&m), uint64(c[2]&m), uint64(c[3]&m)
+		c4, c5, c6, c7 := uint64(c[4]&m), uint64(c[5]&m), uint64(c[6]&m), uint64(c[7]&m)
+		binary.LittleEndian.PutUint64(d[0:], c0|c1<<29|c2<<58)
+		binary.LittleEndian.PutUint64(d[7:], c1>>27|c2<<2|c3<<31|c4<<60)
+		binary.LittleEndian.PutUint64(d[14:], c3>>25|c4<<4|c5<<33|c6<<62)
+		binary.LittleEndian.PutUint64(d[21:], c5>>23|c6<<6|c7<<35)
+	}
+}
+
+// unpack29 unpacks a row of 29-bit groups and returns the OR of qm1 − v.
+func unpack29(dst ntt.Poly, src []byte, qm1 uint64) uint64 {
+	const m = 1<<29 - 1
+	var over uint64
+	for ; len(dst) >= 8; dst, src = dst[8:], src[29:] {
+		c, s := (*[8]uint32)(dst), (*[29]byte)(src)
+		w0, w1 := binary.LittleEndian.Uint64(s[0:]), binary.LittleEndian.Uint64(s[7:])
+		w2, w3 := binary.LittleEndian.Uint64(s[14:]), binary.LittleEndian.Uint64(s[21:])
+		over |= putField(&c[0], w0&m, qm1) | putField(&c[1], w0>>29&m, qm1) |
+			putField(&c[2], w1>>2&m, qm1) | putField(&c[3], w1>>31&m, qm1) |
+			putField(&c[4], w2>>4&m, qm1) | putField(&c[5], w2>>33&m, qm1) |
+			putField(&c[6], w3>>6&m, qm1) | putField(&c[7], w3>>35, qm1)
+	}
+	return over
 }
 
 // AppendTo appends the packed body ã ‖ p̃ — no parameter tag — to dst and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -110,7 +111,10 @@ func TestCrossParameterParseFails(t *testing.T) {
 
 // refPackPoly is the bit-serial packer the word-at-a-time packPoly
 // replaced, kept as its oracle: one output bit per inner iteration, ORed
-// into a zeroed dst.
+// into a zeroed dst. It branches on every coefficient bit and stays out
+// of line, so the no-branch gate uses it as its packing negative control.
+//
+//go:noinline
 func refPackPoly(dst []byte, p ntt.Poly, width uint) {
 	bitPos := 0
 	for _, c := range p {
@@ -172,14 +176,22 @@ func randCanonicalPoly(p *Params, src *rng.Xorshift128) ntt.Poly {
 	return poly
 }
 
-// TestPackMatchesBitSerial pins packPoly and unpackPolyInto to the
-// bit-serial oracle byte for byte at every width from 1 to 32. Pack inputs
-// carry bits above width (which must be masked off) and pack into a dirty
-// buffer (every covered byte must be overwritten). Source and destination
-// slices are cut to the exact packed length, so a load or store past the
-// end panics. Length 13 ends on a partial byte.
+// TestPackMatchesBitSerial pins packPoly and unpackPolyInto, and the
+// generic loops they fall back to, to the bit-serial oracle byte for byte
+// at every width from 1 to 32. Pack inputs carry bits above width (which
+// must be masked off) and pack into a dirty buffer (every covered byte
+// must be overwritten). Source and destination slices are cut to the
+// exact packed length, so a load or store past the end panics. Length 13
+// ends on a partial byte; the other lengths run the width kernels at 13,
+// 14 and 29 bits.
 func TestPackMatchesBitSerial(t *testing.T) {
 	src := rng.NewXorshift128(31)
+	unpackers := map[string]func(ntt.Poly, []byte, uint, uint32) bool{
+		"unpackPolyInto": unpackPolyInto,
+		"unpackGeneric": func(dst ntt.Poly, src []byte, width uint, q uint32) bool {
+			return unpackGeneric(dst, src, width, uint64(q)-1)>>63 == 0
+		},
+	}
 	for width := uint(1); width <= 32; width++ {
 		for _, n := range []int{8, 13, 64, 1024} {
 			nb := (n*int(width) + 7) / 8
@@ -189,10 +201,12 @@ func TestPackMatchesBitSerial(t *testing.T) {
 			}
 			want := make([]byte, nb)
 			refPackPoly(want, poly, width)
-			got := bytes.Repeat([]byte{0xA5}, nb)
-			packPoly(got, poly, width)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("width %d, n %d: packPoly differs from the bit-serial oracle", width, n)
+			for name, pack := range map[string]func([]byte, ntt.Poly, uint){"packPoly": packPoly, "packGeneric": packGeneric} {
+				got := bytes.Repeat([]byte{0xA5}, nb)
+				pack(got, poly, width)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("width %d, n %d: %s differs from the bit-serial oracle", width, n, name)
+				}
 			}
 
 			packed := make([]byte, nb)
@@ -201,15 +215,62 @@ func TestPackMatchesBitSerial(t *testing.T) {
 			}
 			wantPoly := make(ntt.Poly, n)
 			refUnpackPolyInto(wantPoly, packed, width)
-			gotPoly := make(ntt.Poly, n)
 			// Against q = 2^width − 1, only an all-ones field is out of range.
 			q := uint32(uint64(1)<<width - 1)
-			ok := unpackPolyInto(gotPoly, packed, width, q)
-			if !equalPoly(gotPoly, wantPoly) {
-				t.Fatalf("width %d, n %d: unpackPolyInto differs from the bit-serial oracle", width, n)
+			for name, unpack := range unpackers {
+				gotPoly := make(ntt.Poly, n)
+				ok := unpack(gotPoly, packed, width, q)
+				if !equalPoly(gotPoly, wantPoly) {
+					t.Fatalf("width %d, n %d: %s differs from the bit-serial oracle", width, n, name)
+				}
+				if want := !slices.Contains(wantPoly, q); ok != want {
+					t.Fatalf("width %d, n %d: %s reports in range %v, want %v", width, n, name, ok, want)
+				}
 			}
-			if want := !slices.Contains(wantPoly, q); ok != want {
-				t.Fatalf("width %d, n %d: unpackPolyInto reports in range %v, want %v", width, n, ok, want)
+		}
+	}
+}
+
+// TestUnpackRangeEveryPosition checks the folded range check of each
+// width kernel against the real moduli: 13 bits against P1's 7681, 14
+// against P2's and A1's 12289, 29 against each of B1's moduli. Random
+// fields almost never exceed a 29-bit modulus, so TestPackMatchesBitSerial
+// leaves that verdict untested. On a streaming chunk and on a full row, a
+// row of q − 1 everywhere is accepted, and q or 2^w − 1 at any of the 8
+// positions of the first or the last group is rejected but still unpacked.
+func TestUnpackRangeEveryPosition(t *testing.T) {
+	type modulus struct {
+		width uint
+		q     uint32
+	}
+	mods := []modulus{{13, P1().Q}, {14, P2().Q}}
+	for _, q := range B1Moduli {
+		mods = append(mods, modulus{29, q})
+	}
+	for _, m := range mods {
+		for _, n := range []int{streamChunkCoeffs, 1024} {
+			row := make(ntt.Poly, n)
+			for i := range row {
+				row[i] = m.q - 1
+			}
+			packed := make([]byte, n/8*int(m.width))
+			refPackPoly(packed, row, m.width)
+			got := make(ntt.Poly, n)
+			if !unpackPolyInto(got, packed, m.width, m.q) || !equalPoly(got, row) {
+				t.Errorf("%d bits, q %d, n %d: a row of q − 1 is rejected or misread", m.width, m.q, n)
+			}
+			for _, group := range []int{0, n - 8} {
+				for k := range 8 {
+					for _, v := range []uint32{m.q, 1<<m.width - 1} {
+						bad := slices.Clone(row)
+						bad[group+k] = v
+						clear(packed)
+						refPackPoly(packed, bad, m.width)
+						if unpackPolyInto(got, packed, m.width, m.q) || !equalPoly(got, bad) {
+							t.Errorf("%d bits, q %d, n %d: %d at coefficient %d is accepted or misread", m.width, m.q, n, v, group+k)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -218,7 +279,7 @@ func TestPackMatchesBitSerial(t *testing.T) {
 // TestBodiesMatchBitSerial checks the one-shot append path and the
 // streaming chunk path against bodies packed by the bit-serial oracle, on
 // every shipped parameter set: P1 (13 bits), P2 and A1 (14 bits) and B1
-// (three 30-bit residue rows).
+// (three 29-bit residue rows).
 func TestBodiesMatchBitSerial(t *testing.T) {
 	src := rng.NewXorshift128(32)
 	for _, p := range []*Params{P1(), P2(), A1(), B1()} {
@@ -315,42 +376,68 @@ func BenchmarkMarshalInto(b *testing.B) {
 	}
 }
 
-// BenchmarkPackRow and BenchmarkUnpackRow time one 1024-coefficient row
-// at B1's 30-bit width, word-at-a-time against the bit-serial oracle.
+// rowWidths are the packed widths of the registered sets' rows: 13 bits
+// for P1, 14 for P2 and A1, 29 for each of B1's three rows.
+var rowWidths = []uint{13, 14, 29}
+
+// BenchmarkPackRow and BenchmarkUnpackRow time one 1024-coefficient row at
+// each registered width three ways: packPoly/unpackPolyInto, which run the
+// width's kernel; the generic word-at-a-time loop that other widths fall
+// back to; and the bit-serial oracle. A kernel earns its place only while
+// its row beats the generic one.
 func BenchmarkPackRow(b *testing.B) {
 	src := rng.NewXorshift128(34)
 	poly := make(ntt.Poly, 1024)
 	for i := range poly {
 		poly[i] = src.Uint32()
 	}
-	dst := make([]byte, 1024*30/8)
-	b.Run("word", func(b *testing.B) {
-		for b.Loop() {
-			packPoly(dst, poly, 30)
-		}
-	})
-	b.Run("bit-serial", func(b *testing.B) {
-		for b.Loop() {
-			refPackPoly(dst, poly, 30)
-		}
-	})
+	for _, w := range rowWidths {
+		dst := make([]byte, len(poly)/8*int(w))
+		b.Run(fmt.Sprintf("%dbit", w), func(b *testing.B) {
+			b.Run("kernel", func(b *testing.B) {
+				for b.Loop() {
+					packPoly(dst, poly, w)
+				}
+			})
+			b.Run("generic", func(b *testing.B) {
+				for b.Loop() {
+					packGeneric(dst, poly, w)
+				}
+			})
+			b.Run("bit-serial", func(b *testing.B) {
+				for b.Loop() {
+					refPackPoly(dst, poly, w)
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkUnpackRow(b *testing.B) {
 	src := rng.NewXorshift128(35)
-	packed := make([]byte, 1024*30/8)
-	for i := range packed {
-		packed[i] = byte(src.Uint32())
-	}
 	poly := make(ntt.Poly, 1024)
-	b.Run("word", func(b *testing.B) {
-		for b.Loop() {
-			unpackPolyInto(poly, packed, 30, 1<<30)
+	for _, w := range rowWidths {
+		packed := make([]byte, len(poly)/8*int(w))
+		for i := range packed {
+			packed[i] = byte(src.Uint32())
 		}
-	})
-	b.Run("bit-serial", func(b *testing.B) {
-		for b.Loop() {
-			refUnpackPolyInto(poly, packed, 30)
-		}
-	})
+		q := uint32(1) << w // every field is in range
+		b.Run(fmt.Sprintf("%dbit", w), func(b *testing.B) {
+			b.Run("kernel", func(b *testing.B) {
+				for b.Loop() {
+					unpackPolyInto(poly, packed, w, q)
+				}
+			})
+			b.Run("generic", func(b *testing.B) {
+				for b.Loop() {
+					unpackGeneric(poly, packed, w, uint64(q)-1)
+				}
+			})
+			b.Run("bit-serial", func(b *testing.B) {
+				for b.Loop() {
+					refUnpackPolyInto(poly, packed, w)
+				}
+			})
+		})
+	}
 }

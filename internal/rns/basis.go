@@ -50,7 +50,8 @@ type Basis struct {
 	QBits int
 
 	// q128 is q and q3 is 3q, in the accumulator width, for the
-	// branchless threshold decode 4c ∈ (q, 3q).
+	// borrow-based threshold test 4c ∈ (q, 3q). The reconstruction that
+	// feeds it branches on the coefficient (see ReconstructCoeff).
 	q128, q3 Uint128
 	// qHat[i] = q/qᵢ, the CRT basis element for channel i.
 	qHat []Uint128
@@ -128,7 +129,9 @@ func (b *Basis) Q128() Uint128 { return b.q128 }
 
 // ReconstructCoeff CRT-reconstructs coefficient j of the flat residue
 // polynomial p (k rows of N, row i at [i·N, (i+1)·N)) into its canonical
-// value in [0, q): c = Σᵢ ((pᵢⱼ·tᵢ) mod qᵢ)·q̂ᵢ mod q. Allocation-free.
+// value in [0, q): c = Σᵢ ((pᵢⱼ·tᵢ) mod qᵢ)·q̂ᵢ mod q. Allocation-free,
+// but not constant-time: the channel Mul ends in a conditional subtraction
+// and the fold loop exits on the first borrow, both data-dependent.
 func (b *Basis) ReconstructCoeff(p []uint32, j int) Uint128 {
 	var acc Uint128
 	for i := 0; i < b.K; i++ {
