@@ -58,11 +58,15 @@ func FuzzParsePublicKey(f *testing.F) {
 // FuzzParseAny drives the self-describing parsers: header truncation,
 // unknown params IDs, kind confusion and trailing bytes must all surface
 // as errors, and anything accepted must round-trip bit-identically
-// through MarshalBinary.
+// through MarshalBinary. Every input also goes to the stream readers over
+// a bytes.Reader, differentially: a reader accepts exactly when the byte
+// parser accepts the prefix it consumed, what it returns re-marshals to
+// that prefix, and it consumes the whole of any blob the parser accepts.
 func FuzzParseAny(f *testing.F) {
 	s1 := NewDeterministic(P1(), 9004)
 	s2 := NewDeterministic(P2(), 9005)
 	s3 := NewDeterministic(B1(), 9008) // RNS: multi-row residue bodies
+	var badTags [][]byte
 	for _, s := range []*Scheme{s1, s2, s3} {
 		pk, sk, err := s.GenerateKeys()
 		if err != nil {
@@ -100,10 +104,16 @@ func FuzzParseAny(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(wire)
+		badTag := append([]byte(nil), wire...)
+		badTag[wireHeaderSize] ^= 0xFF // embedded legacy tag disagrees with the header
+		badTags = append(badTags, badTag)
 	}
 	unknown := []byte{'R', 'L', 2, 3, 0xBE, 0xEF} // unknown params ID
 	f.Add(unknown)
 	f.Add([]byte{})
+	for _, b := range badTags {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if pk, err := ParseAnyPublicKey(data); err == nil {
 			re, err := pk.MarshalBinary()
@@ -127,6 +137,34 @@ func FuzzParseAny(f *testing.F) {
 			re, err := ek.MarshalBinary()
 			if err != nil || !bytes.Equal(re, data) {
 				t.Fatalf("accepted encapsulated key does not round-trip (err=%v)", err)
+			}
+		}
+		for kind, parse := range map[byte]func([]byte) error{
+			wireKindPublicKey:  func(b []byte) error { _, err := ParseAnyPublicKey(b); return err },
+			wireKindPrivateKey: func(b []byte) error { _, err := ParseAnyPrivateKey(b); return err },
+			wireKindCiphertext: func(b []byte) error { _, err := ParseAnyCiphertext(b); return err },
+			wireKindEncapsulatedKey: func(b []byte) error {
+				_, _, err := ParseAnyEncapsulatedKey(b)
+				return err
+			},
+		} {
+			whole := parse(data)
+			for name, read := range streamReaders(P1(), kind) {
+				rd := bytes.NewReader(data)
+				obj, err := read(rd)
+				prefix := data[:len(data)-rd.Len()]
+				if whole == nil && (err != nil || len(prefix) != len(data)) {
+					t.Fatalf("%s read %d of %d bytes of a blob the parser accepts (err=%v)", name, len(prefix), len(data), err)
+				}
+				if err != nil {
+					continue
+				}
+				if err := parse(prefix); err != nil {
+					t.Fatalf("%s accepted a %d-byte prefix the parser rejects: %v", name, len(prefix), err)
+				}
+				if re, err := obj.MarshalBinary(); err != nil || !bytes.Equal(re, prefix) {
+					t.Fatalf("%s result does not re-marshal to the prefix it read (err=%v)", name, err)
+				}
 			}
 		}
 	})

@@ -286,22 +286,6 @@ func TestB1Serialization(t *testing.T) {
 		t.Fatal("parsed keys/ciphertext do not decrypt")
 	}
 
-	// Streaming round trip.
-	var buf bytes.Buffer
-	if _, err := pk.WriteBodyTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 2*p.PolyBytes() {
-		t.Fatalf("streamed %d bytes, want %d", buf.Len(), 2*p.PolyBytes())
-	}
-	pk3, _, err := ReadPublicKeyBodyFrom(p, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pk3.Bytes(), pkBlob) {
-		t.Fatal("streamed public key differs")
-	}
-
 	// Per-row anti-smuggling: an out-of-range residue in the LAST channel
 	// row must be rejected (its width gives headroom above q₃).
 	bad := append([]byte(nil), ctBlob...)

@@ -3,9 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
-	"sync"
 
 	"ringlwe/internal/ntt"
 )
@@ -20,12 +18,13 @@ import (
 // decrypting noise.
 //
 // The wire layout is fixed; only the loops that move it are tuned. Every
-// path — appendPolys, MarshalInto, the parsers and the streaming chunks —
-// runs through packPoly and unpackPolyInto, and the tests check them byte
-// for byte against the original bit-at-a-time loops. Eight w-bit
+// path — appendPolys, MarshalInto and the parsers — runs through packPoly
+// and unpackPolyInto, and the tests check them byte for byte against the
+// original bit-at-a-time loops. The root package's io.WriterTo and
+// io.ReaderFrom move whole blobs through these same paths. Eight w-bit
 // coefficients fill exactly w bytes, so the rows of the registered sets
-// (13 bits for P1, 14 for P2 and A1, 29 for each of B1's rows) and every
-// 64-coefficient streaming chunk are whole 8-coefficient groups. Those run
+// (13 bits for P1, 14 for P2 and A1, 29 for each of B1's rows) are whole
+// 8-coefficient groups. Those run
 // one straight-line kernel per width, a few 64-bit words per group with
 // constant offsets and shifts; other widths and lengths run a generic
 // loop that moves a 64-bit word per coefficient. On a 2-vCPU Intel Xeon
@@ -86,8 +85,8 @@ func appendPolys(dst []byte, p *Params, polys ...ntt.Poly) []byte {
 // packPoly packs the low width bits of every coefficient of p into dst,
 // little-endian in the bit stream, overwriting every byte; dst holds
 // exactly ⌈len(p)·width/8⌉ bytes, the last one possibly partial. A row of whole 8-coefficient groups at
-// 13, 14 or 29 bits — every row of a registered set, and every streaming
-// chunk — runs that width's kernel; any other shape runs packGeneric.
+// 13, 14 or 29 bits — every row of a registered set — runs that width's
+// kernel; any other shape runs packGeneric.
 // The choice depends on width and lengths only, never on coefficient
 // bits.
 func packPoly(dst []byte, p ntt.Poly, width uint) {
@@ -457,140 +456,6 @@ func ParseCiphertextBodyInto(ct *Ciphertext, body []byte) error {
 	// this themselves.
 	ct.Addends = 1
 	return nil
-}
-
-// Streaming body I/O. The packed format groups eight coefficients of a
-// row into width whole bytes, so any multiple of eight coefficients
-// starts on a byte boundary; the writers and readers below exploit that
-// to move bodies through a small stack chunk instead of materializing the
-// whole blob — the seam behind the public io.WriterTo/io.ReaderFrom
-// implementations.
-
-// streamChunkCoeffs is the number of coefficients packed per streaming
-// chunk. It is a multiple of 8 so every chunk begins byte-aligned, and
-// small enough that the chunk buffer lives on the stack (8·CoeffBits bytes
-// per 64 coefficients: 104 B for P1, 112 B for P2, 256 B worst case).
-const streamChunkCoeffs = 64
-
-// streamChunkBufSize bounds the per-chunk byte count: 64 coefficients at
-// the 32-bit ceiling on CoeffBits.
-const streamChunkBufSize = streamChunkCoeffs / 8 * 32
-
-// streamChunkPool recycles chunk buffers: a stack array would escape
-// through the io.Writer/io.Reader interface call, so pooling is what keeps
-// the streaming paths at zero steady-state allocations.
-var streamChunkPool = sync.Pool{New: func() any { return new([streamChunkBufSize]byte) }}
-
-// writePolysTo writes the packed concatenation of polys to w chunk by
-// chunk, row by row at each channel's width, returning the byte count
-// written. It allocates no slice proportional to the body.
-func writePolysTo(w io.Writer, p *Params, polys ...ntt.Poly) (int64, error) {
-	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
-	defer streamChunkPool.Put(buf)
-	var written int64
-	for _, poly := range polys {
-		for i, m := range p.Basis.Mods {
-			width := m.BitLen()
-			row := p.row(poly, i)
-			for off := 0; off < len(row); off += streamChunkCoeffs {
-				end := min(off+streamChunkCoeffs, len(row))
-				nb := (end - off) / 8 * int(width)
-				chunk := buf[:nb]
-				packPoly(chunk, row[off:end], width)
-				n, err := w.Write(chunk)
-				written += int64(n)
-				if err != nil {
-					return written, err
-				}
-			}
-		}
-	}
-	return written, nil
-}
-
-// readPolysFrom fills polys from the packed stream r chunk by chunk,
-// returning the byte count consumed. Coefficients are range-checked as
-// they unpack, and a poly with an offender fails once it completes, as in
-// the one-shot parsers.
-func readPolysFrom(r io.Reader, p *Params, polys ...ntt.Poly) (int64, error) {
-	buf := streamChunkPool.Get().(*[streamChunkBufSize]byte)
-	defer streamChunkPool.Put(buf)
-	var read int64
-	for _, poly := range polys {
-		ok := true
-		for i, m := range p.Basis.Mods {
-			width := m.BitLen()
-			row := p.row(poly, i)
-			for off := 0; off < len(row); off += streamChunkCoeffs {
-				end := min(off+streamChunkCoeffs, len(row))
-				nb := (end - off) / 8 * int(width)
-				n, err := io.ReadFull(r, buf[:nb])
-				read += int64(n)
-				if err != nil {
-					return read, err
-				}
-				ok = unpackPolyInto(row[off:end], buf[:nb], width, m.Q) && ok
-			}
-		}
-		if !ok {
-			return read, checkRange(p, poly)
-		}
-	}
-	return read, nil
-}
-
-// WriteBodyTo streams the packed body ã ‖ p̃ to w without materializing it.
-func (pk *PublicKey) WriteBodyTo(w io.Writer) (int64, error) {
-	return writePolysTo(w, pk.Params, pk.A, pk.P)
-}
-
-// ReadPublicKeyBodyFrom streams a bare packed body of exactly 2·PolyBytes
-// from r into a fresh public key, returning the byte count consumed.
-func ReadPublicKeyBodyFrom(p *Params, r io.Reader) (*PublicKey, int64, error) {
-	pk := &PublicKey{Params: p, A: p.newPoly(), P: p.newPoly()}
-	n, err := readPolysFrom(r, p, pk.A, pk.P)
-	if err != nil {
-		return nil, n, fmt.Errorf("core: public key: %w", err)
-	}
-	return pk, n, nil
-}
-
-// WriteBodyTo streams the packed body pack(r̃2) to w.
-func (sk *PrivateKey) WriteBodyTo(w io.Writer) (int64, error) {
-	return writePolysTo(w, sk.Params, sk.R2)
-}
-
-// ReadPrivateKeyBodyFrom streams a bare packed body of exactly PolyBytes
-// from r into a fresh private key.
-func ReadPrivateKeyBodyFrom(p *Params, r io.Reader) (*PrivateKey, int64, error) {
-	sk := &PrivateKey{Params: p, R2: p.newPoly()}
-	n, err := readPolysFrom(r, p, sk.R2)
-	if err != nil {
-		return nil, n, fmt.Errorf("core: private key: %w", err)
-	}
-	return sk, n, nil
-}
-
-// WriteBodyTo streams the packed body c̃1 ‖ c̃2 to w.
-func (ct *Ciphertext) WriteBodyTo(w io.Writer) (int64, error) {
-	return writePolysTo(w, ct.Params, ct.C1, ct.C2)
-}
-
-// ReadCiphertextBodyFrom streams a bare packed body of exactly 2·PolyBytes
-// from r into a preallocated ciphertext (see NewCiphertext), allocating
-// nothing. On error the ciphertext's contents are unspecified.
-func ReadCiphertextBodyFrom(ct *Ciphertext, r io.Reader) (int64, error) {
-	p := ct.Params
-	if len(ct.C1) != p.polyLen() || len(ct.C2) != p.polyLen() {
-		return 0, fmt.Errorf("core: ciphertext: buffers hold %d/%d coefficients, want %d (use NewCiphertext)",
-			len(ct.C1), len(ct.C2), p.polyLen())
-	}
-	n, err := readPolysFrom(r, p, ct.C1, ct.C2)
-	if err != nil {
-		return n, fmt.Errorf("core: ciphertext: %w", err)
-	}
-	ct.Addends = 1 // streamed bodies are fresh, like ParseCiphertextBodyInto
-	return n, nil
 }
 
 func checkBlob(p *Params, data []byte, polys int) error {

@@ -546,8 +546,8 @@ func (s *Server) serverKEMFlightInner(rw io.ReadWriter, shard int, ct *connTrace
 	if _, err := rw.Write([]byte{firstStatus}); err != nil {
 		return nil, t, fmt.Errorf("protocol: sending hello status: %w", err)
 	}
-	// First server flight: the self-describing public-key blob, streamed
-	// (header + fixed-size chunks, no intermediate full-blob slice).
+	// First server flight: the self-describing public-key blob, written
+	// in one Write from a pooled buffer.
 	if _, err := t.pk.WriteTo(rw); err != nil {
 		return nil, t, fmt.Errorf("protocol: sending public key: %w", err)
 	}

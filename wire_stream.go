@@ -3,7 +3,6 @@ package ringlwe
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"ringlwe/internal/core"
@@ -13,11 +12,13 @@ import (
 // that a receiver can act on the six-byte header alone: magic, version and
 // kind validate the stream, and the registered parameter-set ID determines
 // the exact body length before a single body byte arrives. The WriteTo and
-// ReadFrom implementations below exploit that to move keys, ciphertexts
-// and encapsulation blobs over io.Writer/io.Reader without materializing
-// the whole blob — bodies stream through a small fixed chunk inside
-// internal/core, so a secure-channel server never round-trips a key
-// through an intermediate full-size slice.
+// ReadFrom implementations below are thin wrappers over the byte codec: a
+// writer appends the whole blob (AppendBinary) to a pooled buffer and
+// hands it to w in one Write; a reader reads the header, bounds the body
+// by MaxWireSize, reads exactly that body into the pooled buffer and
+// decodes it with the same parser as UnmarshalBinary and ParseAny*. A
+// blob therefore costs one Write and two Reads, and no returned object
+// aliases the pooled buffer.
 //
 // PublicKey, PrivateKey and Ciphertext implement io.WriterTo and
 // io.ReaderFrom; EncapsulatedKey implements io.WriterTo (and its pointer
@@ -41,34 +42,82 @@ func checkWireSize(what string, bodyLen int) error {
 	return nil
 }
 
-// wireHeaderPool recycles header buffers: a stack array would escape
-// through the io interface call, and the streaming paths are pinned at
-// zero steady-state allocations.
-var wireHeaderPool = sync.Pool{New: func() any { return new([wireHeaderSize]byte) }}
+// wireBuf is a pooled blob buffer for WriteTo and ReadFrom, which are
+// pinned at zero steady-state allocations. A reader takes the header into
+// hdr before it knows the body length. b holds at most MaxWireSize bytes
+// on the read side (22.3 KB for a B1 key or ciphertext).
+type wireBuf struct {
+	hdr [wireHeaderSize]byte
+	b   []byte
+}
 
-// writeWireHeader writes the six-byte header for (kind, id) to w.
-func writeWireHeader(w io.Writer, kind byte, id uint16) (int64, error) {
-	hdr := wireHeaderPool.Get().(*[wireHeaderSize]byte)
-	defer wireHeaderPool.Put(hdr)
-	appendWireHeader(hdr[:0], kind, id)
-	n, err := w.Write(hdr[:])
+var wireBufPool = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// blob returns b resized to n bytes, replacing a short b with one make.
+// append and slices.Grow would allocate twice under the race detector,
+// which drops pooled buffers at random; with one make, a dropped buffer
+// costs two allocations to replace, pool entry included.
+func (wb *wireBuf) blob(n int) []byte {
+	if cap(wb.b) < n {
+		wb.b = make([]byte, n)
+	}
+	return wb.b[:n]
+}
+
+// wireBodySize is the body length of a kind of blob under p.
+func wireBodySize(p *Params, kind byte) int {
+	switch kind {
+	case wireKindPrivateKey:
+		return p.inner.PolyBytes()
+	case wireKindEncapsulatedKey:
+		return p.EncapsulationSize()
+	}
+	return 2 * p.inner.PolyBytes() // public key, ciphertext
+}
+
+// writeWire appends a blob of bodySize body bytes to a pooled buffer and
+// writes it to w in one Write. appendBinary is an AppendBinary method
+// value; it does not escape, so passing one allocates nothing, not even
+// for an EncapsulatedKey slice.
+func writeWire(w io.Writer, bodySize int, appendBinary func([]byte) ([]byte, error)) (int64, error) {
+	wb := wireBufPool.Get().(*wireBuf)
+	defer wireBufPool.Put(wb)
+	b, err := appendBinary(wb.blob(wireHeaderSize + bodySize)[:0])
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(b)
 	return int64(n), err
 }
 
-// readWireHeader reads and validates the six-byte header from r, resolving
-// the embedded parameter set.
-func readWireHeader(r io.Reader, wantKind byte) (*Params, int64, error) {
-	hdr := wireHeaderPool.Get().(*[wireHeaderSize]byte)
-	defer wireHeaderPool.Put(hdr)
-	n, err := io.ReadFull(r, hdr[:])
+// readWire reads one self-describing blob of the given kind from r into a
+// pooled buffer and passes it, header included, to parse together with
+// the parameter set its header names. It reads the header, resolves the
+// set, bounds the body by MaxWireSize and then reads exactly that body:
+// two ReadFull calls. parse must not retain blob.
+func readWire(r io.Reader, kind byte, parse func(p *Params, blob []byte) error) (int64, error) {
+	wb := wireBufPool.Get().(*wireBuf)
+	defer wireBufPool.Put(wb)
+	what := kindName(kind)
+	n, err := io.ReadFull(r, wb.hdr[:])
 	if err != nil {
-		return nil, int64(n), fmt.Errorf("ringlwe: reading %s header: %w", kindName(wantKind), err)
+		return int64(n), fmt.Errorf("ringlwe: reading %s header: %w", what, err)
 	}
-	p, err := parseWireHeaderBytes(hdr[:], wantKind)
+	p, err := parseWireHeaderBytes(wb.hdr[:], kind)
 	if err != nil {
-		return nil, int64(n), err
+		return int64(n), err
 	}
-	return p, int64(n), nil
+	size := wireBodySize(p, kind)
+	if err := checkWireSize(what, size); err != nil {
+		return int64(n), err
+	}
+	blob := wb.blob(wireHeaderSize + size)
+	copy(blob, wb.hdr[:])
+	m, err := io.ReadFull(r, blob[wireHeaderSize:])
+	if err != nil {
+		return int64(n + m), fmt.Errorf("ringlwe: reading %s body: %w", what, err)
+	}
+	return int64(n + m), parse(p, blob)
 }
 
 // Compile-time assertions: the wire objects satisfy the streaming
@@ -84,43 +133,23 @@ var (
 	_ io.ReaderFrom = (*EncapsulatedKey)(nil)
 )
 
-// WriteTo streams the self-describing encoding of the public key to w
-// (io.WriterTo): the six-byte header, then the packed body in fixed-size
-// chunks — no intermediate full-blob slice. The parameter set must be
-// registered; P1 and P2 always are.
+// WriteTo writes the self-describing encoding of the public key to w in
+// one Write (io.WriterTo). The parameter set must be registered; P1 and P2
+// always are.
 func (pk *PublicKey) WriteTo(w io.Writer) (int64, error) {
-	id, err := wireID(pk.params)
-	if err != nil {
-		return 0, err
-	}
-	n, err := writeWireHeader(w, wireKindPublicKey, id)
-	if err != nil {
-		return n, err
-	}
-	m, err := pk.inner.WriteBodyTo(w)
-	return n + m, err
+	return writeWire(w, wireBodySize(pk.params, wireKindPublicKey), pk.AppendBinary)
 }
 
-// ReadFrom streams a self-describing public key from r (io.ReaderFrom),
+// ReadFrom reads a self-describing public key from r (io.ReaderFrom),
 // recovering the parameter set from the header and reading exactly the
 // body that set prescribes.
 func (pk *PublicKey) ReadFrom(r io.Reader) (int64, error) {
-	p, n, err := readWireHeader(r, wireKindPublicKey)
-	if err != nil {
-		return n, err
-	}
-	if err := checkWireSize("public key", 2*p.inner.PolyBytes()); err != nil {
-		return n, err
-	}
-	inner, m, err := core.ReadPublicKeyBodyFrom(p.inner, r)
-	if err != nil {
-		return n + m, fmt.Errorf("ringlwe: %w", err)
-	}
-	pk.params, pk.inner = p, inner
-	return n + m, nil
+	return readWire(r, wireKindPublicKey, func(_ *Params, blob []byte) error {
+		return pk.UnmarshalBinary(blob)
+	})
 }
 
-// ReadAnyPublicKeyFrom streams a self-describing public key from r without
+// ReadAnyPublicKeyFrom reads a self-describing public key from r without
 // a params argument: the parameter set rides in the header.
 func ReadAnyPublicKeyFrom(r io.Reader) (*PublicKey, error) {
 	pk := new(PublicKey)
@@ -130,39 +159,20 @@ func ReadAnyPublicKeyFrom(r io.Reader) (*PublicKey, error) {
 	return pk, nil
 }
 
-// WriteTo streams the self-describing encoding of the private key to w
-// (io.WriterTo).
+// WriteTo writes the self-describing encoding of the private key to w in
+// one Write (io.WriterTo).
 func (sk *PrivateKey) WriteTo(w io.Writer) (int64, error) {
-	id, err := wireID(sk.params)
-	if err != nil {
-		return 0, err
-	}
-	n, err := writeWireHeader(w, wireKindPrivateKey, id)
-	if err != nil {
-		return n, err
-	}
-	m, err := sk.inner.WriteBodyTo(w)
-	return n + m, err
+	return writeWire(w, wireBodySize(sk.params, wireKindPrivateKey), sk.AppendBinary)
 }
 
-// ReadFrom streams a self-describing private key from r (io.ReaderFrom).
+// ReadFrom reads a self-describing private key from r (io.ReaderFrom).
 func (sk *PrivateKey) ReadFrom(r io.Reader) (int64, error) {
-	p, n, err := readWireHeader(r, wireKindPrivateKey)
-	if err != nil {
-		return n, err
-	}
-	if err := checkWireSize("private key", p.inner.PolyBytes()); err != nil {
-		return n, err
-	}
-	inner, m, err := core.ReadPrivateKeyBodyFrom(p.inner, r)
-	if err != nil {
-		return n + m, fmt.Errorf("ringlwe: %w", err)
-	}
-	sk.params, sk.inner = p, inner
-	return n + m, nil
+	return readWire(r, wireKindPrivateKey, func(_ *Params, blob []byte) error {
+		return sk.UnmarshalBinary(blob)
+	})
 }
 
-// ReadAnyPrivateKeyFrom streams a self-describing private key from r
+// ReadAnyPrivateKeyFrom reads a self-describing private key from r
 // without a params argument.
 func ReadAnyPrivateKeyFrom(r io.Reader) (*PrivateKey, error) {
 	sk := new(PrivateKey)
@@ -172,47 +182,33 @@ func ReadAnyPrivateKeyFrom(r io.Reader) (*PrivateKey, error) {
 	return sk, nil
 }
 
-// WriteTo streams the self-describing encoding of the ciphertext to w
-// (io.WriterTo).
+// WriteTo writes the self-describing encoding of the ciphertext to w in
+// one Write (io.WriterTo).
 func (ct *Ciphertext) WriteTo(w io.Writer) (int64, error) {
-	id, err := wireID(ct.params)
-	if err != nil {
-		return 0, err
-	}
-	n, err := writeWireHeader(w, wireKindCiphertext, id)
-	if err != nil {
-		return n, err
-	}
-	m, err := ct.inner.WriteBodyTo(w)
-	return n + m, err
+	return writeWire(w, wireBodySize(ct.params, wireKindCiphertext), ct.AppendBinary)
 }
 
-// ReadFrom streams a self-describing ciphertext from r (io.ReaderFrom).
+// ReadFrom reads a self-describing ciphertext from r (io.ReaderFrom).
 // When ct already holds buffers of the header's parameter set — a
-// NewCiphertext destination reused across reads — the body lands in them
-// and the read allocates nothing; otherwise fresh buffers are allocated.
+// NewCiphertext destination reused across reads — the body is unpacked
+// into them and the read allocates nothing; otherwise fresh buffers are
+// allocated.
 func (ct *Ciphertext) ReadFrom(r io.Reader) (int64, error) {
-	p, n, err := readWireHeader(r, wireKindCiphertext)
-	if err != nil {
-		return n, err
-	}
-	if err := checkWireSize("ciphertext", 2*p.inner.PolyBytes()); err != nil {
-		return n, err
-	}
-	inner := ct.inner
-	if inner == nil || ct.params.inner != p.inner {
-		inner = core.NewCiphertext(p.inner)
-	}
-	m, err := core.ReadCiphertextBodyFrom(inner, r)
-	if err != nil {
-		return n + m, fmt.Errorf("ringlwe: %w", err)
-	}
-	ct.params, ct.inner = p, inner
-	return n + m, nil
+	return readWire(r, wireKindCiphertext, func(p *Params, blob []byte) error {
+		inner := ct.inner
+		if inner == nil || ct.params.inner != p.inner {
+			inner = core.NewCiphertext(p.inner)
+		}
+		if err := core.ParseCiphertextBodyInto(inner, blob[wireHeaderSize:]); err != nil {
+			return fmt.Errorf("ringlwe: %w", err)
+		}
+		ct.params, ct.inner = p, inner
+		return nil
+	})
 }
 
-// ReadAnyCiphertextFrom streams a self-describing ciphertext from r
-// without a params argument.
+// ReadAnyCiphertextFrom reads a self-describing ciphertext from r without
+// a params argument.
 func ReadAnyCiphertextFrom(r io.Reader) (*Ciphertext, error) {
 	ct := new(Ciphertext)
 	if _, err := ct.ReadFrom(r); err != nil {
@@ -221,67 +217,34 @@ func ReadAnyCiphertextFrom(r io.Reader) (*Ciphertext, error) {
 	return ct, nil
 }
 
-// WriteTo streams the self-describing encoding of the encapsulation blob
-// to w (io.WriterTo). See EncapsulatedKey.AppendBinary for the Custom-set
-// ambiguity caveat.
+// WriteTo writes the self-describing encoding of the encapsulation blob
+// to w in one Write (io.WriterTo). See EncapsulatedKey.AppendBinary for
+// the Custom-set ambiguity caveat.
 func (ek EncapsulatedKey) WriteTo(w io.Writer) (int64, error) {
-	id, err := ek.inferWireID()
-	if err != nil {
-		return 0, err
-	}
-	n, err := writeWireHeader(w, wireKindEncapsulatedKey, id)
-	if err != nil {
-		return n, err
-	}
-	m, err := w.Write(ek)
-	return n + int64(m), err
+	return writeWire(w, len(ek), ek.AppendBinary)
 }
 
-// ReadFrom streams a self-describing encapsulation blob from r
+// ReadFrom reads a self-describing encapsulation blob from r
 // (io.ReaderFrom), leaving the raw Decapsulate-ready bytes in ek and
 // reusing its capacity — zero allocations once grown.
 func (ek *EncapsulatedKey) ReadFrom(r io.Reader) (int64, error) {
-	_, body, n, err := readEncapsulatedFrom(r, ek)
-	if err != nil {
-		return n, err
-	}
-	*ek = body
-	return n, nil
+	return readWire(r, wireKindEncapsulatedKey, func(_ *Params, blob []byte) error {
+		return ek.UnmarshalBinary(blob)
+	})
 }
 
-// ReadAnyEncapsulatedKeyFrom streams a self-describing encapsulation blob
+// ReadAnyEncapsulatedKeyFrom reads a self-describing encapsulation blob
 // from r, returning the parameter set recovered from the header alongside
 // the raw Decapsulate-ready bytes.
 func ReadAnyEncapsulatedKeyFrom(r io.Reader) (*Params, EncapsulatedKey, error) {
+	var p *Params
 	var ek EncapsulatedKey
-	p, body, _, err := readEncapsulatedFrom(r, &ek)
+	_, err := readWire(r, wireKindEncapsulatedKey, func(_ *Params, blob []byte) (err error) {
+		p, ek, err = ParseAnyEncapsulatedKey(blob)
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, body, nil
-}
-
-// readEncapsulatedFrom reads header and body into reuse's capacity,
-// validating body length and the embedded legacy ciphertext tag against
-// the header's parameter set (the same invariants parseEncapsulatedBody
-// enforces on the buffered path).
-func readEncapsulatedFrom(r io.Reader, reuse *EncapsulatedKey) (*Params, EncapsulatedKey, int64, error) {
-	p, n, err := readWireHeader(r, wireKindEncapsulatedKey)
-	if err != nil {
-		return nil, nil, n, err
-	}
-	size := p.EncapsulationSize()
-	if err := checkWireSize("encapsulation", size); err != nil {
-		return nil, nil, n, err
-	}
-	body := slices.Grow((*reuse)[:0], size)[:size]
-	m, err := io.ReadFull(r, body)
-	n += int64(m)
-	if err != nil {
-		return nil, nil, n, fmt.Errorf("ringlwe: reading encapsulation body: %w", err)
-	}
-	if body[0] != core.LegacyTag(p.inner) {
-		return nil, nil, n, fmt.Errorf("ringlwe: encapsulation body carries ciphertext tag %d, want %d for %s", body[0], core.LegacyTag(p.inner), p.Name())
-	}
-	return p, body, n, nil
+	return p, ek, nil
 }
