@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -32,12 +33,16 @@ func TestWorkspacesShareNoCacheLine(t *testing.T) {
 		ws     int
 		lo, hi uintptr
 	}
+	// Every workspace stays reachable until the check is done: a dropped
+	// one could be freed and its memory handed to a later workspace.
+	var live []*Workspace
 	var spans []span
 	for i := 0; i < 16; i++ {
 		w, err := s.NewWorkspace()
 		if err != nil {
 			t.Fatal(err)
 		}
+		live = append(live, w)
 		lo, hi := fieldLines(unsafe.Pointer(w), reflect.TypeOf(*w))
 		spans = append(spans, span{i, lo, hi})
 		lo, hi = fieldLines(unsafe.Pointer(w.uniform), reflect.TypeOf(*w.uniform))
@@ -50,4 +55,5 @@ func TestWorkspacesShareNoCacheLine(t *testing.T) {
 			}
 		}
 	}
+	runtime.KeepAlive(live)
 }

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -10,15 +12,17 @@ import (
 )
 
 // FuzzHandshake throws arbitrary first flights at every handshake entry
-// point — the multi-tenant server (which auto-detects v1/v2) and the
-// three client variants (whose peer bytes the fuzzer controls). Nothing
-// may panic: truncated, corrupted and kind-confused flights must all
-// surface as errors, and a lucky valid prefix must complete or fail
-// cleanly.
+// point — the multi-tenant server and the three client variants (whose
+// peer bytes the fuzzer controls). Nothing may panic: truncated,
+// corrupted and kind-confused flights must all surface as errors, and a
+// lucky valid prefix must complete or fail cleanly. The server must
+// refuse every non-empty first flight that does not open with an 8-byte
+// v2 hello as errBadHello.
 func FuzzHandshake(f *testing.F) {
-	// Valid v1 and v2 hellos.
+	// The former v1 P1 and P2 hellos, which the server must refuse.
 	f.Add([]byte{0x52, 0x4C, 1, 0})
 	f.Add([]byte{0x52, 0x4C, 2, 0})
+	// Valid v2 hellos.
 	f.Add([]byte{0x52, 0x4C, 0xFF, 2, 0, 1, 0, 0})
 	f.Add([]byte{0x52, 0x4C, 0xFF, 2, 0, 2, 0, 0})
 	f.Add([]byte{0x52, 0x4C, 0xFF, 2, 0, 0, 0, 0})
@@ -61,14 +65,15 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(append(append([]byte{}, hello2...), pkBlob...))
 	f.Add(append(append([]byte{}, hello2...), ekBlob[:37]...))
 
-	// Server flights for the client paths: status ‖ pk blob (v2), raw
-	// legacy pk bytes (v1), and kind-confused variants.
+	// Server flights for the client paths: status ‖ pk blob, the raw
+	// legacy key bytes the retired v1 server sent, and kind-confused
+	// variants.
 	f.Add(append([]byte{statusOK}, pkBlob...))
 	f.Add(append([]byte{statusOK}, ekBlob...))
 	f.Add([]byte{statusReject})
 	f.Add(seedPK.Bytes())
-	// Complete server flights: the client paths run to an established
-	// channel (status ‖ pk blob ‖ status, and the legacy equivalent).
+	// Complete server flights: status ‖ pk blob ‖ status runs the client
+	// paths to an established channel; the legacy equivalent must fail.
 	f.Add(append(append([]byte{statusOK}, pkBlob...), statusOK))
 	f.Add(append(seedPK.Bytes(), statusOK))
 
@@ -91,14 +96,17 @@ func FuzzHandshake(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Server side: data is everything the client sends.
-		if ch, err := srv.Handshake(rwShim{bytes.NewReader(data), io.Discard}); err == nil && ch == nil {
+		ch, err := srv.Handshake(rwShim{bytes.NewReader(data), io.Discard})
+		if err == nil && ch == nil {
 			t.Fatal("nil channel without error")
+		}
+		v2Hello := len(data) >= helloV2Len &&
+			binary.BigEndian.Uint16(data) == helloMagic && data[2] == helloV2Marker && data[3] == protocolV2
+		if len(data) > 0 && !v2Hello && !errors.Is(err, errBadHello) {
+			t.Fatalf("first flight % x: err = %v, want errBadHello", data[:min(len(data), helloV2Len)], err)
 		}
 		// Client sides: data is everything the server sends.
 		if ch, err := Client(rwShim{bytes.NewReader(data), io.Discard}, clientScheme); err == nil && ch == nil {
-			t.Fatal("nil channel without error")
-		}
-		if ch, err := ClientV1(rwShim{bytes.NewReader(data), io.Discard}, clientScheme); err == nil && ch == nil {
 			t.Fatal("nil channel without error")
 		}
 		if ch, err := ClientAuto(rwShim{bytes.NewReader(data), io.Discard}); err == nil && ch == nil {

@@ -9,8 +9,8 @@ import (
 	"ringlwe/internal/obs"
 )
 
-// Client performs the initiator side of the v2 negotiated handshake: it
-// names the scheme's registered parameter-set ID in its hello, streams the
+// Client performs the initiator side of the negotiated handshake: it
+// names the scheme's registered parameter-set ID in its hello, reads the
 // server's self-describing public-key blob, verifies the header-recovered
 // set against its own (ringlwe.ErrParamsMismatch otherwise), encapsulates,
 // and derives record keys. Safe to run concurrently with other handshakes
@@ -19,7 +19,7 @@ func Client(rw io.ReadWriter, scheme *ringlwe.Scheme, opts ...Option) (*Channel,
 	o := applyOptions(opts)
 	id := scheme.Params().WireID()
 	if id == 0 {
-		return nil, fmt.Errorf("protocol: parameter set %s has no wire ID; register it with ringlwe.RegisterParams (or use ClientV1)",
+		return nil, fmt.Errorf("protocol: parameter set %s has no wire ID; register it with ringlwe.RegisterParams",
 			scheme.Params().Name())
 	}
 	return clientV2(rw, scheme, id, o)
@@ -129,7 +129,6 @@ func clientKEMFlightInner(rw io.ReadWriter, ct *connTrace, scheme *ringlwe.Schem
 		case statusOK:
 			ch := &Channel{
 				rw:         rw,
-				version:    protocolV2,
 				isClient:   true,
 				scheme:     scheme,
 				peerPK:     pk,
@@ -163,79 +162,4 @@ func clientKEMFlightInner(rw io.ReadWriter, ct *connTrace, scheme *ringlwe.Schem
 		}
 	}
 	return nil, errTooManyRetries
-}
-
-// ClientV1 performs the legacy tagged handshake (protocol version 1): a
-// fixed four-byte hello naming the parameter set by its one-byte tag,
-// answered with the legacy tagged public-key blob. It remains for talking
-// to pre-negotiation servers; new code should use Client. V1 channels
-// cannot rekey.
-func ClientV1(rw io.ReadWriter, scheme *ringlwe.Scheme) (*Channel, error) {
-	params := scheme.Params()
-	tag := legacyParamTag(params)
-	if tag == 0 {
-		return nil, fmt.Errorf("protocol: parameter set %s has no legacy v1 tag", params.Name())
-	}
-	var hello [helloV1Len]byte
-	binary.BigEndian.PutUint16(hello[:2], helloMagic)
-	hello[2] = tag
-	if _, err := rw.Write(hello[:]); err != nil {
-		return nil, fmt.Errorf("protocol: hello: %w", err)
-	}
-
-	pkBytes := make([]byte, params.PublicKeySize())
-	if _, err := io.ReadFull(rw, pkBytes); err != nil {
-		return nil, fmt.Errorf("protocol: reading server key: %w", err)
-	}
-	pk, err := ringlwe.ParsePublicKey(params, pkBytes)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: %w", err)
-	}
-
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		ws := scheme.AcquireWorkspace()
-		blob, key, err := ws.Encapsulate(pk)
-		scheme.ReleaseWorkspace(ws)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: encapsulate: %w", err)
-		}
-		if _, err := rw.Write(blob); err != nil {
-			return nil, fmt.Errorf("protocol: sending encapsulation: %w", err)
-		}
-		var status [1]byte
-		if _, err := io.ReadFull(rw, status[:]); err != nil {
-			return nil, fmt.Errorf("protocol: reading status: %w", err)
-		}
-		switch status[0] {
-		case statusOK:
-			ch := &Channel{
-				rw:       rw,
-				version:  protocolV1,
-				isClient: true,
-				scheme:   scheme,
-				peerPK:   pk,
-				Retries:  attempt,
-			}
-			ch.deriveKeys(key)
-			return ch, nil
-		case statusRetry:
-			continue
-		default:
-			return nil, fmt.Errorf("protocol: unknown status %d", status[0])
-		}
-	}
-	return nil, errTooManyRetries
-}
-
-// legacyParamTag returns the v1 wire tag of a parameter set (1 for P1, 2
-// for P2, 0 for custom sets, which v1 cannot negotiate).
-func legacyParamTag(p *ringlwe.Params) byte {
-	switch p.Name() {
-	case "P1":
-		return 1
-	case "P2":
-		return 2
-	default:
-		return 0
-	}
 }

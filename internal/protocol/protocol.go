@@ -3,37 +3,32 @@
 // paper's introduction motivates, and the use case its Table III peer [9]
 // (Bos et al., ring-LWE key exchange for TLS) evaluates.
 //
-// Two handshake versions share one server:
-//
-// Version 2 (the default) negotiates the parameter set through the
-// library's self-describing wire format. The client's first flight names a
+// The handshake negotiates the parameter set through the library's
+// self-describing wire format. The client's first flight names a
 // registered parameter-set ID (or 0 for "server's choice"); the server
-// answers with a status byte and streams its self-describing public-key
-// blob, whose six-byte header carries the set actually served, so the
-// client recovers the parameters from the blob itself via the
-// registered-params table:
+// answers with a status byte and its self-describing public-key blob,
+// whose six-byte header carries the set actually served, so the client
+// recovers the parameters from the blob itself via the registered-params
+// table:
 //
 //	C → S   HELLO2: magic ‖ 0xFF ‖ 2 ‖ params ID ‖ flags ‖ 0   (8 bytes)
-//	S → C   status ‖ self-describing public key               (streamed)
-//	C → S   self-describing KEM encapsulation blob            (streamed)
+//	S → C   status ‖ self-describing public key               (one write)
+//	C → S   self-describing KEM encapsulation blob            (one write)
 //	S → C   status (OK, or RETRY after an intrinsic LPR decryption
 //	        failure, in which case the client encapsulates again)
 //
-// Version 1 (legacy, still accepted) is the original fixed four-byte hello
-// carrying a one-byte parameter tag, answered with the legacy tagged
-// public-key blob; one server serves both generations on one port because
-// the first flight distinguishes them (hello[2] is 0xFF for v2, a legacy
-// tag otherwise).
+// The server refuses every other first flight, including the four-byte
+// tagged hello of the retired protocol v1, before any KEM work.
 //
 // Both sides then derive direction-separated AES-128-CTR + HMAC-SHA256
 // keys from the shared secret and exchange length-prefixed sealed records
-// with monotonic sequence numbers (replay and reorder detection). Version
-// 2 records carry a type byte, which adds in-band rekeying for long-lived
-// sessions: after WithRekeyAfter(n) records the client transparently
-// encapsulates a fresh session key to the server's long-term public key
-// inside the channel (acknowledged before either side switches, so an
-// intrinsic decryption failure downgrades to a retry, not a dead channel),
-// and both sides roll to epoch-separated keys with reset sequence numbers.
+// with monotonic sequence numbers (replay and reorder detection). Records
+// carry a type byte, which adds in-band rekeying for long-lived sessions:
+// after WithRekeyAfter(n) records the client transparently encapsulates a
+// fresh session key to the server's long-term public key inside the
+// channel (acknowledged before either side switches, so an intrinsic
+// decryption failure downgrades to a retry, not a dead channel), and both
+// sides roll to epoch-separated keys with reset sequence numbers.
 //
 // Each direction keys its AES-128 cipher and HMAC-SHA256 once per epoch;
 // a record then costs one CTR stream and one MAC reset. Records are built
@@ -41,7 +36,7 @@
 // slice Channel.Recv returns is valid only until the next Recv on that
 // channel, like bufio.Scanner.Bytes.
 //
-// A v2 handshake that set the ticket flag additionally receives a
+// A handshake that set the ticket flag additionally receives a
 // session-resumption ticket — the server's AES-GCM-sealed copy of a
 // resumption master secret both sides derive (see resume.go). Presenting
 // it on reconnect (ClientResume, the resume flag) skips the KEM flight:
@@ -81,10 +76,8 @@ import (
 // Protocol constants.
 const (
 	helloMagic    = 0x524C // "RL"
-	helloV1Len    = 4
 	helloV2Len    = 8
-	helloV2Marker = 0xFF // hello[2] value no legacy parameter tag uses
-	protocolV1    = 1
+	helloV2Marker = 0xFF // hello[2]
 	protocolV2    = 2
 
 	statusOK       = 0
@@ -99,6 +92,7 @@ const (
 
 	maxRetries   = 8
 	maxRecordLen = 1 << 20
+	recordHdrLen = 5 // type ‖ 4-byte length
 	tagLen       = 16
 
 	// maxTicketWire bounds the length-prefixed ticket blobs either side
@@ -113,7 +107,7 @@ const (
 	// will buffer while waiting for a rekey ack.
 	maxPendingRecords = 1024
 
-	// v2 record types. v1 records have no type byte.
+	// Record types.
 	recordData      = 0
 	recordRekey     = 1
 	recordRekeyAck  = 2
@@ -137,7 +131,7 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
-// WithRekeyAfter makes a v2 client refresh the session keys after n data
+// WithRekeyAfter makes a client refresh the session keys after n data
 // records (counting both directions): before the n+1th send it runs an
 // in-band KEM rekey and both sides roll to fresh epoch-separated keys.
 // Zero (the default) never rekeys. Servers follow the client's lead and
@@ -154,7 +148,7 @@ func WithHandshakeTracer(t obs.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }
 
-// WithSessionTicket makes a v2 client request a session-resumption ticket
+// WithSessionTicket makes a client request a session-resumption ticket
 // in its hello: a ticket-issuing server hands back an encrypted ticket at
 // handshake completion, available as Channel.Session, and the next
 // connection can skip the KEM flight entirely via ClientResume. Servers
@@ -168,10 +162,6 @@ func WithSessionTicket() Option {
 // callers serialize Send/Recv per side as usual for record protocols.
 type Channel struct {
 	rw io.ReadWriter
-
-	// version is the negotiated protocol generation (protocolV1 or
-	// protocolV2); only v2 channels carry record types and can rekey.
-	version int
 
 	// KEM state for rekeying: the client keeps the scheme and the server's
 	// long-term public key, the server its scheme and private key.
@@ -217,7 +207,7 @@ type Channel struct {
 	// rbuf is the pooled buffer holding the last opened record, which
 	// the latest Recv returned; hdr is openRecord's header scratch.
 	rbuf *[]byte
-	hdr  [5]byte
+	hdr  [recordHdrLen]byte
 
 	// Retries records how many KEM retries the handshake needed (usually 0;
 	// each intrinsic LPR decryption failure adds one).
@@ -225,10 +215,6 @@ type Channel struct {
 	// Rekeys records how many epoch rolls the channel has completed.
 	Rekeys int
 }
-
-// Version reports the negotiated protocol generation: 1 for a legacy
-// tagged handshake, 2 for the self-describing negotiated handshake.
-func (c *Channel) Version() int { return c.version }
 
 // Params returns the negotiated parameter set.
 func (c *Channel) Params() *ringlwe.Params { return c.scheme.Params() }
@@ -249,18 +235,14 @@ func (c *Channel) Session() *Session { return c.session }
 
 // deriveKeys keys both directions for the channel's current epoch. Each
 // of the four directional keys is SHA-256 over prefix ‖ label ‖ epoch ‖
-// shared secret. v1 uses the original derivation: prefix
-// "ringlwe-channel-v1 " and no epoch. v2 binds the protocol generation
-// and the negotiated parameter set in the prefix and appends the 4-byte
-// big-endian epoch counter, so keys from different epochs (and different
-// negotiated sets) live in disjoint domains. isClient picks which
-// derivation feeds which direction.
+// shared secret. The prefix binds the protocol generation and the
+// negotiated parameter set, and the epoch is the 4-byte big-endian epoch
+// counter, so keys from different epochs (and different negotiated sets)
+// live in disjoint domains. isClient picks which derivation feeds which
+// direction.
 func (c *Channel) deriveKeys(shared [ringlwe.SharedKeySize]byte) {
-	prefix, epoch := "ringlwe-channel-v1 ", []byte(nil)
-	if c.version >= protocolV2 {
-		prefix = "ringlwe-channel-v2 " + c.scheme.Params().Name() + " "
-		epoch = binary.BigEndian.AppendUint32(nil, c.epoch)
-	}
+	prefix := "ringlwe-channel-v2 " + c.scheme.Params().Name() + " "
+	epoch := binary.BigEndian.AppendUint32(nil, c.epoch)
 	expand := func(label string) []byte {
 		h := sha256.New()
 		h.Write([]byte(prefix + label))
@@ -291,10 +273,8 @@ func (c *Channel) switchEpoch(shared [ringlwe.SharedKeySize]byte) {
 
 // record layout:
 //
-//	v1:  4-byte length ‖ ciphertext ‖ 16-byte truncated HMAC over
-//	     (seq ‖ length ‖ ciphertext)
-//	v2:  1-byte type ‖ 4-byte length ‖ ciphertext ‖ 16-byte truncated
-//	     HMAC over (seq ‖ type ‖ length ‖ ciphertext)
+//	1-byte type ‖ 4-byte length ‖ ciphertext ‖ 16-byte truncated HMAC
+//	over (seq ‖ type ‖ length ‖ ciphertext)
 //
 // The MAC input after the sequence number is exactly the record's wire
 // bytes up to the tag, so both directions hash the header and ciphertext
@@ -331,7 +311,7 @@ func (s *recordState) stream(dst, src []byte) {
 }
 
 // recordTag returns the truncated HMAC-SHA256 of seq ‖ hdr ‖ ct, hdr
-// being the record's wire header (the v2 type byte, then the length).
+// being the record's wire header (the type byte, then the length).
 // The result aliases s.sum and is valid until the next call.
 func (s *recordState) recordTag(hdr, ct []byte) []byte {
 	binary.BigEndian.PutUint64(s.sum[:8], s.seq)
@@ -366,15 +346,6 @@ func (c *Channel) releaseRecv() {
 	}
 }
 
-// hdrLen is the record header size of the channel's protocol version:
-// the 4-byte length, preceded on v2 by the type byte.
-func (c *Channel) hdrLen() int {
-	if c.version >= protocolV2 {
-		return 5
-	}
-	return 4
-}
-
 // seal encrypts and writes one record of the given type, with the
 // record-layer accounting around sealRecord: server channels count
 // records and payload bytes (two uncontended atomic adds), and a traced
@@ -399,26 +370,22 @@ func (c *Channel) sealRecord(typ byte, msg []byte) error {
 	if len(msg) > maxRecordLen {
 		return fmt.Errorf("protocol: record too large (%d bytes)", len(msg))
 	}
-	n := c.hdrLen()
-	bp := getRecordBuf(n + len(msg) + tagLen)
+	bp := getRecordBuf(recordHdrLen + len(msg) + tagLen)
 	rec := *bp
-	if n == 5 {
-		rec[0] = typ
-	}
-	binary.BigEndian.PutUint32(rec[n-4:n], uint32(len(msg)))
-	ct := rec[n : n+len(msg)]
+	rec[0] = typ
+	binary.BigEndian.PutUint32(rec[1:recordHdrLen], uint32(len(msg)))
+	ct := rec[recordHdrLen : recordHdrLen+len(msg)]
 	c.send.stream(ct, msg)
-	copy(rec[n+len(msg):], c.send.recordTag(rec[:n], ct))
+	copy(rec[recordHdrLen+len(msg):], c.send.recordTag(rec[:recordHdrLen], ct))
 	c.send.seq++
 	_, err := c.rw.Write(rec)
 	recordBufs.Put(bp)
 	return err
 }
 
-// open reads and authenticates one record, returning its type (recordData
-// on v1 channels, which carry no type byte). Mirrors seal's accounting:
-// records/bytes opened on server channels, a PhaseRecordDecrypt span
-// when traced.
+// open reads and authenticates one record, returning its type. Mirrors
+// seal's accounting: records/bytes opened on server channels, a
+// PhaseRecordDecrypt span when traced.
 func (c *Channel) open() (byte, []byte, error) {
 	t0 := c.ct.start()
 	typ, msg, err := c.openRecord()
@@ -437,16 +404,12 @@ func (c *Channel) open() (byte, []byte, error) {
 // read, so a channel blocked here holds none.
 func (c *Channel) openRecord() (byte, []byte, error) {
 	c.releaseRecv()
-	n := c.hdrLen()
-	hdr := c.hdr[:n]
+	hdr := c.hdr[:]
 	if _, err := io.ReadFull(c.rw, hdr); err != nil {
 		return 0, nil, err
 	}
-	typ := byte(recordData)
-	if n == 5 {
-		typ = hdr[0]
-	}
-	length := binary.BigEndian.Uint32(hdr[n-4 : n])
+	typ := hdr[0]
+	length := binary.BigEndian.Uint32(hdr[1:])
 	if length > maxRecordLen {
 		return 0, nil, fmt.Errorf("protocol: oversized record (%d bytes)", length)
 	}
@@ -468,7 +431,7 @@ func (c *Channel) openRecord() (byte, []byte, error) {
 }
 
 // Send seals and writes one data record, transparently rekeying first when
-// the channel's rekey threshold has been reached (v2 clients only).
+// the channel's rekey threshold has been reached (clients only).
 func (c *Channel) Send(msg []byte) error {
 	if c.needRekey() {
 		if err := c.rekey(); err != nil {
@@ -483,7 +446,7 @@ func (c *Channel) Send(msg []byte) error {
 }
 
 // Recv reads and opens records until a data record arrives, transparently
-// serving in-band rekey requests on the way (v2 servers only).
+// serving in-band rekey requests on the way (servers only).
 // Authentication failures and replays surface as errors and poison
 // nothing: the caller may close the channel.
 //
@@ -520,7 +483,7 @@ func (c *Channel) Recv() ([]byte, error) {
 }
 
 func (c *Channel) needRekey() bool {
-	return c.version >= protocolV2 && c.isClient && c.rekeyAfter > 0 && c.records >= c.rekeyAfter
+	return c.isClient && c.rekeyAfter > 0 && c.records >= c.rekeyAfter
 }
 
 // rekey runs the client side of an in-band epoch roll: encapsulate a fresh

@@ -62,9 +62,6 @@ func handshakePair(t *testing.T, params *ringlwe.Params, opts ...Option) (client
 func TestHandshakeAndRecords(t *testing.T) {
 	for _, params := range []*ringlwe.Params{ringlwe.P1(), ringlwe.P2()} {
 		client, server := handshakePair(t, params)
-		if client.Version() != 2 || server.Version() != 2 {
-			t.Fatalf("%s: negotiated version %d/%d, want 2/2", params.Name(), client.Version(), server.Version())
-		}
 		if client.Params().Name() != params.Name() || server.Params().Name() != params.Name() {
 			t.Fatalf("%s: negotiated params %s/%s", params.Name(), client.Params().Name(), server.Params().Name())
 		}
@@ -109,49 +106,6 @@ func TestHandshakeAndRecords(t *testing.T) {
 		}
 		if err := <-done; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestV1Fallback pins that a legacy tagged client still handshakes
-// against the multi-tenant server, for both sets it can name.
-func TestV1Fallback(t *testing.T) {
-	for _, params := range []*ringlwe.Params{ringlwe.P1(), ringlwe.P2()} {
-		srv := newTestServer(t, ringlwe.P1(), ringlwe.P2())
-		clientScheme := ringlwe.NewDeterministic(params, 3002)
-		cConn, sConn := net.Pipe()
-		var server *Channel
-		var sErr error
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			server, sErr = srv.Handshake(sConn)
-		}()
-		client, cErr := ClientV1(cConn, clientScheme)
-		wg.Wait()
-		if cErr != nil || sErr != nil {
-			t.Fatalf("%s: v1 handshake: client=%v server=%v", params.Name(), cErr, sErr)
-		}
-		if client.Version() != 1 || server.Version() != 1 {
-			t.Fatalf("%s: version %d/%d, want 1/1", params.Name(), client.Version(), server.Version())
-		}
-		recvDone := make(chan struct{})
-		var got []byte
-		var rErr error
-		go func() {
-			got, rErr = server.Recv()
-			close(recvDone)
-		}()
-		if err := client.Send([]byte("legacy")); err != nil {
-			t.Fatal(err)
-		}
-		<-recvDone
-		if rErr != nil {
-			t.Fatal(rErr)
-		}
-		if string(got) != "legacy" {
-			t.Fatalf("v1 record came back as %q", got)
 		}
 	}
 }
@@ -288,29 +242,41 @@ func TestCrossParamsEncapsulationRejected(t *testing.T) {
 	}
 }
 
-// TestMalformedHellos walks the first-flight failure modes.
+// TestMalformedHellos walks the first-flight failure modes. Each is
+// counted as a rejected hello; every hello that is not an 8-byte v2 hello,
+// the former v1 P1 and P2 hellos among them, fails as errBadHello before
+// the server writes a byte, so no tenant lookup or KEM work runs.
 func TestMalformedHellos(t *testing.T) {
-	srv := newTestServer(t, ringlwe.P1())
+	srv := newTestServer(t, ringlwe.P1(), ringlwe.P2())
 	cases := []struct {
 		name string
 		data []byte
+		want error
 	}{
-		{"empty", nil},
-		{"bad magic", []byte{'X', 'Y', 1, 0}},
-		{"truncated", []byte{0x52, 0x4C}},
-		{"v1 nonzero pad", []byte{0x52, 0x4C, 1, 7}},
-		{"v1 custom tag", []byte{0x52, 0x4C, 0, 0}},
-		{"v2 bad version", []byte{0x52, 0x4C, 0xFF, 9, 0, 1, 0, 0}},
-		{"v2 truncated id", []byte{0x52, 0x4C, 0xFF, 2, 0}},
-		{"v2 unknown id", []byte{0x52, 0x4C, 0xFF, 2, 0xBE, 0xEF, 0, 0}},
+		{"empty", nil, io.EOF},
+		{"bad magic", []byte{'X', 'Y', 1, 0}, errBadHello},
+		{"truncated", []byte{0x52, 0x4C}, errBadHello},
+		{"v1 P1", []byte{0x52, 0x4C, 1, 0}, errBadHello},
+		{"v1 P2", []byte{0x52, 0x4C, 2, 0}, errBadHello},
+		{"v1 P1 padded to 8 bytes", []byte{0x52, 0x4C, 1, 0, 0, 0, 0, 0}, errBadHello},
+		{"v1 nonzero pad", []byte{0x52, 0x4C, 1, 7}, errBadHello},
+		{"v1 custom tag", []byte{0x52, 0x4C, 0, 0}, errBadHello},
+		{"v2 bad version", []byte{0x52, 0x4C, 0xFF, 9, 0, 1, 0, 0}, errBadHello},
+		{"v2 truncated id", []byte{0x52, 0x4C, 0xFF, 2, 0}, errBadHello},
+		{"v2 unknown id", []byte{0x52, 0x4C, 0xFF, 2, 0xBE, 0xEF, 0, 0}, ringlwe.ErrParamsMismatch},
 	}
-	for _, tc := range cases {
-		if _, err := srv.Handshake(rwShim{bytes.NewReader(tc.data), io.Discard}); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+	for i, tc := range cases {
+		var w countingWriter
+		_, err := srv.Handshake(rwShim{bytes.NewReader(tc.data), &w})
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-	}
-	if got := srv.Stats().Rejected; got != uint64(len(cases)) {
-		t.Errorf("rejected counter %d, want %d", got, len(cases))
+		if tc.want == errBadHello && w.writes != 0 {
+			t.Errorf("%s: server wrote %d times to a bad hello", tc.name, w.writes)
+		}
+		if got := srv.Stats().Rejected; got != uint64(i+1) {
+			t.Errorf("%s: rejected counter %d, want %d", tc.name, got, i+1)
+		}
 	}
 }
 
@@ -319,7 +285,7 @@ func TestRecordTampering(t *testing.T) {
 	// Tamper in flight: intercept with a buffer. The sender shares the
 	// client's send state; the client itself sends nothing more.
 	var wire bytes.Buffer
-	tampered := &Channel{rw: &wire, version: protocolV2, send: client.send}
+	tampered := &Channel{rw: &wire, send: client.send}
 	if err := tampered.Send([]byte("payload")); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +305,7 @@ func TestRecordTampering(t *testing.T) {
 func TestRecordTypeTampering(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1())
 	var wire bytes.Buffer
-	sender := &Channel{rw: &wire, version: protocolV2, send: client.send}
+	sender := &Channel{rw: &wire, send: client.send}
 	if err := sender.Send([]byte("data")); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +320,7 @@ func TestRecordTypeTampering(t *testing.T) {
 func TestReplayRejected(t *testing.T) {
 	client, server := handshakePair(t, ringlwe.P1())
 	var wire bytes.Buffer
-	sender := &Channel{rw: &wire, version: protocolV2, send: client.send}
+	sender := &Channel{rw: &wire, send: client.send}
 	if err := sender.Send([]byte("once")); err != nil {
 		t.Fatal(err)
 	}
@@ -377,15 +343,10 @@ func TestOversizedRecordRejected(t *testing.T) {
 	if err := client.Send(make([]byte, maxRecordLen+1)); err == nil {
 		t.Fatal("oversized send accepted")
 	}
-	// A forged oversized header must be rejected before allocation, on
-	// both framings.
-	v1ch := &Channel{version: protocolV1, rw: rwShim{bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), io.Discard}}
-	if _, err := v1ch.Recv(); err == nil {
-		t.Fatal("oversized v1 header accepted")
-	}
-	v2ch := &Channel{version: protocolV2, rw: rwShim{bytes.NewReader([]byte{recordData, 0xFF, 0xFF, 0xFF, 0xFF}), io.Discard}}
-	if _, err := v2ch.Recv(); err == nil {
-		t.Fatal("oversized v2 header accepted")
+	// A forged oversized header must be rejected before allocation.
+	ch := &Channel{rw: rwShim{bytes.NewReader([]byte{recordData, 0xFF, 0xFF, 0xFF, 0xFF}), io.Discard}}
+	if _, err := ch.Recv(); err == nil {
+		t.Fatal("oversized header accepted")
 	}
 }
 
@@ -565,7 +526,7 @@ func TestEpochKeysDiffer(t *testing.T) {
 	}
 
 	var wire bytes.Buffer
-	stale := &Channel{rw: &wire, version: protocolV2, send: oldSend}
+	stale := &Channel{rw: &wire, send: oldSend}
 	stale.send.seq = server.recv.seq
 	if err := stale.sealRecord(recordData, []byte("old epoch")); err != nil {
 		t.Fatal(err)

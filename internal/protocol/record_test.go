@@ -15,10 +15,10 @@ import (
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// goldenChannel returns a channel of the given version with fixed send
-// keys and sequence number 41, writing to w.
-func goldenChannel(version int, w io.Writer) *Channel {
-	c := &Channel{rw: rwShim{bytes.NewReader(nil), w}, version: version}
+// goldenChannel returns a channel with fixed send keys and sequence
+// number 41, writing to w.
+func goldenChannel(w io.Writer) *Channel {
+	c := &Channel{rw: rwShim{bytes.NewReader(nil), w}}
 	var key [16]byte
 	for i := range key {
 		key[i] = byte(i)
@@ -36,87 +36,79 @@ func goldenChannel(version int, w io.Writer) *Channel {
 // (keys and sequence number) is the sender's, reading from raw. The two
 // share the MAC state, so c must not seal while the peer opens.
 func peerOf(c *Channel, raw []byte) *Channel {
-	return &Channel{rw: rwShim{bytes.NewReader(raw), io.Discard}, version: c.version, recv: c.send}
+	return &Channel{rw: rwShim{bytes.NewReader(raw), io.Discard}, recv: c.send}
 }
 
-// TestRecordGoldenBytes pins the v1 and v2 record bytes — a 19-byte data
-// record then an empty rekey-ack record — under fixed keys and sequence
-// numbers, so a record-layer rewrite stays bit-identical on the wire.
+// TestRecordGoldenBytes pins the record bytes — a 19-byte data record
+// then an empty rekey-ack record — under fixed keys and sequence numbers,
+// so a record-layer rewrite stays bit-identical on the wire.
 func TestRecordGoldenBytes(t *testing.T) {
-	golden := map[int]string{
-		protocolV1: "00000013a4b9ce41a73a3396666e089650c2871e3dc03557f6c1bbc658eee4b723a56ba7c999c7" +
-			"000000001be9b4547dbe63c8a661d2d5324ba778",
-		protocolV2: "0000000013a4b9ce41a73a3396666e089650c2871e3dc035721693e655fe41d4cce678ac2f5b7634" +
-			"02000000005f1f1eb01dd2738fa6bbc2bf563a8117",
+	const want = "0000000013a4b9ce41a73a3396666e089650c2871e3dc035721693e655fe41d4cce678ac2f5b7634" +
+		"02000000005f1f1eb01dd2738fa6bbc2bf563a8117"
+	var wire bytes.Buffer
+	c := goldenChannel(&wire)
+	if err := c.sealRecord(recordData, []byte("golden record layer")); err != nil {
+		t.Fatal(err)
 	}
-	for version, want := range golden {
-		var wire bytes.Buffer
-		c := goldenChannel(version, &wire)
-		if err := c.sealRecord(recordData, []byte("golden record layer")); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.sealRecord(recordRekeyAck, nil); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(wire.Bytes()); got != want {
-			t.Errorf("v%d record bytes\n got %s\nwant %s", version, got, want)
-		}
+	if err := c.sealRecord(recordRekeyAck, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(wire.Bytes()); got != want {
+		t.Errorf("record bytes\n got %s\nwant %s", got, want)
+	}
 
-		r := peerOf(goldenChannel(version, io.Discard), wire.Bytes())
-		typ, msg, err := r.openRecord()
-		if err != nil || typ != recordData || string(msg) != "golden record layer" {
-			t.Errorf("v%d: opened (%d, %q, %v)", version, typ, msg, err)
-		}
+	r := peerOf(goldenChannel(io.Discard), wire.Bytes())
+	typ, msg, err := r.openRecord()
+	if err != nil || typ != recordData || string(msg) != "golden record layer" {
+		t.Errorf("opened (%d, %q, %v)", typ, msg, err)
 	}
 }
 
-// countingWriter counts Write calls.
-type countingWriter struct{ writes int }
+// countingWriter keeps what is written and counts the Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
 
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.writes++
-	return len(p), nil
+	return w.Buffer.Write(p)
 }
 
 // TestSealRecordOneWrite pins one transport Write per sealed record, at
 // every size from empty to the 22 KB aggregation SUBMIT.
 func TestSealRecordOneWrite(t *testing.T) {
-	for _, version := range []int{protocolV1, protocolV2} {
-		for _, size := range []int{0, 1, 64, 16 << 10, 22 << 10} {
-			var w countingWriter
-			c := goldenChannel(version, &w)
-			if err := c.Send(make([]byte, size)); err != nil {
-				t.Fatal(err)
-			}
-			if w.writes != 1 {
-				t.Errorf("v%d, %d-byte record: %d writes, want 1", version, size, w.writes)
-			}
+	for _, size := range []int{0, 1, 64, 16 << 10, 22 << 10} {
+		var w countingWriter
+		c := goldenChannel(&w)
+		if err := c.Send(make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%d-byte record: %d writes, want 1", size, w.writes)
 		}
 	}
 }
 
 // TestRecordTamperEveryByte flips each authenticated byte of a sealed
-// record in turn — the v2 type byte, every ciphertext byte and every tag
+// record in turn — the type byte, every ciphertext byte and every tag
 // byte — and requires the MAC check to refuse it.
 func TestRecordTamperEveryByte(t *testing.T) {
-	for _, version := range []int{protocolV1, protocolV2} {
-		var wire bytes.Buffer
-		c := goldenChannel(version, &wire)
-		if err := c.sealRecord(recordData, []byte("tamper with any byte of me")); err != nil {
-			t.Fatal(err)
+	var wire bytes.Buffer
+	c := goldenChannel(&wire)
+	if err := c.sealRecord(recordData, []byte("tamper with any byte of me")); err != nil {
+		t.Fatal(err)
+	}
+	raw := wire.Bytes()
+	for i := range raw {
+		if i >= 1 && i < recordHdrLen {
+			continue // a flipped length misframes the record and fails the read first
 		}
-		raw := wire.Bytes()
-		n := c.hdrLen()
-		for i := range raw {
-			if i >= n-4 && i < n {
-				continue // a flipped length misframes the record and fails the read first
-			}
-			bad := bytes.Clone(raw)
-			bad[i] ^= 0x01
-			_, _, err := peerOf(goldenChannel(version, io.Discard), bad).openRecord()
-			if err == nil || err.Error() != "protocol: record authentication failed" {
-				t.Errorf("v%d: flipped byte %d: err = %v", version, i, err)
-			}
+		bad := bytes.Clone(raw)
+		bad[i] ^= 0x01
+		_, _, err := peerOf(goldenChannel(io.Discard), bad).openRecord()
+		if err == nil || err.Error() != "protocol: record authentication failed" {
+			t.Errorf("flipped byte %d: err = %v", i, err)
 		}
 	}
 }
@@ -138,7 +130,7 @@ func perRecord(runs int, f func()) (allocs, bytes float64) {
 }
 
 // TestRecordAllocsIndependentOfSize pins the steady-state cost of the
-// record layer on a v2 channel: sealRecord and openRecord each make at
+// record layer: sealRecord and openRecord each make at
 // most two allocations per record (the per-IV CTR stream) and allocate
 // under 1 KiB, for a 64-byte record and a 22 KB SUBMIT alike — so no
 // allocation scales with the record. A negative control in the same
@@ -152,7 +144,7 @@ func TestRecordAllocsIndependentOfSize(t *testing.T) {
 	for _, size := range []int{64, 22 << 10} {
 		msg := bytes.Repeat([]byte{0xA5}, size)
 		var wire bytes.Buffer
-		c := goldenChannel(protocolV2, &wire)
+		c := goldenChannel(&wire)
 		if err := c.sealRecord(recordData, msg); err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +160,7 @@ func TestRecordAllocsIndependentOfSize(t *testing.T) {
 		// Reopen the same record: rewinding the reader and the receive
 		// sequence number gives the peer identical work every call.
 		src := bytes.NewReader(raw)
-		r := peerOf(goldenChannel(protocolV2, io.Discard), nil)
+		r := peerOf(goldenChannel(io.Discard), nil)
 		r.rw = rwShim{src, io.Discard}
 		open := func() {
 			src.Reset(raw)
@@ -212,7 +204,7 @@ func TestRecordAllocsIndependentOfSize(t *testing.T) {
 // down; every record must round-trip intact.
 func TestRecordBufferGrows(t *testing.T) {
 	var wire bytes.Buffer
-	c := goldenChannel(protocolV2, &wire)
+	c := goldenChannel(&wire)
 	sizes := []int{64, maxRecordLen, 64}
 	msgs := make([][]byte, len(sizes))
 	for i, size := range sizes {
@@ -223,7 +215,7 @@ func TestRecordBufferGrows(t *testing.T) {
 	}
 	// Seal and open in lock step, so a buffer the receiver releases can
 	// come back to the sender and the other way round.
-	r := peerOf(goldenChannel(protocolV2, io.Discard), nil)
+	r := peerOf(goldenChannel(io.Discard), nil)
 	r.rw = rwShim{&wire, io.Discard}
 	for i, msg := range msgs {
 		if err := c.sealRecord(recordData, msg); err != nil {
@@ -242,7 +234,7 @@ func TestRecordBufferGrows(t *testing.T) {
 // which read both from one stream, and on a fresh one.
 func TestRecordTamperedTagThenValid(t *testing.T) {
 	var wire bytes.Buffer
-	c := goldenChannel(protocolV2, &wire)
+	c := goldenChannel(&wire)
 	if err := c.sealRecord(recordData, []byte("authentic")); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +242,7 @@ func TestRecordTamperedTagThenValid(t *testing.T) {
 	bad := bytes.Clone(good)
 	bad[len(bad)-1] ^= 0x80
 
-	r := peerOf(goldenChannel(protocolV2, io.Discard), append(bad, good...))
+	r := peerOf(goldenChannel(io.Discard), append(bad, good...))
 	if _, _, err := r.openRecord(); err == nil {
 		t.Fatal("tampered tag accepted")
 	}
@@ -259,7 +251,7 @@ func TestRecordTamperedTagThenValid(t *testing.T) {
 	}
 	for name, peer := range map[string]*Channel{
 		"same peer":  r,
-		"fresh peer": peerOf(goldenChannel(protocolV2, io.Discard), good),
+		"fresh peer": peerOf(goldenChannel(io.Discard), good),
 	} {
 		if _, msg, err := peer.openRecord(); err != nil || string(msg) != "authentic" {
 			t.Errorf("%s: opened (%q, %v)", name, msg, err)

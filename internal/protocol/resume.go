@@ -180,7 +180,6 @@ func ClientResume(rw io.ReadWriter, ses *Session, opts ...Option) (*Channel, err
 		}
 		ch := &Channel{
 			rw:         rw,
-			version:    protocolV2,
 			isClient:   true,
 			scheme:     ses.scheme,
 			peerPK:     ses.pk,

@@ -11,7 +11,6 @@ import (
 	"net"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,9 +29,9 @@ var ErrServerClosed = errors.New("protocol: server closed")
 // as a "kem" failure.
 var errTooManyRetries = errors.New("protocol: too many decapsulation retries")
 
-// errBadHello marks first flights that never were a handshake (wrong
-// magic, impossible version); the metrics layer classifies them as
-// "hello" failures.
+// errBadHello marks first flights that never were a handshake: short,
+// wrong magic, or not an 8-byte v2 hello (the retired v1 hello among
+// them). The metrics layer classifies them as "hello" failures.
 var errBadHello = errors.New("protocol: malformed hello")
 
 // hsPath names how a channel was established; it indexes the per-path
@@ -158,8 +157,12 @@ func newServerMetrics(reg *obs.Registry, shards int) serverMetrics {
 type tenant struct {
 	id     uint16
 	scheme *ringlwe.Scheme
-	pk     *ringlwe.PublicKey
 	sk     *ringlwe.PrivateKey
+
+	// keyFlight is statusOK ‖ self-describing public key, the server's
+	// first KEM flight, encoded once so a handshake sends it in one Write.
+	// It is the only form of the public key the server keeps.
+	keyFlight []byte
 
 	m *tenantMetrics
 }
@@ -197,15 +200,14 @@ func (ct *connTrace) span(p obs.Phase, start time.Time, err error) {
 
 // Server is a multi-tenant sharded secure-channel endpoint: it holds one
 // Scheme and long-term key pair per registered parameter set and serves
-// v2 (negotiated, resumable) and v1 (legacy tagged) clients of any of
-// them. Every connection runs on its own goroutine, which does the
-// connection's KEM work itself on a workspace borrowed from the tenant's
-// pool. Serving is split into N shards — with SO_REUSEPORT, N kernel-fed
-// accept loops; otherwise one accept loop tagging connections round-robin
-// — and a shard is just a slot in every metric, merged lock-free by Stats
-// and scrapes.
+// clients of any of them. Every connection runs on its own goroutine,
+// which does the connection's KEM work itself on a workspace borrowed
+// from the tenant's pool. Serving is split into N shards — with
+// SO_REUSEPORT, N kernel-fed accept loops; otherwise one accept loop
+// tagging connections round-robin — and a shard is just a slot in every
+// metric, merged lock-free by Stats and scrapes.
 //
-// Completed v2 handshakes can mint encrypted session-resumption tickets
+// Completed handshakes can mint encrypted session-resumption tickets
 // (AES-GCM under a rotating server key, see internal/ticket); a
 // reconnecting client that presents one skips the KEM flight entirely,
 // with a sharded anti-replay cache keeping tickets single-use.
@@ -220,7 +222,6 @@ func (ct *connTrace) span(p obs.Phase, start time.Time, err error) {
 // safe for concurrent use.
 type Server struct {
 	handler func(*Channel)
-	logf    func(format string, args ...any)
 	logger  *slog.Logger
 	tracer  obs.Tracer
 
@@ -258,13 +259,6 @@ type ServerOption func(*Server)
 // closes — useful for handshake benchmarks and tests.
 func WithHandler(h func(*Channel)) ServerOption {
 	return func(s *Server) { s.handler = h }
-}
-
-// WithLogf directs per-connection error reports (failed handshakes,
-// rejected hellos, accept retries) to a printf-style sink. Silent by
-// default; superseded by WithLogger when both are set.
-func WithLogf(logf func(format string, args ...any)) ServerOption {
-	return func(s *Server) { s.logf = logf }
 }
 
 // WithLogger directs the server's structured logs to a slog.Logger:
@@ -331,29 +325,18 @@ func (s *Server) NumShards() int { return s.numShards }
 // register their own metrics into it so one scrape covers the process.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// log emits one structured event: to the slog.Logger when configured,
-// else rendered through the legacy printf sink, else dropped.
+// log emits one structured event to the slog.Logger when configured.
 func (s *Server) log(level slog.Level, msg string, args ...any) {
 	if s.logger != nil {
 		s.logger.Log(context.Background(), level, msg, args...)
-		return
 	}
-	if s.logf == nil {
-		return
-	}
-	var b strings.Builder
-	b.WriteString(msg)
-	for i := 0; i+1 < len(args); i += 2 {
-		fmt.Fprintf(&b, " %v=%v", args[i], args[i+1])
-	}
-	s.logf("%s", b.String())
 }
 
 // AddTenant registers a parameter set with an existing scheme and
 // long-term key pair. The set must be wire-registered (P1 and P2 always
-// are; Custom sets via ringlwe.RegisterParams) so v2 clients can negotiate
-// it by ID. The first tenant added becomes the default served to v2
-// clients that request ID 0. The tenant's rlwe_backend_info series
+// are; Custom sets via ringlwe.RegisterParams) so clients can negotiate
+// it by ID. The first tenant added becomes the default served to clients
+// that request ID 0. The tenant's rlwe_backend_info series
 // reports the engine, sampler and codec its scheme resolved to.
 func (s *Server) AddTenant(scheme *ringlwe.Scheme, pk *ringlwe.PublicKey, sk *ringlwe.PrivateKey) error {
 	p := scheme.Params()
@@ -364,17 +347,21 @@ func (s *Server) AddTenant(scheme *ringlwe.Scheme, pk *ringlwe.PublicKey, sk *ri
 	if pk.Params().N() != p.N() || sk.Params().N() != p.N() || pk.Params().WireID() != id || sk.Params().WireID() != id {
 		return fmt.Errorf("protocol: key pair does not match scheme parameter set %s: %w", p.Name(), ringlwe.ErrParamsMismatch)
 	}
+	keyFlight, err := pk.AppendBinary([]byte{statusOK})
+	if err != nil {
+		return fmt.Errorf("protocol: encoding %s public key: %w", p.Name(), err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.tenants[id]; dup {
 		return fmt.Errorf("protocol: parameter set %s (wire ID %d) already served", p.Name(), id)
 	}
 	s.tenants[id] = &tenant{
-		id:     id,
-		scheme: scheme,
-		pk:     pk,
-		sk:     sk,
-		m:      newTenantMetrics(s.reg, p.Name(), s.numShards),
+		id:        id,
+		scheme:    scheme,
+		sk:        sk,
+		keyFlight: keyFlight,
+		m:         newTenantMetrics(s.reg, p.Name(), s.numShards),
 	}
 	prof := scheme.Profile()
 	s.reg.Gauge("rlwe_backend_info", "backends the tenant's scheme resolved to; always 1", obs.Labels{
@@ -402,7 +389,7 @@ func (s *Server) AddParams(p *ringlwe.Params, opts ...ringlwe.Option) error {
 	return s.AddTenant(scheme, pk, sk)
 }
 
-// tenantByID resolves a v2 hello's parameter-set ID (0 = default tenant).
+// tenantByID resolves a hello's parameter-set ID (0 = default tenant).
 func (s *Server) tenantByID(id uint16) *tenant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -410,18 +397,6 @@ func (s *Server) tenantByID(id uint16) *tenant {
 		id = s.defaultID
 	}
 	return s.tenants[id]
-}
-
-// tenantByLegacyTag resolves a v1 hello's one-byte parameter tag.
-func (s *Server) tenantByLegacyTag(tag byte) *tenant {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, t := range s.tenants {
-		if legacyParamTag(t.scheme.Params()) == tag {
-			return t
-		}
-	}
-	return nil
 }
 
 // decapsulate runs one handshake decapsulation on the calling
@@ -456,61 +431,46 @@ func (s *Server) issueTicket(rw io.Writer, shard int, ct *connTrace, t *tenant, 
 }
 
 // Handshake performs the responder side of one handshake over any
-// reliable byte stream, auto-detecting the protocol generation from the
-// first flight and dispatching to the tenant the client names. It is the
-// seam the serving loops drive per connection, exported so channels can
-// be established over in-memory pipes and custom transports. Its metrics
-// land in shard slot 0.
+// reliable byte stream, dispatching to the tenant the client names. It is
+// the seam the serving loops drive per connection, exported so channels
+// can be established over in-memory pipes and custom transports. Its
+// metrics land in shard slot 0.
 func (s *Server) Handshake(rw io.ReadWriter) (*Channel, error) {
 	ch, _, err := s.handshake(rw, 0)
 	return ch, err
 }
 
 // handshake implements Handshake, also returning the tenant for the
-// serving layer's accounting.
+// serving layer's accounting. It reads the 8-byte hello in one read and
+// refuses anything but magic ‖ 0xFF ‖ 2 with errBadHello before any
+// tenant lookup; then it resolves the tenant by the requested
+// parameter-set ID and runs either the resumption path (the hello carries
+// a ticket) or the full KEM flight.
 func (s *Server) handshake(rw io.ReadWriter, shard int) (*Channel, *tenant, error) {
 	ct := newConnTrace(s.tracer)
 	t0 := ct.start()
-	var hello [helloV1Len]byte
-	if _, err := io.ReadFull(rw, hello[:]); err != nil {
-		s.sm.rejected.Inc(shard)
+	var hello [helloV2Len]byte
+	_, err := io.ReadFull(rw, hello[:])
+	switch {
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		err = fmt.Errorf("%w: truncated", errBadHello)
+	case err != nil:
 		err = fmt.Errorf("protocol: hello: %w", err)
-		ct.span(obs.PhaseHello, t0, err)
-		return nil, nil, err
+	case binary.BigEndian.Uint16(hello[:2]) != helloMagic:
+		err = fmt.Errorf("%w: bad magic", errBadHello)
+	case hello[2] != helloV2Marker || hello[3] != protocolV2:
+		err = fmt.Errorf("%w: not a v2 hello (% x)", errBadHello, hello[2:4])
 	}
-	if binary.BigEndian.Uint16(hello[:2]) != helloMagic {
+	if err != nil {
 		s.sm.rejected.Inc(shard)
-		err := fmt.Errorf("%w: bad magic", errBadHello)
 		ct.span(obs.PhaseHello, t0, err)
 		return nil, nil, err
 	}
 	ct.span(obs.PhaseHello, t0, nil)
-	if hello[2] == helloV2Marker {
-		return s.handshakeV2(rw, shard, ct, hello)
-	}
-	return s.handshakeV1(rw, shard, ct, hello)
-}
 
-// handshakeV2 answers a negotiated hello: resolve the tenant by the
-// requested parameter-set ID and run either the resumption path (the
-// hello carries a ticket) or the full KEM flight.
-func (s *Server) handshakeV2(rw io.ReadWriter, shard int, ct *connTrace, hello [helloV1Len]byte) (*Channel, *tenant, error) {
-	t0 := ct.start()
-	if hello[3] != protocolV2 {
-		s.sm.rejected.Inc(shard)
-		err := fmt.Errorf("%w: unsupported protocol version %d", errBadHello, hello[3])
-		ct.span(obs.PhaseNegotiate, t0, err)
-		return nil, nil, err
-	}
-	var rest [helloV2Len - helloV1Len]byte
-	if _, err := io.ReadFull(rw, rest[:]); err != nil {
-		s.sm.rejected.Inc(shard)
-		err = fmt.Errorf("protocol: hello: %w", err)
-		ct.span(obs.PhaseNegotiate, t0, err)
-		return nil, nil, err
-	}
-	id := binary.BigEndian.Uint16(rest[:2])
-	flags := rest[2]
+	t0 = ct.start()
+	id := binary.BigEndian.Uint16(hello[4:6])
+	flags := hello[6]
 	if flags&helloFlagResume != 0 {
 		ct.span(obs.PhaseNegotiate, t0, nil)
 		return s.handshakeResume(rw, shard, ct, id)
@@ -529,10 +489,10 @@ func (s *Server) handshakeV2(rw io.ReadWriter, shard int, ct *connTrace, hello [
 	return s.serverKEMFlight(rw, shard, ct, t, statusOK, flags&helloFlagTicket != 0)
 }
 
-// serverKEMFlight runs the responder's full v2 flight against a resolved
+// serverKEMFlight runs the responder's full flight against a resolved
 // tenant, wrapped in one KEM-flight span: first status byte (statusOK,
-// or statusFallback when downgrading a refused resumption), the streamed
-// public key, the decapsulation loop, and — when the client asked for
+// or statusFallback when downgrading a refused resumption) and public key
+// in one Write, the decapsulation loop, and — when the client asked for
 // one — the session ticket.
 func (s *Server) serverKEMFlight(rw io.ReadWriter, shard int, ct *connTrace, t *tenant, firstStatus byte, wantTicket bool) (*Channel, *tenant, error) {
 	t0 := ct.start()
@@ -543,12 +503,7 @@ func (s *Server) serverKEMFlight(rw io.ReadWriter, shard int, ct *connTrace, t *
 
 func (s *Server) serverKEMFlightInner(rw io.ReadWriter, shard int, ct *connTrace, t *tenant, firstStatus byte, wantTicket bool) (*Channel, *tenant, error) {
 	params := t.scheme.Params()
-	if _, err := rw.Write([]byte{firstStatus}); err != nil {
-		return nil, t, fmt.Errorf("protocol: sending hello status: %w", err)
-	}
-	// First server flight: the self-describing public-key blob, written
-	// in one Write from a pooled buffer.
-	if _, err := t.pk.WriteTo(rw); err != nil {
+	if err := t.writeKeyFlight(rw, firstStatus); err != nil {
 		return nil, t, fmt.Errorf("protocol: sending public key: %w", err)
 	}
 
@@ -596,13 +551,27 @@ func (s *Server) serverKEMFlightInner(rw io.ReadWriter, shard int, ct *connTrace
 	return nil, t, errTooManyRetries
 }
 
+// writeKeyFlight sends status ‖ public key in one Write. A downgraded
+// resumption's statusFallback goes out from a pooled copy of keyFlight.
+func (t *tenant) writeKeyFlight(w io.Writer, status byte) error {
+	if status == statusOK {
+		_, err := w.Write(t.keyFlight)
+		return err
+	}
+	bp := getRecordBuf(len(t.keyFlight))
+	copy(*bp, t.keyFlight)
+	(*bp)[0] = status
+	_, err := w.Write(*bp)
+	recordBufs.Put(bp)
+	return err
+}
+
 // newServerChannel builds the server side of an established channel,
 // wired to the tenant's record-layer metrics and the connection trace.
 func (s *Server) newServerChannel(rw io.ReadWriter, shard int, ct *connTrace, t *tenant, path hsPath) *Channel {
 	m := t.m
 	return &Channel{
 		rw:      rw,
-		version: protocolV2,
 		scheme:  t.scheme,
 		localSK: t.sk,
 		onRekey: func() { m.rekeys.Inc(shard) },
@@ -701,61 +670,6 @@ func (s *Server) resumeChannel(rw io.ReadWriter, shard int, ct *connTrace, t *te
 	shared := resumedShared(t.scheme.Params().Name(), st.Epoch, st.Secret, clientRand, serverRand)
 	ch.deriveKeys(shared)
 	return ch, t, nil
-}
-
-// handshakeV1 answers a legacy tagged hello exactly as the original
-// single-tenant server did, dispatching on the one-byte tag.
-func (s *Server) handshakeV1(rw io.ReadWriter, shard int, ct *connTrace, hello [helloV1Len]byte) (*Channel, *tenant, error) {
-	if hello[3] != 0 {
-		s.sm.rejected.Inc(shard)
-		return nil, nil, fmt.Errorf("%w: malformed v1 hello", errBadHello)
-	}
-	t := s.tenantByLegacyTag(hello[2])
-	if t == nil {
-		s.sm.rejected.Inc(shard)
-		return nil, nil, fmt.Errorf("protocol: no tenant serves v1 parameter tag %d: %w", hello[2], ringlwe.ErrParamsMismatch)
-	}
-	t0 := ct.start()
-	ch, tn, err := s.v1KEMFlight(rw, shard, ct, t)
-	ct.span(obs.PhaseKEMFlight, t0, err)
-	return ch, tn, err
-}
-
-func (s *Server) v1KEMFlight(rw io.ReadWriter, shard int, ct *connTrace, t *tenant) (*Channel, *tenant, error) {
-	params := t.scheme.Params()
-	if _, err := rw.Write(t.pk.Bytes()); err != nil {
-		return nil, t, fmt.Errorf("protocol: sending public key: %w", err)
-	}
-
-	// The v1 encapsulation flight is a bare blob; the negotiated set
-	// bounds the read exactly.
-	blob := make([]byte, params.EncapsulationSize())
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if _, err := io.ReadFull(rw, blob); err != nil {
-			return nil, t, fmt.Errorf("protocol: reading encapsulation: %w", err)
-		}
-		key, err := s.decapsulate(t, ringlwe.EncapsulatedKey(blob))
-		if errors.Is(err, ringlwe.ErrDecapsulation) {
-			t.m.retries.Inc(shard)
-			if _, werr := rw.Write([]byte{statusRetry}); werr != nil {
-				return nil, t, fmt.Errorf("protocol: sending retry: %w", werr)
-			}
-			continue
-		}
-		if err != nil {
-			return nil, t, fmt.Errorf("protocol: decapsulate: %w", err)
-		}
-		if _, err := rw.Write([]byte{statusOK}); err != nil {
-			return nil, t, fmt.Errorf("protocol: sending ok: %w", err)
-		}
-		ch := s.newServerChannel(rw, shard, ct, t, pathFull)
-		ch.version = protocolV1
-		ch.onRekey = nil // v1 channels cannot rekey
-		ch.Retries = attempt
-		ch.deriveKeys(key)
-		return ch, t, nil
-	}
-	return nil, t, errTooManyRetries
 }
 
 // acceptLoop accepts until the listener dies or the server closes,

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -50,7 +51,7 @@ func echoHandler(ch *Channel) {
 // TestServerMixedParamsConcurrent is the acceptance-criteria test: one
 // Server on one port completes concurrent handshakes with P1 clients, P2
 // clients (both negotiated from the self-describing public-key header)
-// and legacy v1-tag clients, with traffic flowing on every channel. Run
+// and auto-negotiating clients, with traffic flowing on every channel. Run
 // under -race in CI.
 func TestServerMixedParamsConcurrent(t *testing.T) {
 	srv := newTestServer(t, ringlwe.P1(), ringlwe.P2())
@@ -69,9 +70,6 @@ func TestServerMixedParamsConcurrent(t *testing.T) {
 		{"P2v2", func(c net.Conn) (*Channel, error) {
 			return Client(c, ringlwe.NewDeterministic(ringlwe.P2(), 6002))
 		}, "P2"},
-		{"P1v1", func(c net.Conn) (*Channel, error) {
-			return ClientV1(c, ringlwe.NewDeterministic(ringlwe.P1(), 6003))
-		}, "P1"},
 		{"auto", func(c net.Conn) (*Channel, error) {
 			return ClientAuto(c)
 		}, "P1"},
@@ -127,9 +125,9 @@ func TestServerMixedParamsConcurrent(t *testing.T) {
 	stop()
 
 	st := srv.Stats()
-	// P1v2 + P1v1 + auto hit P1; P2v2 hits P2.
-	if got := st.PerParams["P1"].Handshakes; got != 3*perFlavor {
-		t.Errorf("P1 handshakes %d, want %d", got, 3*perFlavor)
+	// P1v2 + auto hit P1; P2v2 hits P2.
+	if got := st.PerParams["P1"].Handshakes; got != 2*perFlavor {
+		t.Errorf("P1 handshakes %d, want %d", got, 2*perFlavor)
 	}
 	if got := st.PerParams["P2"].Handshakes; got != perFlavor {
 		t.Errorf("P2 handshakes %d, want %d", got, perFlavor)
@@ -141,6 +139,50 @@ func TestServerMixedParamsConcurrent(t *testing.T) {
 	for name, c := range st.PerParams {
 		if c.ActiveChannels != 0 {
 			t.Errorf("%s: %d channels still active after shutdown", name, c.ActiveChannels)
+		}
+	}
+}
+
+// TestServerKeyFlightOneWrite pins the server's first KEM flight,
+// status ‖ self-describing public key, to one transport Write for both
+// first statuses: statusOK after a plain hello and statusFallback after a
+// refused resumption.
+func TestServerKeyFlightOneWrite(t *testing.T) {
+	scheme := ringlwe.NewDeterministic(ringlwe.P1(), 1001)
+	pk, sk, err := scheme.GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer()
+	if err := srv.AddTenant(scheme, pk, sk); err != nil {
+		t.Fatal(err)
+	}
+	pkBlob, err := pk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbageResume := []byte{0x52, 0x4C, 0xFF, 2, 0, 1, helloFlagTicket | helloFlagResume, 0, 0, 79}
+	garbageResume = append(garbageResume, make([]byte, 79+randomLen)...)
+	for _, tc := range []struct {
+		name   string
+		hello  []byte
+		status byte
+	}{
+		{"full", []byte{0x52, 0x4C, 0xFF, 2, 0, 1, 0, 0}, statusOK},
+		{"fallback", garbageResume, statusFallback},
+	} {
+		// The client stops after its hello, so the server fails reading
+		// the encapsulation, after its first flight.
+		var w countingWriter
+		if _, err := srv.Handshake(rwShim{bytes.NewReader(tc.hello), &w}); err == nil {
+			t.Fatalf("%s: handshake without an encapsulation succeeded", tc.name)
+		}
+		if w.writes != 1 {
+			t.Errorf("%s: first flight took %d writes, want 1", tc.name, w.writes)
+		}
+		if want := append([]byte{tc.status}, pkBlob...); !bytes.Equal(w.Bytes(), want) {
+			t.Errorf("%s: first flight is %d bytes starting %x, want status %d ‖ %d-byte key blob",
+				tc.name, w.Len(), w.Bytes()[:min(w.Len(), 8)], tc.status, len(pkBlob))
 		}
 	}
 }
