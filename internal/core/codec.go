@@ -40,21 +40,32 @@ func DecodeInto(dst []byte, p *Params, m ntt.Poly) {
 // addEncoded adds ⌊q/2⌋ to every coefficient whose message bit is set, as
 // its residue in each channel: the Encode step fused into the e3 error
 // polynomial, allocation-free. Byte k of msg covers coefficients
-// [8k, 8k+8) of every row. The message bit becomes a mask over the
-// residue, and the reduction mod qᵢ subtracts qᵢ and adds it back under
-// the sign mask of the difference.
+// [8k, 8k+8) of every row, taken as one fixed-size group so the eight
+// lanes run straight-line with constant bit shifts.
 func addEncoded(p *Params, dst ntt.Poly, msg []byte) {
 	b := p.Basis
 	for i, qi := range b.Moduli {
 		half := uint64(b.HalfQRes(i))
 		q := uint64(qi)
-		row := p.row(dst, i)
+		row := p.row(dst, i)[:8*len(msg)]
 		for k, m := range msg {
-			c := row[8*k : 8*k+8]
-			for j := range c {
-				s := uint64(c[j]) + half&-(uint64(m>>j)&1) - q
-				c[j] = uint32(s + q&uint64(int64(s)>>63))
-			}
+			c := (*[8]uint32)(row[8*k : 8*k+8])
+			c[0] = addHalf(c[0], m, half, q)
+			c[1] = addHalf(c[1], m>>1, half, q)
+			c[2] = addHalf(c[2], m>>2, half, q)
+			c[3] = addHalf(c[3], m>>3, half, q)
+			c[4] = addHalf(c[4], m>>4, half, q)
+			c[5] = addHalf(c[5], m>>5, half, q)
+			c[6] = addHalf(c[6], m>>6, half, q)
+			c[7] = addHalf(c[7], m>>7, half, q)
 		}
 	}
+}
+
+// addHalf returns c + half mod q when bit 0 of m is set and c otherwise,
+// for c, half < q. The bit becomes a mask over half, and the reduction
+// subtracts q and adds it back under the sign mask of the difference.
+func addHalf(c uint32, m byte, half, q uint64) uint32 {
+	s := uint64(c) + half&-uint64(m&1) - q
+	return uint32(s + q&uint64(int64(s)>>63))
 }

@@ -31,14 +31,15 @@ func NewHashDRBG(seed []byte) *HashDRBG {
 	return d
 }
 
+// refill hashes seed ‖ counter (counter little-endian) into the next 32
+// bytes of output. The input sits in a stack array, so refilling
+// allocates nothing.
 func (d *HashDRBG) refill() {
-	h := sha256.New()
-	h.Write(d.seed[:])
-	var ctr [8]byte
-	binary.LittleEndian.PutUint64(ctr[:], d.counter)
-	h.Write(ctr[:])
+	var in [len(d.seed) + 8]byte
+	copy(in[:], d.seed[:])
+	binary.LittleEndian.PutUint64(in[len(d.seed):], d.counter)
 	d.counter++
-	copy(d.buf[:], h.Sum(nil))
+	d.buf = sha256.Sum256(in[:])
 	d.used = 0
 }
 

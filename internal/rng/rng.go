@@ -105,6 +105,21 @@ func (c *CryptoSource) Uint32() uint32 {
 	return v
 }
 
+// fill copies the next len(p)/4 words out of the keystream buffer, the
+// bulk form of Uint32: the buffer position only ever moves by whole words,
+// so the copied bytes are the ones successive Uint32 calls would decode.
+func (c *CryptoSource) fill(p []byte) {
+	p = p[:len(p)&^3]
+	for len(p) > 0 {
+		if c.pos+4 > len(c.buf) {
+			c.refill()
+		}
+		n := copy(p, c.buf[c.pos:])
+		c.pos += n
+		p = p[n:]
+	}
+}
+
 // refill overwrites the buffer with the next 256 keystream bytes, keying
 // afresh first when the current key is spent (or was never drawn).
 func (c *CryptoSource) refill() {

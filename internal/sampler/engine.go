@@ -14,11 +14,13 @@
 //     differentially and statistically tested against.
 //   - "wide-ky": a word-at-a-time Knuth-Yao, sixteen coefficients per
 //     pass. The LUT-1 byte probes for eight coefficients ride in one 64-bit
-//     source word, SWAR-tested for failures with a single mask; only the
-//     rare residuals (≈2.2% per coefficient) fall back to the serial
-//     LUT-2/scan walk, fed from a 64-bit bit pool (bitPool64). What
-//     ringlwe.New selects for OS-random schemes, which have no stream to
-//     pin.
+//     probe word, SWAR-tested for failures with a single mask; the probe
+//     and sign words of two passes at a time come from the source in one
+//     bulk draw (rng.FillWords). Every lane is stored through a negation
+//     table, and only the rare residuals (≈2.2% per coefficient) are then
+//     resolved in place by the serial LUT-2/scan walk, fed from a 64-bit
+//     bit pool (bitPool64). What ringlwe.New selects for OS-random
+//     schemes, which have no stream to pin.
 //   - "cdt": inversion sampling against the cumulative table, with a
 //     fixed-shape branchless binary search — the same number of table
 //     probes and the same arithmetic for every sample (the paper's

@@ -1,6 +1,8 @@
 package sampler
 
 import (
+	"bytes"
+	"crypto/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -168,40 +170,76 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// sourceRows are the sources the engine-wide gates run every backend
+// over: the deterministic test source, and the per-workspace AES-CTR
+// CryptoSource that ringlwe.New hands the sampler (which wide-ky draws
+// from in bulk). Each row returns a fresh source and a twin that yields
+// the same word stream.
+var sourceRows = []struct {
+	name  string
+	twins func() (src, twin rng.Source)
+}{
+	{"Xorshift128", func() (rng.Source, rng.Source) {
+		return rng.NewXorshift128(1234), rng.NewXorshift128(1234)
+	}},
+	{"CryptoSource", cryptoTwins},
+}
+
+// cryptoTwins returns two sources from rng.NewCryptoSource keyed alike. A
+// CryptoSource keeps the crypto/rand.Reader it was built with and keys
+// itself from it on its first draw, so each is built while a fixed key
+// stream stands in for the OS reader.
+func cryptoTwins() (rng.Source, rng.Source) {
+	orig := rand.Reader
+	defer func() { rand.Reader = orig }()
+	seed := bytes.Repeat([]byte{0x5C, 0x31, 0xE7}, 16)
+	rand.Reader = bytes.NewReader(seed)
+	src := rng.NewCryptoSource()
+	rand.Reader = bytes.NewReader(seed)
+	return src, rng.NewCryptoSource()
+}
+
 // TestConstructionConsumesNoRandomness pins the Factory contract: building
 // an engine must leave the source untouched, because workspace forking
 // (and the knuth-yao KAT guarantee) depends on it.
 func TestConstructionConsumesNoRandomness(t *testing.T) {
 	cfg := testConfig(t)
-	for _, name := range Names() {
-		src := rng.NewXorshift128(1234)
-		ref := rng.NewXorshift128(1234)
-		if _, err := New(name, cfg, src); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 16; i++ {
-			if got, want := src.Uint32(), ref.Uint32(); got != want {
-				t.Fatalf("%s: construction consumed source state (word %d: %#x vs %#x)", name, i, got, want)
+	for _, row := range sourceRows {
+		for _, name := range Names() {
+			src, ref := row.twins()
+			if _, err := New(name, cfg, src); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 16; i++ {
+				if got, want := src.Uint32(), ref.Uint32(); got != want {
+					t.Fatalf("%s over %s: construction consumed source state (word %d: %#x vs %#x)",
+						name, row.name, i, got, want)
+				}
 			}
 		}
 	}
 }
 
 // TestSamplerZeroAlloc pins SamplePolyInto at zero allocations per call on
-// every backend (the CI allocation-regression gate runs -run ZeroAlloc).
+// every backend and source (the CI allocation-regression gate runs -run
+// ZeroAlloc). A CryptoSource's first draw builds its cipher; that falls in
+// AllocsPerRun's warm-up call.
 func TestSamplerZeroAlloc(t *testing.T) {
 	cfg := testConfig(t)
 	dst := make([]uint32, 256)
-	for _, name := range Names() {
-		e, err := New(name, cfg, rng.NewXorshift128(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			e.SamplePolyInto(dst, 7681)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: SamplePolyInto allocates %.1f/op, want 0", name, allocs)
+	for _, row := range sourceRows {
+		for _, name := range Names() {
+			src, _ := row.twins()
+			e, err := New(name, cfg, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				e.SamplePolyInto(dst, 7681)
+			})
+			if allocs != 0 {
+				t.Errorf("%s over %s: SamplePolyInto allocates %.1f/op, want 0", name, row.name, allocs)
+			}
 		}
 	}
 }
