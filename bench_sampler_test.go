@@ -42,7 +42,7 @@ func BenchmarkEncryptEngineSampler(b *testing.B) {
 // BenchmarkKEMPairOS measures the production KEM configuration: one
 // workspace Encapsulate plus Decapsulate on a New scheme, so the wide-ky
 // sampler draws from the workspace's OS-keyed AES-CTR keystream. The
-// -constant-time rows run the same pair under ConstantTime() (shoup +
+// -constant-time rows run the same pair under ConstantTime() (vector +
 // cdt), so the price of the constant-time profile stays measured.
 func BenchmarkKEMPairOS(b *testing.B) {
 	for _, p := range []*Params{P1(), P2()} {

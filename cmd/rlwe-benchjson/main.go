@@ -15,7 +15,7 @@
 // The tool also acts as the CI regression gate:
 //
 //	rlwe-benchjson -in bench.txt -out BENCH_6.json \
-//	    -baseline BENCH_5.json,BENCH_6.json -gate 'shoup|vector|wide-ky' -max-regress 10
+//	    -baseline BENCH_5.json,BENCH_6.json -gate 'vector|wide-ky' -max-regress 10
 //
 // -baseline loads archived documents (comma separated, later files taking
 // precedence per benchmark name, so the list is the committed trajectory in

@@ -262,7 +262,7 @@ func ExampleScheme_Profile() {
 	scheme := ringlwe.New(ringlwe.P1(), ringlwe.ConstantTime())
 	p := scheme.Profile()
 	fmt.Println(p.Name(), p.Engine, p.Sampler)
-	// Output: constant-time shoup cdt
+	// Output: constant-time vector cdt
 }
 
 // Keys and ciphertexts serialize to fixed-size blobs.

@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, err := constTime.Decrypt(priv, ct) // shoup kernels
+	a, err := constTime.Decrypt(priv, ct) // vector kernels
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"ringlwe/internal/sampler"
 )
 
-// bigQ is the first prime above 2²⁹ with q ≡ 1 (mod 32): the shoup kernels
-// accept it (q < 2³⁰), the vector kernels' bound lemma (4q ≤ 2³¹) does not.
+// bigQ is the first prime above 2²⁹ with q ≡ 1 (mod 32): the barrett path
+// accepts it, the vector kernels' bound lemma (4q ≤ 2³¹) does not.
 const bigQ = 536871233
 
 // refusedSets builds one parameter set per way the vector kernels refuse
@@ -83,15 +83,15 @@ func TestAutoResolution(t *testing.T) {
 }
 
 // TestAutoResolutionFallback: a set the vector kernels refuse resolves to
-// shoup, through New and, for RNS sets, through Basis.ResolveEngines.
+// barrett, through New and, for RNS sets, through Basis.ResolveEngines.
 func TestAutoResolutionFallback(t *testing.T) {
 	for label, p := range refusedSets(t) {
 		s, err := New(p, rng.NewXorshift128(7))
 		if err != nil {
 			t.Fatalf("%s: New: %v", label, err)
 		}
-		if s.Engine() != "shoup" {
-			t.Errorf("%s: New resolved engine %q, want shoup", label, s.Engine())
+		if s.Engine() != "barrett" {
+			t.Errorf("%s: New resolved engine %q, want barrett", label, s.Engine())
 		}
 		if p.IsRNS() {
 			engs, err := p.Basis.ResolveEngines("auto")
@@ -99,8 +99,8 @@ func TestAutoResolutionFallback(t *testing.T) {
 				t.Fatalf("%s: ResolveEngines: %v", label, err)
 			}
 			for i, e := range engs {
-				if e.Name() != "shoup" {
-					t.Errorf("%s channel %d: engine %q, want shoup", label, i, e.Name())
+				if e.Name() != "barrett" {
+					t.Errorf("%s channel %d: engine %q, want barrett", label, i, e.Name())
 				}
 			}
 		}
@@ -109,7 +109,7 @@ func TestAutoResolutionFallback(t *testing.T) {
 
 // TestAutoResolutionForcedFailsLoudly: a named backend is forced — used
 // verbatim — so "vector" over a set it refuses fails construction instead
-// of falling back to shoup the way the unnamed default does.
+// of falling back to barrett the way the unnamed default does.
 func TestAutoResolutionForcedFailsLoudly(t *testing.T) {
 	for label, p := range refusedSets(t) {
 		if _, err := NewWithOptions(p, rng.NewXorshift128(7), Options{Engine: "vector"}); err == nil {

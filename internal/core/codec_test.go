@@ -266,16 +266,20 @@ func TestParseRejectsOutOfRangeWithOffender(t *testing.T) {
 }
 
 // TestCodecHasNoDataBranches is a static no-branch gate for the message
-// codec and the coefficient packing that private keys pass through. It
-// builds this package's test binary without the race detector,
-// disassembles DecodeInto, addEncoded, the width kernels and the generic
-// pack and unpack loops with go tool objdump, and fails on any
+// codec, the coefficient packing that private keys pass through and the
+// vector NTT engine's portable transform kernels. It builds this package's
+// test binary without the race detector, disassembles DecodeInto,
+// addEncoded, the width kernels, the generic pack and unpack loops and
+// ntt's vecForward and vecInverse with go tool objdump, and fails on any
 // conditional jump that is neither loop control (a jump the compiler
 // attributes to a for statement's line) nor a bounds check (a jump one of
-// whose two arms calls a runtime panic). packPoly and unpackPolyInto
-// themselves are not gated: they branch on width and length, which are
-// public. Every gated symbol has a non-inlined caller, so the linker keeps
-// it; a missing one fails the test. Negative control: the branching
+// whose two arms calls a runtime panic, or the prologue's stack check).
+// packPoly and unpackPolyInto themselves are not gated: they branch on
+// width and length, which are public; likewise VectorEngine.Forward and
+// Inverse, which pick the AVX2 kernels (gated from their source by
+// ntt.TestAVX2KernelsHaveNoDataBranches) or the portable ones by host and
+// modulus. Every gated symbol has a non-inlined caller, so the linker
+// keeps it; a missing one fails the test. Negative control: the branching
 // oracles refDecode, refAddEncoded and refPackPoly must be flagged.
 func TestCodecHasNoDataBranches(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -290,19 +294,20 @@ func TestCodecHasNoDataBranches(t *testing.T) {
 	if out, err := exec.Command(goTool, "test", "-c", "-race=false", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building the test binary: %v\n%s", err, out)
 	}
-	out, err := exec.Command(goTool, "tool", "objdump", "-s", `^ringlwe/internal/core\.(DecodeInto|addEncoded|(un)?pack(Generic|13|14|29)|refDecode|refAddEncoded|refPackPoly)$`, bin).Output()
+	out, err := exec.Command(goTool, "tool", "objdump", "-s", `^ringlwe/internal/(core\.(DecodeInto|addEncoded|(un)?pack(Generic|13|14|29)|refDecode|refAddEncoded|refPackPoly)|ntt\.vec(Forward|Inverse))$`, bin).Output()
 	if err != nil {
 		t.Fatalf("go tool objdump: %v", err)
 	}
 	funcs := parseObjdump(t, out)
 	isLoop := forLines(t)
 	for name, branchFree := range map[string]bool{
-		"DecodeInto": true, "addEncoded": true,
-		"packGeneric": true, "pack13": true, "pack14": true, "pack29": true,
-		"unpackGeneric": true, "unpack13": true, "unpack14": true, "unpack29": true,
-		"refDecode": false, "refAddEncoded": false, "refPackPoly": false,
+		"core.DecodeInto": true, "core.addEncoded": true,
+		"core.packGeneric": true, "core.pack13": true, "core.pack14": true, "core.pack29": true,
+		"core.unpackGeneric": true, "core.unpack13": true, "core.unpack14": true, "core.unpack29": true,
+		"ntt.vecForward": true, "ntt.vecInverse": true,
+		"core.refDecode": false, "core.refAddEncoded": false, "core.refPackPoly": false,
 	} {
-		insts, ok := funcs["ringlwe/internal/core."+name]
+		insts, ok := funcs["ringlwe/internal/"+name]
 		if !ok {
 			t.Errorf("%s not found in the test binary", name)
 			continue
@@ -351,22 +356,23 @@ func parseObjdump(t *testing.T, out []byte) map[string][]inst {
 	return funcs
 }
 
-// forLines returns the set of file.go:N positions of this package's
-// source files whose line opens a for statement.
+// forLines returns the set of file.go:N positions, keyed by base name as
+// objdump prints them, of this package's source files and of ntt's
+// vector.go whose line opens a for statement.
 func forLines(t *testing.T) map[string]bool {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := make(map[string]bool)
-	for _, name := range files {
+	for _, name := range append(files, "../ntt/vector.go") {
 		src, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(src), "\n") {
 			if strings.HasPrefix(strings.TrimSpace(line), "for ") {
-				lines[fmt.Sprintf("%s:%d", name, i+1)] = true
+				lines[fmt.Sprintf("%s:%d", filepath.Base(name), i+1)] = true
 			}
 		}
 	}
@@ -409,13 +415,15 @@ func jumpTarget(arg string) uint64 {
 
 // reachesPanic reports whether the code from insts[i], following
 // unconditional jumps, calls a runtime panic (an index, slice or shift
-// check) before it takes a conditional jump or returns.
+// check) or runtime.morestack (the prologue's stack check) before it
+// takes a conditional jump or returns.
 func reachesPanic(insts []inst, at map[uint64]int, i int) bool {
 	for steps := 0; i < len(insts) && steps < len(insts); steps++ {
 		op, arg, _ := strings.Cut(insts[i].asm, " ")
 		switch {
 		case op == "CALL":
-			return strings.HasPrefix(arg, "runtime.panic") || strings.HasPrefix(arg, "runtime.goPanic")
+			return strings.HasPrefix(arg, "runtime.panic") || strings.HasPrefix(arg, "runtime.goPanic") ||
+				strings.HasPrefix(arg, "runtime.morestack")
 		case op == "JMP":
 			next, ok := at[jumpTarget(arg)]
 			if !ok {

@@ -109,7 +109,7 @@ type Scheme struct {
 
 // New builds a Scheme over params drawing all randomness from src, running
 // every transform through the default NTT engine (ntt.ResolveEngine: the
-// vector kernels wherever they accept the tables, shoup elsewhere).
+// vector kernels wherever they accept the tables, barrett elsewhere).
 func New(params *Params, src rng.Source) (*Scheme, error) {
 	return NewWithOptions(params, src, Options{})
 }
@@ -131,7 +131,7 @@ type Options struct {
 // NewWithOptions is New with the full option set resolved by the caller.
 //
 // An empty or "auto" engine name resolves by ntt.ResolveEngine: the vector
-// kernels where they accept the tables, shoup where they refuse them
+// kernels where they accept the tables, barrett where they refuse them
 // (n < 16, or 4q > 2³¹). An empty or "auto" sampler name resolves to
 // sampler.Default. Explicit names always fail loudly.
 func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, error) {

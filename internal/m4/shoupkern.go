@@ -2,11 +2,11 @@ package m4
 
 import "ringlwe/internal/ntt"
 
-// Cycle-charged transliteration of the Shoup-multiplied lazy-reduction NTT
-// (internal/ntt's "shoup" engine), pricing what that kernel would cost on
-// the paper's Cortex-M4F. Like every kernel in this package it performs the
-// real computation while charging the machine, so results stay bit-exact
-// with ntt's engine (asserted in tests).
+// Cycle-charged scalar Shoup-multiplied lazy-reduction NTT (the arithmetic
+// internal/ntt's vector engine runs in 8-lane blocks), pricing what that
+// kernel would cost on the paper's Cortex-M4F. Like every kernel in this
+// package it performs the real computation while charging the machine, so
+// results stay bit-exact with ntt's Barrett reference (asserted in tests).
 //
 // The comparison this file enables: the paper's Algorithm 4 butterfly pays
 // ChargeMulRed (7 cycles of Barrett) per twiddle product; the Shoup
@@ -62,7 +62,7 @@ func (m *Machine) chargeShoupGroup() {
 
 // ForwardShoup runs the lazy forward transform with Shoup butterflies,
 // charging the machine, then the fused normalization sweep. Results are
-// identical to the ntt "shoup" engine's Forward (canonical out).
+// identical to every ntt engine's Forward (canonical out).
 func ForwardShoup(m *Machine, st *ShoupTables, a ntt.Poly) {
 	m.Call()
 	t := st.T

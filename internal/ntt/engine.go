@@ -15,7 +15,7 @@ import (
 //
 // Contract: every Poly argument holds canonical residues in [0, q) on entry
 // and on return. Engines may ride intermediates in wider "lazy" domains
-// internally (the Shoup engine keeps coefficients in [0, 2q) between
+// internally (the vector engine keeps coefficients in [0, 2q) between
 // butterfly stages) but must normalize before returning. Engines are
 // immutable after construction and safe for concurrent use, like the Tables
 // they wrap; per-call scratch, where needed, is documented by the backend.
@@ -63,15 +63,15 @@ const DefaultEngine = "vector"
 // table per residue channel; every channel gets the same backend). An
 // explicit name is returned verbatim, so a backend that refuses the tables
 // fails loudly in NewEngine. "" and "auto" resolve to DefaultEngine where
-// its kernels accept every table, and to "shoup" otherwise (n < 16, or
-// 4q > 2³¹).
+// its kernels accept every table, and to "barrett", which accepts every
+// table, otherwise (n < 16, or 4q > 2³¹).
 func ResolveEngine(name string, tabs ...*Tables) string {
 	if name != "" && name != "auto" {
 		return name
 	}
 	for _, t := range tabs {
 		if vectorRefuses(t) != nil {
-			return "shoup"
+			return "barrett"
 		}
 	}
 	return DefaultEngine

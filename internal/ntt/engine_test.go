@@ -87,7 +87,7 @@ func engineTables(t testing.TB, q uint32, n int) *Tables {
 // tables, and report its own name.
 func TestEngineRegistry(t *testing.T) {
 	names := EngineNames()
-	for _, want := range []string{"barrett", "shoup", "vector"} {
+	for _, want := range []string{"barrett", "vector"} {
 		found := false
 		for _, n := range names {
 			found = found || n == want

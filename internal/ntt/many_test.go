@@ -79,21 +79,21 @@ func TestForwardThreeMatchesForwardMany(t *testing.T) {
 	}
 }
 
-// TestForwardThreeZeroAllocShoup pins the hot-path contract: the Shoup
-// engine's fused pass builds its batch on the stack, so driving it through
-// the Engine interface allocates nothing.
-func TestForwardThreeZeroAllocShoup(t *testing.T) {
+// TestForwardThreeZeroAllocVector pins the hot-path contract of the
+// encryption-side transform: ForwardThree driven through the Engine
+// interface allocates nothing on the vector engine, under both its
+// kernels, nor on the Barrett path, whose fused pass builds its batch on
+// the stack.
+func TestForwardThreeZeroAllocVector(t *testing.T) {
 	tb := manyTestTables(t)
-	eng, err := NewEngine("shoup", tb)
-	if err != nil {
-		t.Fatal(err)
-	}
 	polys := randomPolys(tb, 3, 9)
-	allocs := testing.AllocsPerRun(20, func() {
-		eng.ForwardThree(polys[0], polys[1], polys[2])
-	})
-	if allocs != 0 {
-		t.Fatalf("ForwardThree allocates %.1f/op, want 0", allocs)
+	for _, ne := range testEngines(t, tb) {
+		allocs := testing.AllocsPerRun(20, func() {
+			ne.ForwardThree(polys[0], polys[1], polys[2])
+		})
+		if allocs != 0 {
+			t.Errorf("%s: ForwardThree allocates %.1f/op, want 0", ne.name, allocs)
+		}
 	}
 }
 

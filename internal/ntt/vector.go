@@ -8,8 +8,10 @@ import (
 
 // The lane-parallel ("vector") NTT backend.
 //
-// Same mathematics as the Shoup engine — Shoup-multiplied twiddles, lazy
-// [0, 2q) intermediates — but the stage loops are restructured the way a
+// Shoup-multiplied twiddles (each twiddle w stored beside its companion
+// w' = ⌊w·2³²/q⌋, so w·v mod q costs one high and two low multiplies;
+// Harvey, "Faster arithmetic for number-theoretic transforms") and lazy
+// [0, 2q) intermediates, with the stage loops restructured the way a
 // SIMD unit wants them, which is the DATE 2015 paper's word-level
 // parallelism theme transposed from a Cortex-M register file to a modern
 // out-of-order core. Go does not auto-vectorize, so in portable Go the
@@ -38,17 +40,22 @@ import (
 // block in registers.
 //
 // These portable kernels run everywhere and are the oracle for the AVX2
-// kernels of vector_amd64.s, which replace vecForward, vecInverse and
-// PointwiseMul on AVX2 hosts when 4q ≤ 2¹⁶ and n ≥ 32 (P1, P2 and A1; see
-// simdAdmits). Those keep the []uint32 layout, eight coefficients to a ymm
-// register, and do 16-bit Shoup arithmetic in the low word of each lane,
-// the 16-bit-lane NTT of Seiler ("Faster AVX2 optimized NTT multiplication
-// for Ring-LWE lattice cryptography", ePrint 2018/039); the last four
-// stages run per 16-coefficient block with in-register shuffles.
+// kernels of vector_amd64.s, which Forward, Inverse and PointwiseMul run
+// instead of vecForward, vecInverse and the portable product on AVX2
+// hosts when 4q ≤ 2¹⁶ and n ≥ 32 (P1, P2 and A1; see simdAdmits). Those
+// keep the []uint32 layout, eight coefficients to a ymm register, and do
+// 16-bit Shoup arithmetic in the low word of each lane, the 16-bit-lane
+// NTT of Seiler ("Faster AVX2 optimized NTT multiplication for Ring-LWE
+// lattice cryptography", ePrint 2018/039); the last four stages run per
+// 16-coefficient block with in-register shuffles.
 //
-// Results are bit-identical to the Barrett reference and the Shoup engine
-// (asserted by the differential tests and scheme KATs); only the schedule
-// differs.
+// Results are bit-identical to the Barrett reference (asserted by the
+// differential tests and scheme KATs); only the schedule differs. No
+// coefficient steers a branch in either set of transform kernels: the
+// portable ones jump only on loop control and bounds checks, the assembly
+// only on loop control (TestCodecHasNoDataBranches in internal/core and
+// TestAVX2KernelsHaveNoDataBranches here pin both), which the ConstantTime
+// profile relies on.
 
 // VectorEngine is the lane-parallel Shoup backend. Construct with
 // NewVectorEngine (or via the "vector" registry entry); immutable after
@@ -241,10 +248,6 @@ func invButterfly8(lo, hi *[8]uint32, w, ws, q, twoQ uint32) {
 // blocks, the three interleaved tail strides (4, 2, 1) run dedicated
 // in-register block kernels.
 func vecForward(e *VectorEngine, a Poly) {
-	if e.simd != nil {
-		forwardAVX2(a, e.simd.fwd, e.q)
-		return
-	}
 	n := e.t.N
 	q, twoQ := e.q, e.twoQ
 	psi, psiS := e.t.PsiRev, e.psiRevShoup
@@ -328,10 +331,6 @@ func vecForward(e *VectorEngine, a Poly) {
 // the forward kernel mirrored, with the n⁻¹ scaling (and its fused
 // normalization) folded into the final stage.
 func vecInverse(e *VectorEngine, a Poly) {
-	if e.simd != nil {
-		inverseAVX2(a, e.simd.inv, e.q)
-		return
-	}
 	n := e.t.N
 	q, twoQ := e.q, e.twoQ
 	psi, psiS := e.t.PsiInvRev, e.psiInvRevShoup
@@ -443,6 +442,10 @@ func (e *VectorEngine) Forward(a Poly) {
 	if len(a) != e.t.N {
 		panic("ntt: Forward length mismatch")
 	}
+	if s := e.simd; s != nil {
+		forwardAVX2(a, s.fwd, e.q)
+		return
+	}
 	vecForward(e, a)
 }
 
@@ -452,12 +455,16 @@ func (e *VectorEngine) Inverse(a Poly) {
 	if len(a) != e.t.N {
 		panic("ntt: Inverse length mismatch")
 	}
+	if s := e.simd; s != nil {
+		inverseAVX2(a, s.inv, e.q)
+		return
+	}
 	vecInverse(e, a)
 }
 
 // ForwardThree implements Engine as three flat kernel runs: the vector
 // kernels amortize twiddle loads across lanes within each polynomial, so
-// cross-polynomial interleaving (the scalar engines' fusion lever) would
+// cross-polynomial interleaving (the Barrett path's fusion lever) would
 // only break the contiguous lane blocks.
 func (e *VectorEngine) ForwardThree(a, b, c Poly) {
 	e.Forward(a)
@@ -465,9 +472,8 @@ func (e *VectorEngine) ForwardThree(a, b, c Poly) {
 	e.Forward(c)
 }
 
-// PointwiseMul implements Engine with the Shoup engine's fused lazy
-// handling: the left operand folds canonical on the fly, so lazy inputs
-// are accepted and the output is canonical.
+// PointwiseMul implements Engine: the left operand folds canonical on the
+// fly, so lazy inputs are accepted and the output is canonical.
 func (e *VectorEngine) PointwiseMul(c, a, b Poly) {
 	n := e.t.N
 	if len(a) != n || len(b) != n || len(c) != n {

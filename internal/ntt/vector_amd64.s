@@ -10,7 +10,8 @@
 // presence in the high word is harmless because every coefficient's high
 // word is zero. Lazy folds are VPMINUW(x, x−2q): the wrapped difference of
 // an x below the bound exceeds x, so the minimum picks the reduced value
-// without a compare or a branch. The only jumps below are loop control.
+// without a compare or a branch. The only jumps below are loop control,
+// which TestAVX2KernelsHaveNoDataBranches checks against this source.
 //
 // Y15 holds q and Y14 holds 2q in every lane for the whole transform.
 

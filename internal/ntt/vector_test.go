@@ -67,7 +67,7 @@ func TestVectorEngineGates(t *testing.T) {
 	}
 
 	// The default rule follows the gates: every table accepted → vector,
-	// any table refused → shoup; explicit names pass through untouched.
+	// any table refused → barrett; explicit names pass through untouched.
 	for _, c := range []struct {
 		name string
 		tabs []*Tables
@@ -75,8 +75,8 @@ func TestVectorEngineGates(t *testing.T) {
 	}{
 		{"", []*Tables{ok}, "vector"},
 		{"auto", []*Tables{ok, ok}, "vector"},
-		{"", []*Tables{small}, "shoup"},
-		{"auto", []*Tables{ok, small}, "shoup"},
+		{"", []*Tables{small}, "barrett"},
+		{"auto", []*Tables{ok, small}, "barrett"},
 		{"vector", []*Tables{small}, "vector"},
 		{"barrett", []*Tables{ok}, "barrett"},
 	} {
@@ -85,8 +85,8 @@ func TestVectorEngineGates(t *testing.T) {
 		}
 	}
 	if tBig != nil {
-		if got := ResolveEngine("", tBig); got != "shoup" {
-			t.Errorf("ResolveEngine over q=%d = %q, want shoup", mBig.Q, got)
+		if got := ResolveEngine("", tBig); got != "barrett" {
+			t.Errorf("ResolveEngine over q=%d = %q, want barrett", mBig.Q, got)
 		}
 	}
 
@@ -155,8 +155,8 @@ func TestVectorMinimumDimension(t *testing.T) {
 }
 
 // TestVectorZeroAlloc pins every hot vector-engine operation, under both
-// kernels, at zero allocations per call, matching the Shoup engine's
-// contract (the CI allocation-regression gate runs -run ZeroAlloc).
+// kernels, at zero allocations per call (the CI allocation-regression
+// gate runs -run ZeroAlloc).
 func TestVectorZeroAlloc(t *testing.T) {
 	tab := manyTestTables(t)
 	a := randomPolys(tab, 1, 1)[0]

@@ -545,8 +545,8 @@ func Extensions() *Table {
 		"849 B; failures detected and retried",
 	})
 
-	// Per-butterfly operation counts of the pluggable NTT engines on the
-	// M4 price list: the Shoup kernel trades the 7-cycle Barrett chain for
+	// Per-butterfly operation counts of the modeled M4 butterfly kernels
+	// (m4.ButterflyCosts): the Shoup kernel trades the 7-cycle Barrett chain for
 	// a 3-cycle multiply sequence plus two lazy folds.
 	for _, c := range m4.ButterflyCosts() {
 		t.Rows = append(t.Rows, []string{

@@ -164,7 +164,7 @@ func TestDebugHandlerBackendInfo(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE rlwe_backend_info gauge",
 		`rlwe_backend_info{engine="vector",params="P1",sampler="wide-ky"} 1`,
-		`rlwe_backend_info{engine="shoup",params="P2",sampler="cdt"} 1`,
+		`rlwe_backend_info{engine="vector",params="P2",sampler="cdt"} 1`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -113,7 +113,7 @@ func TestNewBasisRejects(t *testing.T) {
 // TestBasisEngineResolution checks per-channel engine construction:
 // explicit names build one engine per channel over the right tables,
 // results are cached, "auto" over this n = 8 basis (too small for the
-// vector kernels) falls back to shoup, and unknown names error.
+// vector kernels) falls back to barrett, and unknown names error.
 func TestBasisEngineResolution(t *testing.T) {
 	b, err := NewBasis(8, []uint32{17, 97, 113})
 	if err != nil {
@@ -140,8 +140,8 @@ func TestBasisEngineResolution(t *testing.T) {
 	}
 	if auto, err := b.ResolveEngines("auto"); err != nil {
 		t.Errorf("ResolveEngines(auto): %v", err)
-	} else if auto[0].Name() != "shoup" {
-		t.Errorf("ResolveEngines(auto) over n=8 built %q, want shoup", auto[0].Name())
+	} else if auto[0].Name() != "barrett" {
+		t.Errorf("ResolveEngines(auto) over n=8 built %q, want barrett", auto[0].Name())
 	}
 	if _, err := b.ResolveEngines("no-such-engine"); err == nil {
 		t.Error("unknown engine accepted")

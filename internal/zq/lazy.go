@@ -2,8 +2,8 @@ package zq
 
 // Branchless lazy-domain folds for the lane-parallel (vector) kernels.
 //
-// The scalar Shoup kernels reduce with `if x >= bound { x -= bound }`,
-// which the compiler may turn into a conditional move but is still one
+// A scalar kernel reduces with `if x >= bound { x -= bound }`, which
+// the compiler may turn into a conditional move but is still one
 // flag-consuming operation per value — a pattern that blocks lane-parallel
 // code generation, because a per-lane branch (or CMOV chain) serializes
 // what should be eight independent lanes. The vector kernels instead fold
@@ -23,7 +23,7 @@ package zq
 // 2³² − bound ≥ 2³¹ (bit 31 set). A butterfly sum u + p of two lazy
 // values in [0, 2q) is below 4q, so using CondSub with bound = 2q needs
 // 4q ≤ 2³¹, i.e. q ≤ 2²⁹ — the construction gate of the vector NTT
-// engine (the scalar Shoup engine's weaker gate is 4q < 2³²).
+// engine.
 
 // CondSub returns x − bound when x ≥ bound and x unchanged otherwise,
 // using only arithmetic on the sign bit of the difference. Requires

@@ -9,8 +9,8 @@ package zq
 // transform (Harvey, "Faster arithmetic for number-theoretic transforms").
 //
 // The lazy domain: values live in [0, 2q) instead of [0, q). MulShoupLazy
-// returns a lazy value; the NTT engines keep their butterflies in that
-// domain and fold back to canonical. With the paper's moduli (q < 2¹⁴) the
+// returns a lazy value; the vector NTT engine keeps its butterflies in that
+// domain and folds back to canonical. With the paper's moduli (q < 2¹⁴) the
 // lazy bound 2q < 2¹⁵ leaves ample 32-bit headroom; the bound proof lives
 // in shoup_test.go. The Shoup radix is β = 2³²: companions are ⌊w·β/q⌋.
 

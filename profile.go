@@ -34,7 +34,7 @@ type Profile struct {
 // ConstantTime; Fast is the default); these are the configurations they
 // resolve to. profileDefault is what New resolves to with no options, and
 // profileSeeded what NewDeterministic does, over every set the vector
-// kernels accept; over any other set the engine falls back to shoup
+// kernels accept; over any other set the engine falls back to barrett
 // (ntt.ResolveEngine). A seeded scheme samples with the serial Knuth-Yao
 // because the known-answer vectors pin its stream; an OS-random one has
 // no stream to pin and samples with the 16-wide one.
@@ -42,7 +42,7 @@ var (
 	profileDefault   = Profile{Engine: ntt.DefaultEngine, Sampler: "wide-ky"}
 	profileSeeded    = Profile{Engine: ntt.DefaultEngine, Sampler: sampler.Default}
 	profileReference = Profile{Engine: "barrett", Sampler: "knuth-yao"}
-	profileConstTime = Profile{Engine: "shoup", Sampler: "cdt"}
+	profileConstTime = Profile{Engine: "vector", Sampler: "cdt"}
 )
 
 // Name returns the preset label this profile corresponds to —
@@ -105,13 +105,16 @@ func Fast() Option { return WithProfile(Profile{Sampler: profileDefault.Sampler}
 // implementation.
 func Reference() Option { return WithProfile(profileReference) }
 
-// ConstantTime selects the data-oblivious preset: Shoup NTT kernels and
-// the fixed-shape CDT Gaussian sampler (same table probes and arithmetic
-// for every sample). With the branch-free message codec every profile
-// shares, no secret bit steers a branch or a memory index on the encrypt
-// or decrypt path. Results are bit-compatible with every other profile
-// (same distribution, same decryption), still at zero steady-state
-// allocations.
+// ConstantTime selects the data-oblivious preset: the vector NTT kernels,
+// whose butterflies fold with sign-bit arithmetic and jump only on loop
+// control, and the fixed-shape CDT Gaussian sampler (same table probes
+// and arithmetic for every sample). With the branch-free message codec
+// every profile shares, no secret bit steers a branch or a memory index
+// on the encrypt or decrypt path. Results are bit-compatible with every
+// other profile (same distribution, same decryption), still at zero
+// steady-state allocations. The engine is named, not resolved, so
+// construction panics over a set the vector kernels refuse (n < 16, or
+// q > 2²⁹) instead of running a kernel that branches on coefficients.
 func ConstantTime() Option { return WithProfile(profileConstTime) }
 
 // WithProfile applies a complete Profile, replacing any previously applied
@@ -124,8 +127,8 @@ func WithProfile(p Profile) Option {
 // by registry name (see Engines). Every backend computes bit-identical
 // results — the known-answer vectors hold under all of them — so this is
 // purely a speed knob: "vector" (the default) runs the Shoup lazy-reduction
-// butterflies in 8-lane blocks, "shoup" is the scalar Shoup kernel the
-// paper's schedule maps onto, and "barrett" the generic reference path.
+// butterflies in 8-lane blocks, and "barrett" is the generic reference
+// path, which also runs every set the vector kernels refuse.
 // Construction panics if the name is not registered or the backend
 // refuses the parameter set.
 func WithEngine(name string) Option {

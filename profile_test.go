@@ -8,7 +8,8 @@ import (
 
 // Profile resolution. With no sampler named, New samples with wide-ky and
 // NewDeterministic with the KAT-pinned knuth-yao, over every shipped set;
-// both are the "default" profile. Each preset resolves to its documented
+// both are the "default" profile, and ConstantTime is vector + cdt on
+// every one of them. Each preset resolves to its documented
 // backend combination, reported by Scheme.Profile and recoverable by Name.
 func TestProfileResolution(t *testing.T) {
 	for _, p := range []*Params{P1(), P2(), A1(), B1()} {
@@ -27,6 +28,11 @@ func TestProfileResolution(t *testing.T) {
 				t.Errorf("%s(%s) profile named %q, want \"default\"", ctor, p.Name(), got.Name())
 			}
 		}
+		for _, s := range []*Scheme{New(p, ConstantTime()), NewDeterministic(p, 1, ConstantTime())} {
+			if got, want := s.Profile(), (Profile{Engine: "vector", Sampler: "cdt"}); got != want || got.Name() != "constant-time" {
+				t.Errorf("ConstantTime over %s resolved to %+v named %q, want %+v", p.Name(), got, got.Name(), want)
+			}
+		}
 	}
 	cases := []struct {
 		name   string
@@ -40,10 +46,13 @@ func TestProfileResolution(t *testing.T) {
 		{"default", false, []Option{WithRandom(rand.Reader), WithSampler("knuth-yao")}, Profile{Engine: "vector", Sampler: "knuth-yao"}},
 		{"reference", false, []Option{Reference()}, Profile{Engine: "barrett", Sampler: "knuth-yao"}},
 		{"reference", true, []Option{Reference()}, Profile{Engine: "barrett", Sampler: "knuth-yao"}},
-		{"constant-time", true, []Option{ConstantTime()}, Profile{Engine: "shoup", Sampler: "cdt"}},
-		{"custom", true, []Option{Fast(), WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
-		{"custom", true, []Option{WithEngine("shoup")}, Profile{Engine: "shoup", Sampler: "knuth-yao"}},
-		{"custom", false, []Option{WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
+		{"constant-time", true, []Option{ConstantTime()}, Profile{Engine: "vector", Sampler: "cdt"}},
+		// The constant-time preset is the default engine with the cdt
+		// sampler, so any options that resolve to that pair carry its name.
+		{"constant-time", true, []Option{Fast(), WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
+		{"constant-time", false, []Option{WithSampler("cdt")}, Profile{Engine: "vector", Sampler: "cdt"}},
+		{"custom", true, []Option{WithEngine("barrett"), WithSampler("wide-ky")}, Profile{Engine: "barrett", Sampler: "wide-ky"}},
+		{"custom", false, []Option{WithEngine("barrett"), WithSampler("cdt")}, Profile{Engine: "barrett", Sampler: "cdt"}},
 		// WithProfile with zero fields resolves to the constructor's defaults.
 		{"default", true, []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "vector", Sampler: "knuth-yao"}},
 		{"default", false, []Option{ConstantTime(), WithProfile(Profile{})}, Profile{Engine: "vector", Sampler: "wide-ky"}},
@@ -108,7 +117,7 @@ func TestProfileRoundTrip(t *testing.T) {
 		{Fast()},
 		{Reference()},
 		{ConstantTime()},
-		{WithEngine("shoup"), WithSampler("cdt")},
+		{WithEngine("barrett"), WithSampler("cdt")},
 	} {
 		a := NewDeterministic(P1(), 7, opts...)
 		b := NewDeterministic(P1(), 7, WithProfile(a.Profile()))

@@ -33,7 +33,7 @@ type Scheme struct {
 // AES-256-CTR keystream, keyed from crypto/rand on its first draw and
 // rekeyed every MiB. With no profile options the scheme resolves to the
 // "default" profile: vector NTT kernels (sets the vector kernels refuse
-// run the shoup kernels) and the 16-wide "wide-ky" sampler. A WithRandom
+// run the barrett path) and the 16-wide "wide-ky" sampler. A WithRandom
 // stream samples with wide-ky too; add WithSampler("knuth-yao") to draw
 // from it as NewDeterministic and the known-answer vectors do.
 func New(p *Params, opts ...Option) *Scheme {
