@@ -1,9 +1,6 @@
 package ringlwe
 
-import (
-	"ringlwe/internal/core"
-	"ringlwe/internal/par"
-)
+import "ringlwe/internal/par"
 
 // Batch operations: concurrency-safe on a shared Scheme. Each call drives
 // the bounded worker pool of internal/par (GOMAXPROCS workers at most,
@@ -27,13 +24,13 @@ func (s *Scheme) EncryptBatch(pk *PublicKey, msgs [][]byte) ([]*Ciphertext, erro
 	if pk.params.inner != s.params.inner {
 		return nil, paramsMismatch("public key")
 	}
-	inner, err := s.inner.EncryptBatch(pk.inner, msgs, 0)
+	cts := make([]*Ciphertext, len(msgs))
+	err := s.runBatch(len(msgs), func(w *Workspace, i int) (err error) {
+		cts[i], err = w.Encrypt(pk, msgs[i])
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	cts := make([]*Ciphertext, len(inner))
-	for i, ct := range inner {
-		cts[i] = &Ciphertext{params: s.params, inner: ct}
 	}
 	return cts, nil
 }
@@ -44,14 +41,15 @@ func (s *Scheme) DecryptBatch(sk *PrivateKey, cts []*Ciphertext) ([][]byte, erro
 	if sk.params.inner != s.params.inner {
 		return nil, paramsMismatch("private key")
 	}
-	inner := make([]*core.Ciphertext, len(cts))
-	for i, ct := range cts {
-		if ct.params.inner != s.params.inner {
-			return nil, paramsMismatch("ciphertext")
-		}
-		inner[i] = ct.inner
+	msgs := make([][]byte, len(cts))
+	err := s.runBatch(len(cts), func(w *Workspace, i int) (err error) {
+		msgs[i], err = w.Decrypt(sk, cts[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return s.inner.DecryptBatch(sk.inner, inner, 0)
+	return msgs, nil
 }
 
 // EncapsulateBatch produces n independent encapsulations to pk

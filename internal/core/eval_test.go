@@ -338,8 +338,10 @@ func TestDecryptionFailureSweep(t *testing.T) {
 	acc := NewCiphertext(p)
 	ct := NewCiphertext(p)
 	want := make([]byte, p.MessageBytes())
-	w := s.Acquire()
-	defer s.Release(w)
+	w, err := s.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var flipped, bits int
 	for trial := 0; trial < trials; trial++ {
 		acc.Zero()

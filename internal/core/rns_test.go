@@ -91,18 +91,16 @@ func TestOneChannelBases(t *testing.T) {
 			}
 		}
 		// Workspaces reach the Runner only through their scheme, so the
-		// default, forked and pooled ones all run on s1.runner.
+		// default and forked ones both run on s1.runner.
 		w, err := s1.NewWorkspace()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled := s1.Acquire()
-		for _, w := range []*Workspace{s1.def, w, pooled} {
+		for _, w := range []*Workspace{s1.def, w} {
 			if w.scheme != s1 {
 				t.Errorf("%s: a workspace is bound to another scheme's Runner", p.Name)
 			}
 		}
-		s1.Release(pooled)
 	}
 	wt := reflect.TypeOf(Workspace{})
 	for i := 0; i < wt.NumField(); i++ {
@@ -347,7 +345,7 @@ func TestB1ZeroAlloc(t *testing.T) {
 }
 
 // TestB1ConcurrentSharedScheme shares one RNS scheme across 8 goroutines —
-// each with a pooled workspace — exercising the shared engine state,
+// each with its own workspace — exercising the shared engine state,
 // the channel runner and the eval ops under the race detector.
 func TestB1ConcurrentSharedScheme(t *testing.T) {
 	s := testRNSScheme(t)
@@ -361,8 +359,10 @@ func TestB1ConcurrentSharedScheme(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			errs <- func() error {
-				w := s.Acquire()
-				defer s.Release(w)
+				w, err := s.NewWorkspace()
+				if err != nil {
+					return err
+				}
 				msg := make([]byte, p.MessageBytes())
 				for i := range msg {
 					msg[i] = byte(g*41 + i)
@@ -427,8 +427,10 @@ func TestB1ConstantTimeProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := s.Acquire()
-	defer s.Release(w)
+	w, err := s.NewWorkspace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := make([]byte, s.Params.MessageBytes())
 	if err := w.DecryptInto(got, sk, ct); err != nil {
 		t.Fatal(err)

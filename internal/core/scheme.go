@@ -57,10 +57,9 @@ type aggStats struct {
 // the historical single-threaded behaviour bit for bit. They are safe for
 // concurrent use — one mutex serializes them on that workspace — but they
 // contend. DecryptInto, which draws no randomness, takes no lock. For
-// parallel throughput, create explicit workspaces with NewWorkspace (or
-// borrow pooled ones via Acquire/Release) — those never contend: tables
-// and the Runner are shared read-only, and each workspace owns its sampler
-// state, bit pools and scratch.
+// parallel throughput, create explicit workspaces with NewWorkspace —
+// those never contend: tables and the Runner are shared read-only, and
+// each workspace owns its sampler state, bit pools and scratch.
 type Scheme struct {
 	Params *Params
 
@@ -87,16 +86,12 @@ type Scheme struct {
 	// def serves the legacy one-shot API on the unforked base source.
 	// defMu serializes every call into def and every fork of src, since
 	// def's sampler, bit pools and scratch are single-goroutine state. No
-	// method that holds defMu may fork: NewWorkspace, and Acquire on a pool
-	// miss, would deadlock on it.
+	// method that holds defMu may fork: NewWorkspace would deadlock on it.
 	defMu sync.Mutex
 	def   *Workspace
 
-	// pool recycles workspaces for the batch worker pool and Acquire.
-	pool sync.Pool
-
 	// scratch recycles the bare *ntt.Poly accumulators of the one-shot
-	// DecryptInto. Unlike pool, a miss only allocates: it never forks src.
+	// DecryptInto. A miss only allocates: it never forks src.
 	scratch sync.Pool
 
 	// stats aggregates sampler counters flushed by every workspace. All
@@ -158,14 +153,6 @@ func NewWithOptions(params *Params, src rng.Source, opts Options) (*Scheme, erro
 		return nil, err
 	}
 	s.def = def
-	s.pool.New = func() any {
-		ws, err := s.NewWorkspace()
-		if err != nil {
-			// Workspace construction over a validated Scheme cannot fail.
-			panic("core: " + err.Error())
-		}
-		return ws
-	}
 	s.scratch.New = func() any {
 		m := params.newPoly()
 		return &m
@@ -192,18 +179,6 @@ func (s *Scheme) NewWorkspace() (*Workspace, error) {
 	return newWorkspace(s, src)
 }
 
-// Acquire borrows a workspace from the scheme's internal pool, forking a
-// new one when the pool is empty. Pair with Release.
-func (s *Scheme) Acquire() *Workspace { return s.pool.Get().(*Workspace) }
-
-// Release returns a workspace obtained from Acquire to the pool. The
-// workspace must not be used afterwards.
-func (s *Scheme) Release(w *Workspace) {
-	if w.scheme == s {
-		s.pool.Put(w)
-	}
-}
-
 // GenerateKeys creates a key pair under a freshly sampled global polynomial
 // ã.
 func (s *Scheme) GenerateKeys() (*PublicKey, *PrivateKey, error) {
@@ -223,10 +198,9 @@ func (s *Scheme) Encrypt(pk *PublicKey, msg []byte) (*Ciphertext, error) {
 
 // DecryptInto decrypts on the scheme's Runner into the caller-owned
 // MessageBytes buffer dst: the one-shot decryption. Decryption consumes no
-// randomness, so it takes no lock and borrows no pooled workspace, whose
-// pool miss would fork the base source and move a deterministic scheme's
-// stream; its scratch polynomial comes from a pool of bare polynomials,
-// so steady state it allocates nothing.
+// randomness, so it takes no lock and forks no workspace, which would move
+// a deterministic scheme's stream; its scratch polynomial comes from a
+// pool of bare polynomials, so steady state it allocates nothing.
 func (s *Scheme) DecryptInto(dst []byte, sk *PrivateKey, ct *Ciphertext) error {
 	m := s.scratch.Get().(*ntt.Poly)
 	err := decryptInto(s.Params, s.runner, dst, *m, sk, ct)
@@ -288,9 +262,9 @@ func decryptPoly(r *ntt.Runner, m ntt.Poly, sk *PrivateKey, ct *Ciphertext) {
 }
 
 // SamplerStats exposes the scheme's Gaussian sampler counters, aggregated
-// atomically across every workspace (the default one-shot workspace, pooled
-// batch workers and explicit NewWorkspace instances alike). Safe to read
-// concurrently with encrypt traffic.
+// atomically across every workspace (the default one-shot workspace and
+// every NewWorkspace instance alike). Safe to read concurrently with
+// encrypt traffic.
 func (s *Scheme) SamplerStats() (samples, lut1, lut2, scans uint64) {
 	return s.stats.samples.Load(), s.stats.lut1.Load(),
 		s.stats.lut2.Load(), s.stats.scans.Load()

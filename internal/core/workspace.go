@@ -18,8 +18,7 @@ import (
 // EncryptInto/DecryptInto perform no heap allocation.
 //
 // A Workspace is not safe for concurrent use; create one per goroutine with
-// Scheme.NewWorkspace (cheap: the heavy tables are shared) or borrow one
-// from the Scheme's internal pool via Acquire/Release. Its fields sit
+// Scheme.NewWorkspace (cheap: the heavy tables are shared). Its fields sit
 // between cache-line pads, as do the sampler, bit pools and source it
 // owns, so no two workspaces' state shares a cache line (see package
 // cacheline).

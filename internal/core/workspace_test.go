@@ -111,50 +111,6 @@ func TestWorkspaceRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestEncryptBatchRoundTrip(t *testing.T) {
-	p := P1()
-	s := newScheme(t, p, 17)
-	pk, sk, err := s.GenerateKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.NewXorshift128(18)
-	const n = 37
-	msgs := make([][]byte, n)
-	for i := range msgs {
-		msgs[i] = randMessage(src, p.MessageBytes())
-	}
-	cts, err := s.EncryptBatch(pk, msgs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.DecryptBatch(sk, cts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatched := 0
-	for i := range msgs {
-		if !bytes.Equal(got[i], msgs[i]) {
-			mismatched++
-		}
-	}
-	// The LPR scheme has an intrinsic ≈0.8%-per-message failure rate; a
-	// handful of failures in 37 messages means a real bug.
-	if mismatched > 4 {
-		t.Fatalf("%d/%d batch messages failed to round-trip", mismatched, n)
-	}
-}
-
-func TestEncryptBatchPropagatesErrors(t *testing.T) {
-	p := P1()
-	s := newScheme(t, p, 19)
-	pk, _, _ := s.GenerateKeys()
-	msgs := [][]byte{make([]byte, p.MessageBytes()), make([]byte, 1)}
-	if _, err := s.EncryptBatch(pk, msgs, 0); err == nil {
-		t.Fatal("batch with a malformed message reported no error")
-	}
-}
-
 // TestSamplerStatsAggregateAcrossWorkspaces checks that SamplerStats sums
 // the counters of the default workspace and every forked one, read safely
 // while other goroutines are encrypting.

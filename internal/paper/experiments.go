@@ -550,7 +550,7 @@ func Extensions() *Table {
 	// a 3-cycle multiply sequence plus two lazy folds.
 	for _, c := range m4.ButterflyCosts() {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("Butterfly cost, %s engine", c.Engine),
+			fmt.Sprintf("Butterfly cost, %s kernel", c.Engine),
 			"arith + mem/loop per butterfly",
 			fmt.Sprintf("%d + %d = %d cycles", c.Arith, c.Overhead, c.Total),
 		})

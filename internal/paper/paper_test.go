@@ -74,8 +74,8 @@ func TestExtensionsTable(t *testing.T) {
 	var buf bytes.Buffer
 	tab.Render(&buf)
 	for _, frag := range []string{"bit-failure", "LUT1", "KEM",
-		"Butterfly cost, barrett engine", "Butterfly cost, packed engine",
-		"Butterfly cost, shoup engine", "Shoup vs Barrett"} {
+		"Butterfly cost, barrett kernel", "Butterfly cost, packed kernel",
+		"Butterfly cost, shoup kernel", "Shoup vs Barrett"} {
 		if !strings.Contains(buf.String(), frag) {
 			t.Errorf("Extensions output missing %q", frag)
 		}

@@ -32,9 +32,12 @@ import (
 //
 // A resumed handshake therefore costs the server one AES-GCM decrypt and
 // one record instead of a KEM decapsulation, and tickets are single-use:
-// the server's sharded anti-replay cache rejects a replayed ticket into
-// the fallback path, so a recorded first flight can never establish a
-// second session.
+// the server's first Open of a ticket sets its bit in the sealing key's
+// claim bitmap and a replayed ticket falls back, so a recorded first
+// flight can never establish a second session. The claim follows
+// authentication and expiry but precedes the tenant checks, so a ticket
+// refused for a params or tenant mismatch is spent too; the fallback
+// issues a fresh one.
 
 // Session is a client's resumption state for one server: the ticket, the
 // shared resumption master secret, and the scheme/public key of the

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -17,7 +18,6 @@ import (
 
 	"ringlwe"
 	"ringlwe/internal/obs"
-	"ringlwe/internal/rng"
 	"ringlwe/internal/ticket"
 )
 
@@ -209,8 +209,9 @@ func (ct *connTrace) span(p obs.Phase, start time.Time, err error) {
 //
 // Completed handshakes can mint encrypted session-resumption tickets
 // (AES-GCM under a rotating server key, see internal/ticket); a
-// reconnecting client that presents one skips the KEM flight entirely,
-// with a sharded anti-replay cache keeping tickets single-use.
+// reconnecting client that presents one skips the KEM flight entirely.
+// Tickets are single-use: the keeper's first Open of a ticket claims its
+// bit in a per-key bitmap, and every later one is refused.
 //
 // Observability: Metrics exposes the registry (counters, gauges and
 // latency histograms for every serving path), DebugHandler an admin
@@ -231,8 +232,6 @@ type Server struct {
 
 	// Ticket machinery; nil keeper means tickets are disabled.
 	keeper *ticket.Keeper
-	replay *ticket.ReplayCache
-	rand   io.Reader
 
 	reg *obs.Registry
 	sm  serverMetrics
@@ -308,11 +307,7 @@ func NewServer(opts ...ServerOption) *Server {
 	s.reg = obs.NewRegistry()
 	s.sm = newServerMetrics(s.reg, s.numShards)
 	if s.ticketLifetime > 0 {
-		// One locked CTR DRBG feeds ticket-key rotation and the per-
-		// resumption server randoms from every connection.
-		s.rand = rng.NewLockedReader(rng.NewCTRReaderOS())
-		s.keeper = ticket.NewKeeper(s.rand, s.ticketLifetime)
-		s.replay = ticket.NewReplayCache(nil)
+		s.keeper = ticket.NewKeeper(s.ticketLifetime)
 	}
 	return s
 }
@@ -587,7 +582,8 @@ func (s *Server) newServerChannel(rw io.ReadWriter, shard int, ct *connTrace, t 
 // AES-GCM decrypt and one response record — no KEM work at all. Anything
 // else (garbage, expired, replayed, rotated-away key, tickets disabled,
 // unknown tenant) transparently downgrades to a full handshake on the
-// same connection.
+// same connection. Opening a ticket claims it, so a ticket refused for a
+// params or tenant mismatch after it opened is spent as well.
 func (s *Server) handshakeResume(rw io.ReadWriter, shard int, ct *connTrace, helloID uint16) (*Channel, *tenant, error) {
 	var hdr [2]byte
 	if _, err := io.ReadFull(rw, hdr[:]); err != nil {
@@ -613,23 +609,20 @@ func (s *Server) handshakeResume(rw io.ReadWriter, shard int, ct *connTrace, hel
 	fallbackReason := "disabled"
 	if s.ticketsEnabled() {
 		t0 := ct.start()
-		st, replayID, err := s.keeper.Open(tkt)
+		st, err := s.keeper.Open(tkt)
 		switch {
+		case errors.Is(err, ticket.ErrReplayed):
+			fallbackReason = "replayed"
 		case err != nil:
 			fallbackReason = "invalid"
 		case helloID != 0 && helloID != st.ParamsID:
 			fallbackReason = "params"
 		default:
-			t := s.tenantByID(st.ParamsID)
-			switch {
-			case t == nil || t.id != st.ParamsID:
-				fallbackReason = "unknown-params"
-			case s.replay.Seen(replayID, st.Expiry):
-				fallbackReason = "replayed"
-			default:
+			if t := s.tenantByID(st.ParamsID); t != nil && t.id == st.ParamsID {
 				ct.span(obs.PhaseTicketOpen, t0, nil)
 				return s.resumeChannel(rw, shard, ct, t, st, clientRand)
 			}
+			fallbackReason = "unknown-params"
 		}
 		ct.span(obs.PhaseTicketOpen, t0, fmt.Errorf("protocol: ticket refused: %s", fallbackReason))
 	}
@@ -653,9 +646,7 @@ func (s *Server) handshakeResume(rw io.ReadWriter, shard int, ct *connTrace, hel
 // ticket's master secret plus both randoms.
 func (s *Server) resumeChannel(rw io.ReadWriter, shard int, ct *connTrace, t *tenant, st ticket.State, clientRand [randomLen]byte) (*Channel, *tenant, error) {
 	var serverRand [randomLen]byte
-	if _, err := io.ReadFull(s.rand, serverRand[:]); err != nil {
-		return nil, t, fmt.Errorf("protocol: server random: %w", err)
-	}
+	rand.Read(serverRand[:]) // never fails: a broken entropy source crashes the program
 	resp := make([]byte, 0, 1+randomLen)
 	resp = append(resp, statusOK)
 	resp = append(resp, serverRand[:]...)

@@ -60,3 +60,13 @@ func TestReaderSourceFailurePanics(t *testing.T) {
 	}()
 	s.Uint32()
 }
+
+// TestReaderSourceForkFallback pins that a ReaderSource forks into a
+// HashDRBG child seeded from its own stream.
+func TestReaderSourceForkFallback(t *testing.T) {
+	plain := NewReaderSource(bytes.NewReader(make([]byte, 256)))
+	child := ForkSource(plain)
+	if _, ok := child.(*HashDRBG); !ok {
+		t.Fatalf("fallback fork is %T, want *HashDRBG", child)
+	}
+}

@@ -9,8 +9,9 @@
 // completion. The sealed state names the negotiated parameter set, the
 // issuing channel's key-schedule epoch, an expiry instant, and the
 // 32-byte resumption master secret both sides derived from the handshake.
-// The server keeps no per-session state: Open recovers everything, and a
-// sharded replay cache (see ReplayCache) makes each ticket single-use.
+// The server keeps no per-session state beyond one bit per issued ticket:
+// Open recovers everything and claims the ticket, so each ticket opens
+// once.
 //
 // Wire layout:
 //
@@ -18,19 +19,22 @@
 //
 // Keys rotate lazily: Seal retires the current key once it is older than
 // the rotation period, keeping exactly one predecessor so tickets issued
-// just before a rotation still open. Nonces are per-key counters, so the
-// (key, nonce) pair — the replay ID — is unique for every ticket ever
-// sealed.
+// just before a rotation still open. Nonces are per-key counters, so a
+// ticket is named by its (key, counter) pair, and each key keeps a claim
+// bitmap indexed by its counter — the anti-replay bitmap of IPsec (RFC
+// 4303 §3.4.3, RFC 6479). A claim is one atomic OR, whatever the number
+// of live tickets; a key's bitmap is dropped with the key.
 package ticket
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -44,18 +48,21 @@ const (
 
 	// TicketLen is the exact wire size of every sealed ticket.
 	TicketLen = keyIDLen + nonceLen + stateLen + gcmTagLen
-
-	// ReplayIDLen is the size of the unique per-ticket replay identifier.
-	ReplayIDLen = keyIDLen + nonceLen
 )
 
+// claimPageBits is the number of tickets one claim-bitmap page covers
+// (8 KiB of bits).
+const claimPageBits = 1 << 16
+
 // Open failures. ErrExpired and ErrUnknownKey mean the client held a
-// once-valid ticket too long; anything else is malformed or forged. All
-// of them should downgrade a resumption attempt to a full handshake.
+// once-valid ticket too long, ErrReplayed that the ticket already opened
+// once; anything else is malformed or forged. All of them should
+// downgrade a resumption attempt to a full handshake.
 var (
 	ErrExpired    = errors.New("ticket: expired")
 	ErrUnknownKey = errors.New("ticket: sealed under a retired key")
 	ErrMalformed  = errors.New("ticket: malformed")
+	ErrReplayed   = errors.New("ticket: already used")
 )
 
 // State is the resumption state a ticket transports: everything the
@@ -67,19 +74,24 @@ type State struct {
 	Secret   [32]byte  // resumption master secret shared with the client
 }
 
+// claimPage holds the used bits of claimPageBits consecutive counters.
+type claimPage [claimPageBits / 64]atomic.Uint64
+
 // sealKey is one generation of the rotating ticket key.
 type sealKey struct {
 	id    uint32
 	aead  cipher.AEAD
 	born  time.Time
 	nonce uint64 // per-key counter; guarded by the keeper lock
+
+	// claims[c/claimPageBits] holds the used bit of counter c. Seal
+	// appends pages under the keeper lock; bits are set atomically.
+	claims []*claimPage
 }
 
-// Keeper seals and opens tickets under a rotating AES-128-GCM key. Safe
-// for concurrent use; key material is drawn from the configured reader
-// (callers hand in a locked reader when sharing one stream).
+// Keeper seals and opens tickets under a rotating AES-128-GCM key whose
+// material comes from crypto/rand. Safe for concurrent use.
 type Keeper struct {
-	rand   io.Reader
 	rotate time.Duration
 	now    func() time.Time
 
@@ -89,22 +101,20 @@ type Keeper struct {
 	next uint32 // next key ID
 }
 
-// NewKeeper builds a keeper drawing key material from rand and rotating
-// the sealing key every rotate period (tickets should not outlive their
-// sealing key by more than one rotation, so pass the ticket lifetime).
-func NewKeeper(rand io.Reader, rotate time.Duration) *Keeper {
+// NewKeeper builds a keeper rotating the sealing key every rotate period
+// (tickets should not outlive their sealing key by more than one
+// rotation, so pass the ticket lifetime).
+func NewKeeper(rotate time.Duration) *Keeper {
 	if rotate <= 0 {
 		rotate = time.Hour
 	}
-	return &Keeper{rand: rand, rotate: rotate, now: time.Now}
+	return &Keeper{rotate: rotate, now: time.Now}
 }
 
 // newKey mints a fresh key generation. Caller holds k.mu.
 func (k *Keeper) newKey() *sealKey {
 	var material [16]byte
-	if _, err := io.ReadFull(k.rand, material[:]); err != nil {
-		panic("ticket: key material reader failed: " + err.Error())
-	}
+	rand.Read(material[:]) // never fails: a broken entropy source crashes the program
 	block, err := aes.NewCipher(material[:])
 	if err != nil {
 		panic("ticket: " + err.Error())
@@ -141,6 +151,9 @@ func (k *Keeper) Seal(st State) []byte {
 	key := k.sealingKey()
 	key.nonce++
 	ctr := key.nonce
+	if ctr/claimPageBits == uint64(len(key.claims)) {
+		key.claims = append(key.claims, new(claimPage))
+	}
 	k.mu.Unlock()
 
 	out := make([]byte, 0, TicketLen)
@@ -151,16 +164,21 @@ func (k *Keeper) Seal(st State) []byte {
 	return key.aead.Seal(out, nonce[:], plain[:], nil)
 }
 
-// Open authenticates and decrypts a ticket, returning the sealed state
-// and the ticket's unique replay ID. It enforces expiry but not replay —
-// pair it with a ReplayCache.
-func (k *Keeper) Open(ticket []byte) (State, [ReplayIDLen]byte, error) {
-	var replayID [ReplayIDLen]byte
+// Open authenticates and decrypts a ticket, enforces its expiry, and
+// then claims it: the first Open of a ticket returns its state, every
+// later one ErrReplayed. A ticket that fails authentication claims
+// nothing, so a forgery cannot spend a genuine ticket.
+func (k *Keeper) Open(ticket []byte) (State, error) {
 	if len(ticket) != TicketLen {
-		return State{}, replayID, fmt.Errorf("%w: %d bytes, want %d", ErrMalformed, len(ticket), TicketLen)
+		return State{}, fmt.Errorf("%w: %d bytes, want %d", ErrMalformed, len(ticket), TicketLen)
 	}
 	id := binary.BigEndian.Uint32(ticket[:keyIDLen])
+	nonce := ticket[keyIDLen : keyIDLen+nonceLen]
+	ctr := binary.BigEndian.Uint64(nonce[4:])
 
+	// The counter is not yet authenticated, so its page may be missing.
+	// A ticket that passes the AEAD check below was sealed here, after
+	// Seal added its page, and only such a ticket is claimed.
 	k.mu.Lock()
 	var key *sealKey
 	switch {
@@ -169,18 +187,21 @@ func (k *Keeper) Open(ticket []byte) (State, [ReplayIDLen]byte, error) {
 	case k.prev != nil && k.prev.id == id:
 		key = k.prev
 	}
+	var page *claimPage
+	if key != nil && ctr/claimPageBits < uint64(len(key.claims)) {
+		page = key.claims[ctr/claimPageBits]
+	}
 	k.mu.Unlock()
 	if key == nil {
-		return State{}, replayID, ErrUnknownKey
+		return State{}, ErrUnknownKey
 	}
 
-	nonce := ticket[keyIDLen : keyIDLen+nonceLen]
 	plain, err := key.aead.Open(nil, nonce, ticket[keyIDLen+nonceLen:], nil)
 	if err != nil {
-		return State{}, replayID, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return State{}, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	if len(plain) != stateLen || plain[0] != stateVersion {
-		return State{}, replayID, ErrMalformed
+		return State{}, ErrMalformed
 	}
 	st := State{
 		ParamsID: binary.BigEndian.Uint16(plain[1:3]),
@@ -189,8 +210,11 @@ func (k *Keeper) Open(ticket []byte) (State, [ReplayIDLen]byte, error) {
 	}
 	copy(st.Secret[:], plain[15:])
 	if k.now().After(st.Expiry) {
-		return State{}, replayID, ErrExpired
+		return State{}, ErrExpired
 	}
-	copy(replayID[:], ticket[:ReplayIDLen])
-	return st, replayID, nil
+	bit := uint64(1) << (ctr % 64)
+	if page[ctr%claimPageBits/64].Or(bit)&bit != 0 {
+		return State{}, ErrReplayed
+	}
+	return st, nil
 }

@@ -3,30 +3,18 @@ package ticket
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"ringlwe/internal/rng"
 )
 
-func testKeeper(t *testing.T, rotate time.Duration, now func() time.Time) *Keeper {
+func testKeeper(t testing.TB, rotate time.Duration, now func() time.Time) *Keeper {
 	t.Helper()
-	k := NewKeeper(rng.NewCTRReader([]byte(t.Name())), rotate)
+	k := NewKeeper(rotate)
 	if now != nil {
 		k.now = now
 	}
 	return k
-}
-
-// cacheLen counts the live entries across c's shards.
-func cacheLen(c *ReplayCache) int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].seen)
-		c.shards[i].mu.Unlock()
-	}
-	return n
 }
 
 func testState(expiry time.Time) State {
@@ -44,7 +32,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if len(tkt) != TicketLen {
 		t.Fatalf("ticket is %d bytes, want %d", len(tkt), TicketLen)
 	}
-	got, id, err := k.Open(tkt)
+	got, err := k.Open(tkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,25 +42,21 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if got.Expiry.UnixMilli() != want.Expiry.UnixMilli() {
 		t.Fatalf("expiry round trip: got %v want %v", got.Expiry, want.Expiry)
 	}
-	var zero [ReplayIDLen]byte
-	if id == zero {
-		t.Fatal("zero replay ID")
-	}
 }
 
+// TestReplayIDsUnique pins that every sealed ticket carries its own
+// (key, counter) name: each of many tickets claims its own bit.
 func TestReplayIDsUnique(t *testing.T) {
 	k := testKeeper(t, time.Hour, nil)
 	st := testState(time.Now().Add(time.Hour))
-	seen := map[[ReplayIDLen]byte]bool{}
-	for i := 0; i < 100; i++ {
-		_, id, err := k.Open(k.Seal(st))
-		if err != nil {
-			t.Fatal(err)
+	tickets := make([][]byte, 100)
+	for i := range tickets {
+		tickets[i] = k.Seal(st)
+	}
+	for i, tkt := range tickets {
+		if _, err := k.Open(tkt); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
 		}
-		if seen[id] {
-			t.Fatalf("replay ID repeated after %d seals", i)
-		}
-		seen[id] = true
 	}
 }
 
@@ -87,20 +71,21 @@ func TestOpenGarbage(t *testing.T) {
 		"long":      append(append([]byte{}, good...), 0),
 		"corrupted": func() []byte { b := append([]byte{}, good...); b[len(b)-1] ^= 1; return b }(),
 		"badnonce":  func() []byte { b := append([]byte{}, good...); b[keyIDLen] ^= 1; return b }(),
+		"badctr":    func() []byte { b := append([]byte{}, good...); b[keyIDLen+4] ^= 0x80; return b }(), // no claim page
 	}
 	for name, tkt := range cases {
-		if _, _, err := k.Open(tkt); err == nil {
+		if _, err := k.Open(tkt); err == nil {
 			t.Errorf("%s ticket opened", name)
 		}
 	}
 	// Unknown key ID.
 	bad := append([]byte{}, good...)
 	bad[0] ^= 0xFF
-	if _, _, err := k.Open(bad); !errors.Is(err, ErrUnknownKey) {
+	if _, err := k.Open(bad); !errors.Is(err, ErrUnknownKey) {
 		t.Errorf("foreign key ID: got %v, want ErrUnknownKey", err)
 	}
 	// The original still opens.
-	if _, _, err := k.Open(good); err != nil {
+	if _, err := k.Open(good); err != nil {
 		t.Errorf("good ticket stopped opening: %v", err)
 	}
 }
@@ -110,11 +95,13 @@ func TestOpenExpired(t *testing.T) {
 	now := func() time.Time { return clock }
 	k := testKeeper(t, time.Hour, now)
 	tkt := k.Seal(testState(clock.Add(time.Minute)))
-	if _, _, err := k.Open(tkt); err != nil {
+	if _, err := k.Open(tkt); err != nil {
 		t.Fatalf("fresh ticket: %v", err)
 	}
+	// Expiry is checked before the claim, so the spent ticket reads as
+	// expired rather than replayed.
 	clock = clock.Add(2 * time.Minute)
-	if _, _, err := k.Open(tkt); !errors.Is(err, ErrExpired) {
+	if _, err := k.Open(tkt); !errors.Is(err, ErrExpired) {
 		t.Fatalf("expired ticket: got %v, want ErrExpired", err)
 	}
 }
@@ -130,84 +117,168 @@ func TestKeyRotation(t *testing.T) {
 	old := k.Seal(st)
 	clock = clock.Add(61 * time.Second) // force one rotation
 	mid := k.Seal(st)
-	if _, _, err := k.Open(old); err != nil {
+	if _, err := k.Open(old); err != nil {
 		t.Fatalf("ticket under previous key: %v", err)
 	}
 	clock = clock.Add(61 * time.Second) // second rotation retires old's key
 	k.Seal(st)
-	if _, _, err := k.Open(old); !errors.Is(err, ErrUnknownKey) {
+	if _, err := k.Open(old); !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("two-rotations-old ticket: got %v, want ErrUnknownKey", err)
 	}
-	if _, _, err := k.Open(mid); err != nil {
+	if _, err := k.Open(mid); err != nil {
 		t.Fatalf("one-rotation-old ticket: %v", err)
 	}
 }
 
-func TestReplayCache(t *testing.T) {
-	c := NewReplayCache(nil)
-	exp := time.Now().Add(time.Hour)
-	var a, b [ReplayIDLen]byte
-	b[15] = 1
-	if c.Seen(a, exp) {
-		t.Fatal("fresh ID reported seen")
-	}
-	if !c.Seen(a, exp) {
-		t.Fatal("replayed ID not caught")
-	}
-	if c.Seen(b, exp) {
-		t.Fatal("distinct ID reported seen")
-	}
-	if cacheLen(c) != 2 {
-		t.Fatalf("cache holds %d entries, want 2", cacheLen(c))
-	}
-}
-
-func TestReplayCacheExpirySweep(t *testing.T) {
-	clock := time.Now()
-	c := NewReplayCache(func() time.Time { return clock })
-	// Fill one shard past the sweep threshold with short-lived entries.
-	var id [ReplayIDLen]byte
-	for i := 0; i < sweepThreshold+10; i++ {
-		// Keep every ID in shard 0: the counter bytes stay multiples of
-		// replayShards.
-		v := uint64(i) * replayShards
-		id[8] = byte(v >> 56)
-		id[9] = byte(v >> 48)
-		id[10] = byte(v >> 40)
-		id[11] = byte(v >> 32)
-		id[12] = byte(v >> 24)
-		id[13] = byte(v >> 16)
-		id[14] = byte(v >> 8)
-		id[15] = byte(v)
-		c.Seen(id, clock.Add(time.Millisecond))
-	}
-	before := cacheLen(c)
-	clock = clock.Add(time.Second)
-	var fresh [ReplayIDLen]byte
-	fresh[0] = 0xAA
-	c.Seen(fresh, clock.Add(time.Hour))
-	if after := cacheLen(c); after >= before {
-		t.Fatalf("sweep did not shrink the cache: %d -> %d", before, after)
-	}
-	// An expired entry no longer counts as a replay.
-	if c.Seen(id, clock.Add(time.Hour)) {
-		t.Fatal("expired entry still counted as replay")
-	}
-}
-
-// TestKeeperConcurrent seals and opens from many goroutines across a
-// rotation boundary under -race.
-func TestKeeperConcurrent(t *testing.T) {
-	k := NewKeeper(rng.NewLockedReader(rng.NewCTRReader([]byte("conc"))), time.Hour)
-	c := NewReplayCache(nil)
+// TestClaimSingleUse pins that a ticket opens once: every later Open of
+// the same bytes is ErrReplayed, and claiming one ticket spends no other.
+func TestClaimSingleUse(t *testing.T) {
+	k := testKeeper(t, time.Hour, nil)
 	st := testState(time.Now().Add(time.Hour))
+	a, b := k.Seal(st), k.Seal(st)
+	if _, err := k.Open(a); err != nil {
+		t.Fatalf("first open: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := k.Open(a); !errors.Is(err, ErrReplayed) {
+			t.Fatalf("replay %d: got %v, want ErrReplayed", i, err)
+		}
+	}
+	if _, err := k.Open(b); err != nil {
+		t.Fatalf("distinct ticket: %v", err)
+	}
+}
+
+// TestClaimOneWinner races 16 goroutines to open one ticket (run under
+// -race): exactly one gets the state, the rest ErrReplayed.
+func TestClaimOneWinner(t *testing.T) {
+	k := testKeeper(t, time.Hour, nil)
+	tkt := k.Seal(testState(time.Now().Add(time.Hour)))
+	var wins, replays atomic.Int32
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			switch _, err := k.Open(tkt); {
+			case err == nil:
+				wins.Add(1)
+			case errors.Is(err, ErrReplayed):
+				replays.Add(1)
+			default:
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if wins.Load() != 1 || replays.Load() != 15 {
+		t.Fatalf("%d wins and %d replays, want 1 and 15", wins.Load(), replays.Load())
+	}
+}
+
+// TestClaimAcrossRotation pins that the claim bitmap travels with its
+// key: a ticket sealed before a rotation is claimed once under prev, and
+// once prev is retired its tickets are ErrUnknownKey, claimed or not.
+func TestClaimAcrossRotation(t *testing.T) {
+	clock := time.Now()
+	now := func() time.Time { return clock }
+	k := testKeeper(t, time.Minute, now)
+	st := testState(clock.Add(time.Hour))
+
+	claimed, unclaimed := k.Seal(st), k.Seal(st)
+	clock = clock.Add(61 * time.Second)
+	fresh := k.Seal(st) // rotates: the first two now sit under prev
+	if _, err := k.Open(claimed); err != nil {
+		t.Fatalf("ticket under prev: %v", err)
+	}
+	if _, err := k.Open(claimed); !errors.Is(err, ErrReplayed) {
+		t.Fatalf("replay under prev: got %v, want ErrReplayed", err)
+	}
+	if _, err := k.Open(fresh); err != nil {
+		t.Fatalf("ticket under cur: %v", err)
+	}
+
+	clock = clock.Add(61 * time.Second)
+	k.Seal(st) // retires the first key and its bitmap
+	for name, tkt := range map[string][]byte{"claimed": claimed, "unclaimed": unclaimed} {
+		if _, err := k.Open(tkt); !errors.Is(err, ErrUnknownKey) {
+			t.Errorf("%s ticket under a retired key: got %v, want ErrUnknownKey", name, err)
+		}
+	}
+	if _, err := k.Open(fresh); !errors.Is(err, ErrReplayed) {
+		t.Fatalf("claimed ticket under prev after rotation: got %v, want ErrReplayed", err)
+	}
+}
+
+// TestClaimForgeryDoesNotSpend pins that the claim follows
+// authentication: a forgery naming a genuine ticket's key and counter
+// is refused as malformed and leaves that ticket's claim unspent.
+func TestClaimForgeryDoesNotSpend(t *testing.T) {
+	k := testKeeper(t, time.Hour, nil)
+	good := k.Seal(testState(time.Now().Add(time.Hour)))
+	forged := append([]byte{}, good...)
+	forged[len(forged)-1] ^= 1 // flip a tag byte
+	for i := 0; i < 3; i++ {
+		if _, err := k.Open(forged); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("forged ticket: got %v, want ErrMalformed", err)
+		}
+	}
+	if _, err := k.Open(good); err != nil {
+		t.Fatalf("genuine ticket after forgeries: %v", err)
+	}
+}
+
+// TestClaimZeroAlloc pins that claiming adds no allocation to Open: an
+// Open, first claim or replay, allocates exactly what the bare AEAD open
+// of its plaintext does.
+func TestClaimZeroAlloc(t *testing.T) {
+	k := testKeeper(t, time.Hour, nil)
+	st := testState(time.Now().Add(time.Hour))
+	const runs = 100
+	tickets := make([][]byte, runs+1)
+	for i := range tickets {
+		tickets[i] = k.Seal(st)
+	}
+	key := k.cur
+	bare := testing.AllocsPerRun(runs, func() {
+		tkt := tickets[0]
+		if _, err := key.aead.Open(nil, tkt[keyIDLen:keyIDLen+nonceLen], tkt[keyIDLen+nonceLen:], nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	i := 0
+	first := testing.AllocsPerRun(runs, func() {
+		if _, err := k.Open(tickets[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	replay := testing.AllocsPerRun(runs, func() {
+		if _, err := k.Open(tickets[0]); !errors.Is(err, ErrReplayed) {
+			t.Fatalf("got %v, want ErrReplayed", err)
+		}
+	})
+	if first != bare || replay != bare {
+		t.Fatalf("Open allocates %.0f (first claim) and %.0f (replay) per call, the AEAD open %.0f", first, replay, bare)
+	}
+}
+
+// TestKeeperConcurrent seals and opens from many goroutines under -race;
+// every ticket is claimed exactly once.
+func TestKeeperConcurrent(t *testing.T) {
+	k := testKeeper(t, time.Hour, nil)
+	st := testState(time.Now().Add(time.Hour))
+	var claims atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				got, id, err := k.Open(k.Seal(st))
+				got, err := k.Open(k.Seal(st))
 				if err != nil {
 					t.Error(err)
 					return
@@ -216,15 +287,44 @@ func TestKeeperConcurrent(t *testing.T) {
 					t.Error("secret mismatch")
 					return
 				}
-				if c.Seen(id, got.Expiry) {
-					t.Error("fresh ticket flagged as replay")
-					return
-				}
+				claims.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if cacheLen(c) != 800 {
-		t.Fatalf("cache holds %d entries, want 800", cacheLen(c))
+	if claims.Load() != 800 {
+		t.Fatalf("%d successful claims, want 800", claims.Load())
+	}
+}
+
+// BenchmarkKeeperOpen opens tickets spread across 1k and 1M live
+// tickets. A claim is one atomic OR on the ticket's bitmap word, so both
+// read the same per op.
+func BenchmarkKeeperOpen(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		live int
+	}{{"1k", 1 << 10}, {"1M", 1 << 20}} {
+		k := testKeeper(b, time.Hour, nil)
+		st := testState(time.Now().Add(time.Hour))
+		// Keep 1024 of the live tickets, evenly spread over the bitmap.
+		const sample = 1 << 10
+		tickets := make([][]byte, 0, sample)
+		for i := 0; i < bc.live; i++ {
+			tkt := k.Seal(st)
+			if i%(bc.live/sample) == 0 {
+				tickets = append(tickets, tkt)
+			}
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// The first pass claims; later passes are replays,
+				// which do the same work.
+				if _, err := k.Open(tickets[i%sample]); err != nil && !errors.Is(err, ErrReplayed) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

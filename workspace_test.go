@@ -260,37 +260,60 @@ func TestWorkspaceKEMInterop(t *testing.T) {
 	}
 }
 
+// TestBatchEncryptDecrypt round-trips batches through EncryptBatch and
+// DecryptBatch on a deterministic and an OS-random scheme, and checks
+// that one malformed message fails the whole batch.
 func TestBatchEncryptDecrypt(t *testing.T) {
 	p := P1()
-	s := NewDeterministic(p, 4)
-	pk, sk, err := s.GenerateKeys()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		scheme *Scheme
+		n      int
+		bad    int // index of a message one byte too long, or -1
+	}{
+		{"deterministic", NewDeterministic(p, 4), 48, -1},
+		{"round-trip", New(p), 37, -1},
+		{"propagates-errors", New(p), 2, 1},
 	}
-	const n = 48
-	msgs := make([][]byte, n)
-	for i := range msgs {
-		msgs[i] = make([]byte, p.MessageSize())
-		for j := range msgs[i] {
-			msgs[i][j] = byte(i + j)
-		}
-	}
-	cts, err := s.EncryptBatch(pk, msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.DecryptBatch(sk, cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for i := range msgs {
-		if !bytes.Equal(got[i], msgs[i]) {
-			failed++
-		}
-	}
-	if failed > 4 { // intrinsic LPR failure tolerance (≈0.8%/msg expected)
-		t.Fatalf("%d/%d batch round trips failed", failed, n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.scheme
+			pk, sk, err := s.GenerateKeys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs := make([][]byte, tc.n)
+			for i := range msgs {
+				msgs[i] = make([]byte, p.MessageSize())
+				for j := range msgs[i] {
+					msgs[i][j] = byte(i + j)
+				}
+			}
+			if tc.bad >= 0 {
+				msgs[tc.bad] = make([]byte, p.MessageSize()+1)
+				if _, err := s.EncryptBatch(pk, msgs); err == nil {
+					t.Fatal("batch with an oversized message reported no error")
+				}
+				return
+			}
+			cts, err := s.EncryptBatch(pk, msgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.DecryptBatch(sk, cts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := 0
+			for i := range msgs {
+				if !bytes.Equal(got[i], msgs[i]) {
+					failed++
+				}
+			}
+			if failed > 4 { // intrinsic LPR failure tolerance (≈0.8%/msg expected)
+				t.Fatalf("%d/%d batch round trips failed", failed, tc.n)
+			}
+		})
 	}
 }
 
