@@ -550,16 +550,6 @@ func BenchmarkAblation_SchemeHalfword(b *testing.B) {
 	}
 }
 
-// Constant-time CDT overhead (the paper's future-work item).
-func BenchmarkAblation_CDTConstantTime(b *testing.B) {
-	c := gauss.NewCDTSampler(gauss.P1Matrix(), rng.NewXorshift128(12))
-	c.ConstantTime = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.SampleInt()
-	}
-}
-
 // KEM layer overhead over raw encryption.
 func BenchmarkKEM_Encapsulate_P1(b *testing.B) {
 	s := NewDeterministic(P1(), 13)

@@ -19,7 +19,7 @@ import (
 	"ringlwe/internal/rng"
 )
 
-var samplerNames = []string{"ky-lut", "ky-clz", "ky-hamming", "ky-basic", "cdt", "cdt-ct", "rejection"}
+var samplerNames = []string{"ky-lut", "ky-clz", "ky-hamming", "ky-basic", "cdt", "rejection"}
 
 func main() {
 	paramsName := flag.String("params", "P1", "parameter set: P1 or P2")
@@ -106,10 +106,6 @@ func buildSampler(name string, mat *gauss.Matrix, src rng.Source) (gauss.IntSamp
 		return gauss.NewSampler(mat, src, gauss.WithLUT(false), gauss.WithVariant(gauss.ScanBasic))
 	case "cdt":
 		return gauss.NewCDTSampler(mat, src), nil
-	case "cdt-ct":
-		c := gauss.NewCDTSampler(mat, src)
-		c.ConstantTime = true
-		return c, nil
 	case "rejection":
 		return gauss.NewRejectionSampler(mat, src), nil
 	default:

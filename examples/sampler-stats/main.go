@@ -72,7 +72,7 @@ func main() {
 	results = append(results, result{"knuth-yao, basic scan", timeSampler(basic), modelCycles(mat, false, gauss.ScanBasic)})
 
 	cdt := gauss.NewCDTSampler(mat, rng.NewXorshift128(4))
-	results = append(results, result{"CDT (inversion)", timeSampler(cdt), 0})
+	results = append(results, result{"CDT (fixed-shape search)", timeSampler(cdt), 0})
 
 	rej := gauss.NewRejectionSampler(mat, rng.NewXorshift128(5))
 	results = append(results, result{"rejection", timeSampler(rej), 0})

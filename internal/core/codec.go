@@ -10,8 +10,9 @@ import "ringlwe/internal/ntt"
 // are random, so a branch on them would also mispredict about half the
 // time. The remaining variable-time components are the K > 1 decode
 // (crtDecodeInto's CRT reconstruction branches on the coefficient, under
-// every profile, until ROADMAP item 1 lands), the Knuth-Yao samplers (the
-// cdt backend is the constant-time alternative), which the CCA KEM's FO
+// every profile, until the fixed-point CRT decode lands), the Knuth-Yao
+// samplers (the cdt backend is the constant-time alternative, except for
+// its secret-indexed table load), which the CCA KEM's FO
 // re-encryption uses under every profile, and Go's own scheduler noise.
 
 // DecodeInto decodes a one-channel polynomial m into the caller-owned

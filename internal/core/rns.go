@@ -43,7 +43,7 @@ func (p *Params) rowBytes(i int) int {
 // branch-free: Reduce's conditional subtraction (zq.go) and the fold loop
 // that subtracts q until it borrows (basis.go) jump on the secret
 // pre-decoding coefficient, so B1 decryption is variable-time under every
-// profile until a fixed-point CRT decode replaces it (ROADMAP item 1).
+// profile until the fixed-point CRT decode replaces it.
 func crtDecodeInto(dst []byte, p *Params, m ntt.Poly) {
 	b := p.Basis
 	clear(dst)

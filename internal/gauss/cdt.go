@@ -7,22 +7,21 @@ import (
 	"ringlwe/internal/rng"
 )
 
-// CDTSampler implements inversion sampling from a cumulative distribution
-// table, the classical alternative the paper's §II-B surveys. A 64-bit
-// uniform value is looked up in the cumulative table of magnitude
-// probabilities (with the zero bucket halved so the sign bit can be applied
-// uniformly). Precision is 2^-64 per sample, far beyond what the scheme
-// comparison needs. A constant-time lookup is provided as the paper's
-// future-work item ("extend our scheme to allow for constant-time
-// execution").
-type CDTSampler struct {
-	// cum[i] is 2^64 · P(|X| ≤ i | table), with the x = 0 mass halved;
-	// sampling compares a uniform 64-bit value against the table.
-	cum  []uint64
-	pool *rng.BitPool
-	// ConstantTime selects branchless full-table scans instead of binary
-	// search.
-	ConstantTime bool
+// CDT inverts the cumulative distribution table: the classical alternative
+// to Knuth-Yao the paper's §II-B surveys, and the only inversion routine
+// in the module. A 64-bit uniform value maps to the magnitude whose
+// cumulative bucket holds it, at 2^-64 precision per sample, far beyond
+// what the scheme comparison needs. The search has a fixed shape: the
+// table is padded to a power of two with saturated entries, every lookup
+// walks exactly log₂(padded size) probes, and each step advances by masked
+// arithmetic instead of a data-dependent branch. Which entry a probe loads
+// still depends on the value, so the cache lines touched do too.
+type CDT struct {
+	// cum is NewCDTTable's table padded to a power-of-two length with ^0
+	// entries; rowsMinus1 clamps the (probability 2^-64) saturated lookup.
+	cum        []uint64
+	half       uint32
+	rowsMinus1 uint32
 }
 
 // NewCDTTable builds the 64-bit cumulative magnitude table from the same
@@ -48,10 +47,51 @@ func NewCDTTable(m *Matrix) []uint64 {
 	return cum
 }
 
-// NewCDTSampler derives the cumulative table from the matrix (see
-// NewCDTTable) and binds it to a scalar bit pool over src.
+// NewCDT builds the inverter over m's cumulative table (see NewCDTTable).
+func NewCDT(m *Matrix) CDT {
+	cum := NewCDTTable(m)
+	p2 := 1
+	for p2 < len(cum) {
+		p2 <<= 1
+	}
+	padded := make([]uint64, p2)
+	copy(padded, cum)
+	for i := len(cum); i < p2; i++ {
+		padded[i] = ^uint64(0)
+	}
+	return CDT{cum: padded, half: uint32(p2 / 2), rowsMinus1: uint32(len(cum) - 1)}
+}
+
+// Magnitude inverts the table for one 64-bit uniform u: the count of
+// entries ≤ u, clamped to the last row, which is the smallest magnitude
+// whose cumulative mass exceeds u. The probes are half, quarter, … of the
+// padded table and each advance is a masked add, so the probe count and
+// the instruction trace are the same for every u.
+func (t *CDT) Magnitude(u uint64) uint32 {
+	idx := uint32(0)
+	for step := t.half; step > 0; step >>= 1 {
+		v := t.cum[idx+step-1]
+		_, borrow := bits.Sub64(u, v, 0) // borrow = 1 iff u < v
+		idx += step & (uint32(borrow) - 1)
+	}
+	// Clamp the u = 2^64−1 saturation into the last real row, branchlessly.
+	last := t.rowsMinus1
+	over := -((last - idx) >> 31) // all-ones iff idx > last
+	return idx ^ ((idx ^ last) & over)
+}
+
+// CDTSampler is a scalar signed sampler over CDT: it draws its 64-bit
+// uniform value as 22+21+21 bits from a bit pool over src, then one sign
+// bit from the same pool.
+type CDTSampler struct {
+	cdt  CDT
+	pool *rng.BitPool
+}
+
+// NewCDTSampler builds the inverter over m (see NewCDT) and binds it to a
+// scalar bit pool over src.
 func NewCDTSampler(m *Matrix, src rng.Source) *CDTSampler {
-	return &CDTSampler{cum: NewCDTTable(m), pool: rng.NewBitPool(src)}
+	return &CDTSampler{cdt: NewCDT(m), pool: rng.NewBitPool(src)}
 }
 
 func (c *CDTSampler) uniform64() uint64 {
@@ -62,33 +102,7 @@ func (c *CDTSampler) uniform64() uint64 {
 }
 
 // SampleMagnitude draws |x| by inverting the CDT.
-func (c *CDTSampler) SampleMagnitude() uint32 {
-	u := c.uniform64()
-	if c.ConstantTime {
-		// Branchless scan: magnitude i is chosen iff cum[i-1] ≤ u < cum[i]
-		// (with cum[-1] = 0), so counting entries with cum ≤ u yields the
-		// index without data-dependent branches or memory access patterns.
-		var idx uint32
-		for _, v := range c.cum {
-			_, borrow := bits.Sub64(u, v, 0) // borrow = 1 iff u < v
-			idx += uint32(1 - borrow)
-		}
-		if idx >= uint32(len(c.cum)) { // only when u = 2^64-1
-			idx = uint32(len(c.cum) - 1)
-		}
-		return idx
-	}
-	lo, hi := 0, len(c.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if u < c.cum[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return uint32(lo)
-}
+func (c *CDTSampler) SampleMagnitude() uint32 { return c.cdt.Magnitude(c.uniform64()) }
 
 // SampleInt returns one signed sample. The sign bit is always consumed but
 // has no effect on magnitude 0, exactly like the Knuth-Yao sampler, so both

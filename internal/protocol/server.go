@@ -595,7 +595,9 @@ func (s *Server) handshakeResume(rw io.ReadWriter, shard int, ct *connTrace, hel
 		s.sm.rejected.Inc(shard)
 		return nil, nil, fmt.Errorf("%w: resume ticket length %d out of range", errBadHello, n)
 	}
-	ext := make([]byte, n+randomLen)
+	// The spare capacity past the ticket and client random is Open's
+	// scratch.
+	ext := make([]byte, n+randomLen, n+randomLen+ticket.StateLen)
 	if _, err := io.ReadFull(rw, ext); err != nil {
 		s.sm.rejected.Inc(shard)
 		return nil, nil, fmt.Errorf("protocol: resume hello: %w", err)
@@ -609,7 +611,7 @@ func (s *Server) handshakeResume(rw io.ReadWriter, shard int, ct *connTrace, hel
 	fallbackReason := "disabled"
 	if s.ticketsEnabled() {
 		t0 := ct.start()
-		st, err := s.keeper.Open(tkt)
+		st, err := s.keeper.Open(tkt, ext[len(ext):])
 		switch {
 		case errors.Is(err, ticket.ErrReplayed):
 			fallbackReason = "replayed"

@@ -12,8 +12,9 @@ import (
 // Fujisaki-Okamoto transform re-derives the encryption coins from the
 // message, so the same message and seed must reproduce the exact
 // ciphertext) and is indistinguishable from random as long as SHA-256 is.
-// It is NOT a general-purpose CSPRNG replacement: it never reseeds. Its
-// state sits between cache-line pads (see package cacheline).
+// It is NOT a general-purpose CSPRNG replacement: it never reseeds, and
+// it cannot fork itself (ForkSource keys a CryptoSource from its output).
+// Its state sits between cache-line pads (see package cacheline).
 type HashDRBG struct {
 	_       cacheline.Pad
 	seed    [32]byte

@@ -1,51 +1,32 @@
 package rng
 
-import "encoding/binary"
+import "crypto/aes"
 
-// Forker is implemented by sources that can spawn an independent child
-// stream. Forking is how per-goroutine workspaces obtain their own
-// randomness without contending on (or racing over) a shared source: the
-// parent is touched once at fork time, never again.
-type Forker interface {
-	// Fork returns a new Source whose output is independent of the
-	// parent's subsequent output. Forking may consume parent state; callers
-	// serialize Fork calls against other uses of the parent.
-	Fork() Source
-}
-
-// ForkSource derives an independent child source from src. Sources that
-// implement Forker fork natively; any other source seeds a HashDRBG child
-// from 256 bits of parent output, which preserves determinism for
-// deterministic parents and unpredictability for cryptographic ones.
+// ForkSource derives an independent child source from src. Forking is how
+// per-goroutine workspaces obtain their own randomness without contending
+// on (or racing over) a shared source: the parent is touched once, at
+// fork time, and callers serialize ForkSource against other uses of src.
+//
+//   - A Xorshift128 child is seeded from two parent words, so forked
+//     deterministic schemes stay reproducible.
+//   - A CryptoSource with an entropy reader gets a fresh source over the
+//     same reader, keyed on its own first draw. The fork reads nothing, so
+//     a fork taken under a lock never waits on the OS.
+//   - Every other source (a ReaderSource, a HashDRBG, a keyed
+//     CryptoSource) gets a keyed CryptoSource: its AES-256 key and IV are
+//     the next 12 words of src, and it rekeys by fast key erasure.
 func ForkSource(src Source) Source {
-	if f, ok := src.(Forker); ok {
-		return f.Fork()
+	switch s := src.(type) {
+	case *Xorshift128:
+		return NewXorshift128(uint64(s.Uint32())<<32 | uint64(s.Uint32()))
+	case *CryptoSource:
+		if s.entropy != nil {
+			return newCryptoSource(s.entropy)
+		}
 	}
-	var seed [32]byte
-	for i := 0; i < len(seed); i += 4 {
-		binary.LittleEndian.PutUint32(seed[i:], src.Uint32())
-	}
-	return NewHashDRBG(seed[:])
-}
-
-// Fork returns a fresh source over the parent's entropy reader, to be keyed
-// independently on its own first draw. It reads nothing and leaves the
-// parent untouched, so a fork taken under a lock never waits on the OS.
-func (c *CryptoSource) Fork() Source { return newCryptoSource(c.entropy) }
-
-// Fork derives a child generator seeded from the parent stream. The child
-// is deterministic given the parent's state, so forked deterministic
-// schemes stay reproducible.
-func (s *Xorshift128) Fork() Source {
-	seed := uint64(s.Uint32())<<32 | uint64(s.Uint32())
-	return NewXorshift128(seed)
-}
-
-// Fork derives a child DRBG keyed by 256 bits of parent output.
-func (d *HashDRBG) Fork() Source {
-	var seed [32]byte
-	for i := 0; i < len(seed); i += 4 {
-		binary.LittleEndian.PutUint32(seed[i:], d.Uint32())
-	}
-	return NewHashDRBG(seed[:])
+	var seed [32 + aes.BlockSize]byte
+	FillWords(src, seed[:])
+	c := newCryptoSource(nil)
+	c.key(&seed)
+	return c
 }

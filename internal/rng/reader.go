@@ -11,7 +11,9 @@ import (
 // buffering reads 256 bytes at a time so callers with syscall-backed
 // readers amortize the per-read cost. It is the seam behind
 // the public WithRandom option: any DRBG, HSM stream or test vector file
-// that speaks io.Reader can drive the scheme.
+// that speaks io.Reader can drive the scheme. It cannot fork itself, so
+// ForkSource gives each workspace a keyed CryptoSource whose key and IV
+// are 48 bytes of the reader's output.
 //
 // Like CryptoSource, a read failure panics: the samplers have no error
 // path, and a dead entropy source is a fatal fault, not a recoverable
@@ -42,14 +44,4 @@ func (s *ReaderSource) Uint32() uint32 {
 	v := binary.LittleEndian.Uint32(s.buf[s.pos:])
 	s.pos += 4
 	return v
-}
-
-// Fork derives an independent child source: a HashDRBG seeded from 256
-// bits of parent output, matching the generic ForkSource fallback.
-func (s *ReaderSource) Fork() Source {
-	var seed [32]byte
-	for i := 0; i < len(seed); i += 4 {
-		binary.LittleEndian.PutUint32(seed[i:], s.Uint32())
-	}
-	return NewHashDRBG(seed[:])
 }

@@ -61,12 +61,18 @@ func TestReaderSourceFailurePanics(t *testing.T) {
 	s.Uint32()
 }
 
-// TestReaderSourceForkFallback pins that a ReaderSource forks into a
-// HashDRBG child seeded from its own stream.
+// TestReaderSourceForkFallback pins that a ReaderSource forks into a keyed
+// CryptoSource whose key and IV are the first 48 bytes of its reader.
 func TestReaderSourceForkFallback(t *testing.T) {
-	plain := NewReaderSource(bytes.NewReader(make([]byte, 256)))
-	child := ForkSource(plain)
-	if _, ok := child.(*HashDRBG); !ok {
-		t.Fatalf("fallback fork is %T, want *HashDRBG", child)
+	raw := make([]byte, 256)
+	for i := range raw {
+		raw[i] = byte(i*13 + 1)
+	}
+	child := ForkSource(NewReaderSource(bytes.NewReader(raw)))
+	if c, ok := child.(*CryptoSource); !ok || c.entropy != nil {
+		t.Fatalf("fallback fork is %T, want a keyed *CryptoSource", child)
+	}
+	if !bytes.Equal(drawWords(child, 100), ctrKeystream(t, raw[:48], 400)) {
+		t.Fatal("fork does not run the keystream keyed by the reader's first 48 bytes")
 	}
 }

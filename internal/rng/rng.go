@@ -62,27 +62,34 @@ func (s *Xorshift128) Uint32() uint32 {
 }
 
 // cryptoRekeyBytes is how much keystream a CryptoSource serves under one
-// key before it draws a fresh key and IV from its entropy reader. It
-// bounds what a memory read of the live cipher state reveals: at most this
-// much output before the read and this much after it.
+// key before it draws a fresh key and IV. It bounds what a memory read of
+// the live cipher state reveals: at most this much output before the read,
+// and for a source with an entropy reader this much after it.
 const cryptoRekeyBytes = 1 << 20
 
 // CryptoSource is a cryptographic word source: an AES-256-CTR keystream
-// whose 32-byte key and 16-byte IV come from the operating system CSPRNG
-// (crypto/rand). The keystream is buffered 256 bytes at a time; the OS is
-// read once per key, on the first draw and again every cryptoRekeyBytes,
+// under a 32-byte key and a 16-byte IV. The keystream is buffered 256
+// bytes at a time, and the key is replaced every cryptoRekeyBytes.
+//
+// A source from NewCryptoSource draws each key and IV from the operating
+// system CSPRNG (crypto/rand): on its first draw and at every rekey,
 // rather than once per buffer. It panics if the entropy source fails,
-// mirroring how a device would treat a dead TRNG as a fatal fault. Its
-// buffer and cipher state sit between cache-line pads (see package
-// cacheline).
+// mirroring how a device would treat a dead TRNG as a fatal fault. A
+// keyed source (ForkSource of a source that cannot fork itself) has no
+// entropy reader: its first key is parent output, and each later key and
+// IV are the next 48 bytes of its own keystream, which it never serves
+// (fast key erasure), so a read of its state reveals nothing it served
+// under earlier keys. Its buffer and cipher state sit between cache-line
+// pads (see package cacheline).
 type CryptoSource struct {
 	_      cacheline.Pad
 	buf    [256]byte
 	pos    int
 	stream cipher.Stream // nil until the first draw keys the source
 	left   int           // keystream bytes the current key may still serve
-	// entropy supplies key material; crypto/rand.Reader outside tests.
-	// Forks share it, so it must be safe for concurrent use.
+	// entropy supplies key material; crypto/rand.Reader outside tests,
+	// nil for a keyed source. Forks share it, so it must be safe for
+	// concurrent use.
 	entropy io.Reader
 	_       cacheline.Pad
 }
@@ -132,12 +139,22 @@ func (c *CryptoSource) refill() {
 	c.pos = 0
 }
 
-// rekey reads a fresh AES-256 key and IV and restarts the keystream.
+// rekey draws a fresh AES-256 key and IV, from the entropy reader or, for
+// a keyed source, from the next 48 bytes of the current keystream, and
+// restarts the keystream.
 func (c *CryptoSource) rekey() {
 	var seed [32 + aes.BlockSize]byte
-	if _, err := io.ReadFull(c.entropy, seed[:]); err != nil {
+	if c.entropy == nil {
+		c.stream.XORKeyStream(seed[:], seed[:])
+	} else if _, err := io.ReadFull(c.entropy, seed[:]); err != nil {
 		panic("rng: entropy read failed: " + err.Error())
 	}
+	c.key(&seed)
+}
+
+// key starts the keystream under seed's 32-byte key and 16-byte IV, then
+// wipes seed.
+func (c *CryptoSource) key(seed *[32 + aes.BlockSize]byte) {
 	block, err := aes.NewCipher(seed[:32])
 	if err != nil {
 		// aes.NewCipher fails only on invalid key length; 32 is valid.

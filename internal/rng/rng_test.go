@@ -135,16 +135,16 @@ func (k *keyLog) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestCryptoSourceForksKeyIndependently pins that Fork reads no key
+// TestCryptoSourceForksKeyIndependently pins that a fork reads no key
 // material (a scheme forks under its lock) and that every source, parent
 // and forks alike, keys itself from its own read on its first draw: no two
 // share a key.
 func TestCryptoSourceForksKeyIndependently(t *testing.T) {
 	log := &keyLog{}
 	parent := newCryptoSource(log)
-	a, b := parent.Fork(), parent.Fork()
+	a, b := ForkSource(parent), ForkSource(parent)
 	if len(log.reads) != 0 {
-		t.Fatalf("Fork read key material %d times", len(log.reads))
+		t.Fatalf("ForkSource read key material %d times", len(log.reads))
 	}
 	keys := map[string]bool{}
 	for i, src := range []Source{a, b, parent} {
@@ -381,10 +381,16 @@ func TestHealthCheckPassesOnGoodSources(t *testing.T) {
 	for i := 0; i < cryptoRekeyBytes/4-900; i++ {
 		rekeying.Uint32()
 	}
+	keyedRekeying := ForkSource(NewReaderSource(rand.Reader))
+	for i := 0; i < cryptoRekeyBytes/4-900; i++ {
+		keyedRekeying.Uint32()
+	}
 	for name, src := range map[string]Source{
-		"xorshift":            NewXorshift128(2024),
-		"crypto":              NewCryptoSource(),
-		"crypto across rekey": rekeying,
+		"xorshift":                  NewXorshift128(2024),
+		"crypto":                    NewCryptoSource(),
+		"crypto across rekey":       rekeying,
+		"keyed crypto":              ForkSource(NewHashDRBG([]byte("health"))),
+		"keyed crypto across rekey": keyedRekeying,
 	} {
 		results, ok := HealthCheck(src)
 		if !ok {
@@ -451,6 +457,20 @@ var bitsSink uint32
 // included.
 func BenchmarkCryptoSourceUint32(b *testing.B) {
 	c := NewCryptoSource()
+	b.SetBytes(4)
+	b.ReportAllocs()
+	var sink uint32
+	for i := 0; i < b.N; i++ {
+		sink ^= c.Uint32()
+	}
+	bitsSink = sink
+}
+
+// BenchmarkForkedReaderSourceUint32 is the per-word cost of the source
+// every workspace of a WithRandom scheme draws from: a fork of the
+// ReaderSource over the caller's reader.
+func BenchmarkForkedReaderSourceUint32(b *testing.B) {
+	c := ForkSource(NewReaderSource(rand.Reader))
 	b.SetBytes(4)
 	b.ReportAllocs()
 	var sink uint32

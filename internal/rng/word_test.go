@@ -20,6 +20,14 @@ func TestUint64Composition(t *testing.T) {
 	}
 }
 
+// keyedFrom returns the keyed CryptoSource that ForkSource makes of a
+// ReaderSource whose reader starts with the 48 bytes of seed.
+func keyedFrom(seed []byte) Source {
+	raw := make([]byte, 256) // one ReaderSource buffer
+	copy(raw, seed)
+	return ForkSource(NewReaderSource(bytes.NewReader(raw)))
+}
+
 // fillTwins builds, for each source kind, two sources that yield the same
 // word stream.
 func fillTwins() []struct {
@@ -39,6 +47,7 @@ func fillTwins() []struct {
 		mk   func() Source
 	}{
 		{"CryptoSource", func() Source { return newCryptoSource(bytes.NewReader(seed)) }},
+		{"keyed CryptoSource", func() Source { return keyedFrom(seed) }},
 		{"ReaderSource", func() Source { return NewReaderSource(bytes.NewReader(raw)) }},
 		{"HashDRBG", func() Source { return NewHashDRBG([]byte("fill")) }},
 		{"Xorshift128", func() Source { return NewXorshift128(7) }},
@@ -92,6 +101,32 @@ func TestFillWordsCryptoRekeyBoundary(t *testing.T) {
 		}
 		if want := 48 * (1 + (drawn-1)/cryptoRekeyBytes); 96-r.Len() != want {
 			t.Fatalf("%d key bytes read after %d bytes drawn, want %d", 96-r.Len(), drawn, want)
+		}
+	}
+}
+
+// TestKeyedCryptoRekeyBoundary pins fast key erasure across the rekey
+// point: a keyed source serves cryptoRekeyBytes of its first keystream,
+// then runs under the key and IV that are that keystream's next 48 bytes,
+// which it never serves. A twin keyed alike, drawn word by word, stays
+// equal to bulk runs that straddle the boundary.
+func TestKeyedCryptoRekeyBoundary(t *testing.T) {
+	seed := make([]byte, 48)
+	for i := range seed {
+		seed[i] = byte(i*7 + 2)
+	}
+	c, twin := keyedFrom(seed), keyedFrom(seed)
+	first := ctrKeystream(t, seed, cryptoRekeyBytes+48)
+	next := first[cryptoRekeyBytes:] // the second key and IV
+	want := append(first[:cryptoRekeyBytes:cryptoRekeyBytes], ctrKeystream(t, next, 3*4092)...)
+	buf := make([]byte, 4092)
+	for drawn := 0; drawn+len(buf) <= len(want); drawn += len(buf) {
+		FillWords(c, buf)
+		if !bytes.Equal(buf, want[drawn:drawn+len(buf)]) {
+			t.Fatalf("run at byte %d differs from the fast-key-erasure keystream", drawn)
+		}
+		if !bytes.Equal(buf, drawWords(twin, len(buf)/4)) {
+			t.Fatalf("run at byte %d differs from a twin keyed alike", drawn)
 		}
 	}
 }

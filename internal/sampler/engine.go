@@ -19,12 +19,14 @@
 //     bulk draw (rng.FillWords). Every lane is stored through a negation
 //     table, and only the rare residuals (≈2.2% per coefficient) are then
 //     resolved in place by the serial LUT-2/scan walk, fed from a 64-bit
-//     bit pool (bitPool64). What ringlwe.New selects for OS-random
-//     schemes, which have no stream to pin.
-//   - "cdt": inversion sampling against the cumulative table, with a
-//     fixed-shape branchless binary search — the same number of table
-//     probes and the same arithmetic for every sample (the paper's
-//     constant-time future-work item).
+//     bit pool (bitPool64). What ringlwe.New selects, whose workspaces
+//     draw from AES-256-CTR keystreams (keyed from the OS, or from the
+//     WithRandom reader) that serve those bulk draws from their buffers.
+//   - "cdt": inversion sampling through gauss.CDT, the module's one CDT
+//     inverter: a fixed-shape branchless binary search, with the same
+//     number of table probes and the same arithmetic for every sample
+//     (the paper's constant-time future-work item). Which table entry
+//     each probe loads still depends on the sample.
 //
 // All backends target the identical distribution (they are built from the
 // same exact-probability matrix); they differ in randomness consumption

@@ -41,13 +41,15 @@ import (
 // Sealed-state sizes.
 const (
 	stateVersion = 1
-	stateLen     = 1 + 2 + 4 + 8 + 32 // version ‖ params ID ‖ epoch ‖ expiry ‖ secret
 	keyIDLen     = 4
 	nonceLen     = 12
 	gcmTagLen    = 16
 
+	// StateLen is the size of a ticket's decrypted state: version ‖
+	// params ID ‖ epoch ‖ expiry ‖ secret.
+	StateLen = 1 + 2 + 4 + 8 + 32
 	// TicketLen is the exact wire size of every sealed ticket.
-	TicketLen = keyIDLen + nonceLen + stateLen + gcmTagLen
+	TicketLen = keyIDLen + nonceLen + StateLen + gcmTagLen
 )
 
 // claimPageBits is the number of tickets one claim-bitmap page covers
@@ -140,7 +142,7 @@ func (k *Keeper) sealingKey() *sealKey {
 
 // Seal encrypts the state into a fresh single-use ticket.
 func (k *Keeper) Seal(st State) []byte {
-	var plain [stateLen]byte
+	var plain [StateLen]byte
 	plain[0] = stateVersion
 	binary.BigEndian.PutUint16(plain[1:3], st.ParamsID)
 	binary.BigEndian.PutUint32(plain[3:7], st.Epoch)
@@ -168,7 +170,12 @@ func (k *Keeper) Seal(st State) []byte {
 // then claims it: the first Open of a ticket returns its state, every
 // later one ErrReplayed. A ticket that fails authentication claims
 // nothing, so a forgery cannot spend a genuine ticket.
-func (k *Keeper) Open(ticket []byte) (State, error) {
+//
+// The plaintext is decrypted into the capacity of scratch, which must not
+// overlap ticket; with a capacity of StateLen, Open allocates nothing.
+// Decrypting into the ticket itself would race when goroutines open one
+// ticket slice concurrently.
+func (k *Keeper) Open(ticket, scratch []byte) (State, error) {
 	if len(ticket) != TicketLen {
 		return State{}, fmt.Errorf("%w: %d bytes, want %d", ErrMalformed, len(ticket), TicketLen)
 	}
@@ -196,11 +203,11 @@ func (k *Keeper) Open(ticket []byte) (State, error) {
 		return State{}, ErrUnknownKey
 	}
 
-	plain, err := key.aead.Open(nil, nonce, ticket[keyIDLen+nonceLen:], nil)
+	plain, err := key.aead.Open(scratch[:0], nonce, ticket[keyIDLen+nonceLen:], nil)
 	if err != nil {
 		return State{}, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	if len(plain) != stateLen || plain[0] != stateVersion {
+	if len(plain) != StateLen || plain[0] != stateVersion {
 		return State{}, ErrMalformed
 	}
 	st := State{

@@ -32,7 +32,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if len(tkt) != TicketLen {
 		t.Fatalf("ticket is %d bytes, want %d", len(tkt), TicketLen)
 	}
-	got, err := k.Open(tkt)
+	got, err := k.Open(tkt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestReplayIDsUnique(t *testing.T) {
 		tickets[i] = k.Seal(st)
 	}
 	for i, tkt := range tickets {
-		if _, err := k.Open(tkt); err != nil {
+		if _, err := k.Open(tkt, nil); err != nil {
 			t.Fatalf("ticket %d: %v", i, err)
 		}
 	}
@@ -74,18 +74,18 @@ func TestOpenGarbage(t *testing.T) {
 		"badctr":    func() []byte { b := append([]byte{}, good...); b[keyIDLen+4] ^= 0x80; return b }(), // no claim page
 	}
 	for name, tkt := range cases {
-		if _, err := k.Open(tkt); err == nil {
+		if _, err := k.Open(tkt, nil); err == nil {
 			t.Errorf("%s ticket opened", name)
 		}
 	}
 	// Unknown key ID.
 	bad := append([]byte{}, good...)
 	bad[0] ^= 0xFF
-	if _, err := k.Open(bad); !errors.Is(err, ErrUnknownKey) {
+	if _, err := k.Open(bad, nil); !errors.Is(err, ErrUnknownKey) {
 		t.Errorf("foreign key ID: got %v, want ErrUnknownKey", err)
 	}
 	// The original still opens.
-	if _, err := k.Open(good); err != nil {
+	if _, err := k.Open(good, nil); err != nil {
 		t.Errorf("good ticket stopped opening: %v", err)
 	}
 }
@@ -95,13 +95,13 @@ func TestOpenExpired(t *testing.T) {
 	now := func() time.Time { return clock }
 	k := testKeeper(t, time.Hour, now)
 	tkt := k.Seal(testState(clock.Add(time.Minute)))
-	if _, err := k.Open(tkt); err != nil {
+	if _, err := k.Open(tkt, nil); err != nil {
 		t.Fatalf("fresh ticket: %v", err)
 	}
 	// Expiry is checked before the claim, so the spent ticket reads as
 	// expired rather than replayed.
 	clock = clock.Add(2 * time.Minute)
-	if _, err := k.Open(tkt); !errors.Is(err, ErrExpired) {
+	if _, err := k.Open(tkt, nil); !errors.Is(err, ErrExpired) {
 		t.Fatalf("expired ticket: got %v, want ErrExpired", err)
 	}
 }
@@ -117,15 +117,15 @@ func TestKeyRotation(t *testing.T) {
 	old := k.Seal(st)
 	clock = clock.Add(61 * time.Second) // force one rotation
 	mid := k.Seal(st)
-	if _, err := k.Open(old); err != nil {
+	if _, err := k.Open(old, nil); err != nil {
 		t.Fatalf("ticket under previous key: %v", err)
 	}
 	clock = clock.Add(61 * time.Second) // second rotation retires old's key
 	k.Seal(st)
-	if _, err := k.Open(old); !errors.Is(err, ErrUnknownKey) {
+	if _, err := k.Open(old, nil); !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("two-rotations-old ticket: got %v, want ErrUnknownKey", err)
 	}
-	if _, err := k.Open(mid); err != nil {
+	if _, err := k.Open(mid, nil); err != nil {
 		t.Fatalf("one-rotation-old ticket: %v", err)
 	}
 }
@@ -136,15 +136,15 @@ func TestClaimSingleUse(t *testing.T) {
 	k := testKeeper(t, time.Hour, nil)
 	st := testState(time.Now().Add(time.Hour))
 	a, b := k.Seal(st), k.Seal(st)
-	if _, err := k.Open(a); err != nil {
+	if _, err := k.Open(a, nil); err != nil {
 		t.Fatalf("first open: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := k.Open(a); !errors.Is(err, ErrReplayed) {
+		if _, err := k.Open(a, nil); !errors.Is(err, ErrReplayed) {
 			t.Fatalf("replay %d: got %v, want ErrReplayed", i, err)
 		}
 	}
-	if _, err := k.Open(b); err != nil {
+	if _, err := k.Open(b, nil); err != nil {
 		t.Fatalf("distinct ticket: %v", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestClaimOneWinner(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			switch _, err := k.Open(tkt); {
+			switch _, err := k.Open(tkt, nil); {
 			case err == nil:
 				wins.Add(1)
 			case errors.Is(err, ErrReplayed):
@@ -191,24 +191,24 @@ func TestClaimAcrossRotation(t *testing.T) {
 	claimed, unclaimed := k.Seal(st), k.Seal(st)
 	clock = clock.Add(61 * time.Second)
 	fresh := k.Seal(st) // rotates: the first two now sit under prev
-	if _, err := k.Open(claimed); err != nil {
+	if _, err := k.Open(claimed, nil); err != nil {
 		t.Fatalf("ticket under prev: %v", err)
 	}
-	if _, err := k.Open(claimed); !errors.Is(err, ErrReplayed) {
+	if _, err := k.Open(claimed, nil); !errors.Is(err, ErrReplayed) {
 		t.Fatalf("replay under prev: got %v, want ErrReplayed", err)
 	}
-	if _, err := k.Open(fresh); err != nil {
+	if _, err := k.Open(fresh, nil); err != nil {
 		t.Fatalf("ticket under cur: %v", err)
 	}
 
 	clock = clock.Add(61 * time.Second)
 	k.Seal(st) // retires the first key and its bitmap
 	for name, tkt := range map[string][]byte{"claimed": claimed, "unclaimed": unclaimed} {
-		if _, err := k.Open(tkt); !errors.Is(err, ErrUnknownKey) {
+		if _, err := k.Open(tkt, nil); !errors.Is(err, ErrUnknownKey) {
 			t.Errorf("%s ticket under a retired key: got %v, want ErrUnknownKey", name, err)
 		}
 	}
-	if _, err := k.Open(fresh); !errors.Is(err, ErrReplayed) {
+	if _, err := k.Open(fresh, nil); !errors.Is(err, ErrReplayed) {
 		t.Fatalf("claimed ticket under prev after rotation: got %v, want ErrReplayed", err)
 	}
 }
@@ -222,18 +222,18 @@ func TestClaimForgeryDoesNotSpend(t *testing.T) {
 	forged := append([]byte{}, good...)
 	forged[len(forged)-1] ^= 1 // flip a tag byte
 	for i := 0; i < 3; i++ {
-		if _, err := k.Open(forged); !errors.Is(err, ErrMalformed) {
+		if _, err := k.Open(forged, nil); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("forged ticket: got %v, want ErrMalformed", err)
 		}
 	}
-	if _, err := k.Open(good); err != nil {
+	if _, err := k.Open(good, nil); err != nil {
 		t.Fatalf("genuine ticket after forgeries: %v", err)
 	}
 }
 
-// TestClaimZeroAlloc pins that claiming adds no allocation to Open: an
-// Open, first claim or replay, allocates exactly what the bare AEAD open
-// of its plaintext does.
+// TestClaimZeroAlloc pins that Open, first claim or replay, allocates
+// nothing when the caller lends it scratch of StateLen bytes' capacity,
+// as the server's resume path does.
 func TestClaimZeroAlloc(t *testing.T) {
 	k := testKeeper(t, time.Hour, nil)
 	st := testState(time.Now().Add(time.Hour))
@@ -242,27 +242,21 @@ func TestClaimZeroAlloc(t *testing.T) {
 	for i := range tickets {
 		tickets[i] = k.Seal(st)
 	}
-	key := k.cur
-	bare := testing.AllocsPerRun(runs, func() {
-		tkt := tickets[0]
-		if _, err := key.aead.Open(nil, tkt[keyIDLen:keyIDLen+nonceLen], tkt[keyIDLen+nonceLen:], nil); err != nil {
-			t.Fatal(err)
-		}
-	})
+	scratch := make([]byte, 0, StateLen)
 	i := 0
 	first := testing.AllocsPerRun(runs, func() {
-		if _, err := k.Open(tickets[i]); err != nil {
+		if _, err := k.Open(tickets[i], scratch); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	replay := testing.AllocsPerRun(runs, func() {
-		if _, err := k.Open(tickets[0]); !errors.Is(err, ErrReplayed) {
+		if _, err := k.Open(tickets[0], scratch); !errors.Is(err, ErrReplayed) {
 			t.Fatalf("got %v, want ErrReplayed", err)
 		}
 	})
-	if first != bare || replay != bare {
-		t.Fatalf("Open allocates %.0f (first claim) and %.0f (replay) per call, the AEAD open %.0f", first, replay, bare)
+	if first != 0 || replay != 0 {
+		t.Fatalf("Open allocates %.0f (first claim) and %.0f (replay) per call, want 0", first, replay)
 	}
 }
 
@@ -278,7 +272,7 @@ func TestKeeperConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				got, err := k.Open(k.Seal(st))
+				got, err := k.Open(k.Seal(st), nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -318,10 +312,11 @@ func BenchmarkKeeperOpen(b *testing.B) {
 		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			scratch := make([]byte, 0, StateLen)
 			for i := 0; i < b.N; i++ {
 				// The first pass claims; later passes are replays,
 				// which do the same work.
-				if _, err := k.Open(tickets[i%sample]); err != nil && !errors.Is(err, ErrReplayed) {
+				if _, err := k.Open(tickets[i%sample], scratch); err != nil && !errors.Is(err, ErrReplayed) {
 					b.Fatal(err)
 				}
 			}

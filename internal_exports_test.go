@@ -39,7 +39,7 @@ var internalAllowlist = map[string]string{
 	"ringlwe/internal/ecc.Curve.ScalarMultAffine": "double-and-add oracle the x-only ladder is checked against (TestLadderMatchesAffineOracle)",
 	"ringlwe/internal/ecc.Curve.OnCurve":          "curve equation the point generator and the group-law tests hold their points to",
 	"ringlwe/internal/gauss.NewMatrix":            "float64-sigma construction TestNewMatrixFromSMatchesNewMatrix holds the live NewMatrixFromS to",
-	"ringlwe/internal/rng.HealthCheck":            "FIPS 140-1 battery the DRBG and CTR sources are checked with",
+	"ringlwe/internal/rng.HealthCheck":            "FIPS 140-1 battery the xorshift, hash-DRBG and AES-CTR (OS-keyed and keyed) sources are checked with",
 	"ringlwe/internal/zq.Modulus.IsPrimitiveRoot": "order check the root finders and the twiddle tables are held to (TestRootOfUnity, TestTablesInvariants)",
 	// Paper-reproduction kernels.
 	"ringlwe/internal/ntt.Tables.ForwardAlg3":    "the paper's Algorithm 3 verbatim, timed by BenchmarkTableIII_NTTAlg3Literal_P1",

@@ -105,16 +105,20 @@ func Fast() Option { return WithProfile(Profile{Sampler: profileDefault.Sampler}
 // implementation.
 func Reference() Option { return WithProfile(profileReference) }
 
-// ConstantTime selects the data-oblivious preset: the vector NTT kernels,
+// ConstantTime selects the constant-time preset: the vector NTT kernels,
 // whose butterflies fold with sign-bit arithmetic and jump only on loop
-// control, and the fixed-shape CDT Gaussian sampler (same table probes
-// and arithmetic for every sample). With the branch-free message codec
-// every profile shares, no secret bit steers a branch or a memory index
-// on the encrypt or decrypt path. Results are bit-compatible with every
-// other profile (same distribution, same decryption), still at zero
-// steady-state allocations. The engine is named, not resolved, so
-// construction panics over a set the vector kernels refuse (n < 16, or
-// q > 2²⁹) instead of running a kernel that branches on coefficients.
+// control, and the fixed-shape CDT Gaussian sampler (same number of table
+// probes and the same arithmetic for every sample). With the branch-free
+// message codec every profile shares, no secret bit steers a branch on
+// the encrypt or decrypt path, with two exceptions. The CDT search loads
+// a table entry at a secret index, so the cache lines it touches (of 8)
+// depend on the sample. Decryption over a basis of more than one modulus
+// (B1) branches in its CRT decode, until the fixed-point CRT decode lands.
+// Results are bit-compatible with every other profile (same distribution,
+// same decryption), still at zero steady-state allocations. The engine is
+// named, not resolved, so construction panics over a set the vector
+// kernels refuse (n < 16, or q > 2²⁹) instead of running a kernel that
+// branches on coefficients.
 func ConstantTime() Option { return WithProfile(profileConstTime) }
 
 // WithProfile applies a complete Profile, replacing any previously applied
@@ -160,12 +164,14 @@ func Samplers() []string { return sampler.Names() }
 
 // WithRandom makes New draw all randomness from r instead of the operating
 // system CSPRNG — the hook for hardware entropy sources, seeded DRBGs and
-// test vectors. The scheme's one-shot path reads r directly; each
-// workspace runs a HashDRBG seeded from it. Like any New scheme it samples
-// with "wide-ky" unless WithSampler says otherwise. The reader must yield
-// uniformly distributed bytes and never fail; a read error is treated as
-// a dead entropy source and panics. NewDeterministic ignores this option:
-// its seed defines the stream.
+// test vectors. The scheme's one-shot path reads r directly. Each
+// workspace runs its own AES-256-CTR keystream, keyed from 48 bytes of r
+// when the workspace is made and rekeyed every MiB from its own keystream
+// (fast key erasure), so it draws as fast as a workspace of New. Like any
+// New scheme it samples with "wide-ky" unless WithSampler says otherwise.
+// The reader must yield uniformly distributed bytes and never fail; a read
+// error is treated as a dead entropy source and panics. NewDeterministic
+// ignores this option: its seed defines the stream.
 func WithRandom(r io.Reader) Option {
 	return func(c *config) { c.random = r }
 }

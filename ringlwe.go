@@ -26,8 +26,9 @@
 //     of them and *Workspace the per-goroutine subset, so consumers can
 //     depend on the narrowest surface they need.
 //   - Security profiles compose a Scheme's backends: Fast (throughput),
-//     Reference (the KAT-pinned paper pipeline) and ConstantTime (fully
-//     data-oblivious encrypt/decrypt), refined by the orthogonal options
+//     Reference (the KAT-pinned paper pipeline) and ConstantTime
+//     (branch-free encrypt/decrypt, with the exceptions its doc names),
+//     refined by the orthogonal options
 //     WithEngine, WithSampler and WithRandom; Scheme.Profile reports the
 //     resolved configuration. Every profile, and the scheme-less
 //     PrivateKey.Decrypt, encodes and decodes messages with one

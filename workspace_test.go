@@ -449,7 +449,7 @@ func TestConcurrentBatchAndDecapsulate(t *testing.T) {
 // forking), which must not race. Run with `go test -race`.
 func TestLegacyOpsConcurrentWithForking(t *testing.T) {
 	p := P1()
-	s := NewDeterministic(p, 8) // deterministic: Fork consumes parent state
+	s := NewDeterministic(p, 8) // deterministic: forking consumes parent state
 	pk, _, err := s.GenerateKeys()
 	if err != nil {
 		t.Fatal(err)
